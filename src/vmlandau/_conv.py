@@ -13,8 +13,6 @@ rely on.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.fft as sfft
 from scipy.integrate import quad
@@ -23,9 +21,6 @@ from scipy.special import gamma as _gamma_fn
 __all__ = ["cube_average_power", "sigma_iso_origin", "kernel_tables", "LatticeConvolver"]
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-# symmetric 3x3 -> packed index
-_PACK = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
-         (1, 1): 3, (1, 2): 4, (2, 1): 4, (2, 2): 5}
 
 
 def cube_average_power(gamma: float) -> float:
@@ -92,31 +87,6 @@ def kernel_tables(grid, gamma: float, c_phi: float, pad: int) -> np.ndarray:
     return tabs
 
 
-def _try_numba_contract():
-    if os.environ.get("VML_NO_NUMBA"):
-        return None
-    try:
-        import numba as nb
-    except ImportError:
-        return None
-
-    @nb.njit(cache=True)
-    def contract(hat, a, out):
-        H = hat.reshape(6, -1)
-        A = a.reshape(3, -1)
-        O = out.reshape(3, -1)
-        for p in range(H.shape[1]):
-            a0, a1, a2 = A[0, p], A[1, p], A[2, p]
-            O[0, p] = H[0, p] * a0 + H[1, p] * a1 + H[2, p] * a2
-            O[1, p] = H[1, p] * a0 + H[3, p] * a1 + H[4, p] * a2
-            O[2, p] = H[2, p] * a0 + H[4, p] * a1 + H[5, p] * a2
-
-    return contract
-
-
-_NUMBA_CONTRACT = _try_numba_contract()
-
-
 class LatticeConvolver:
     """Applies the 3x3 kernel convolution (out_i = sum_j phi^ij * v_j) via FFT.
 
@@ -144,29 +114,18 @@ class LatticeConvolver:
         buf[:, :n, :n, :n] = v3
         a = sfft.fftn(buf, axes=(1, 2, 3))
         out = self._mid
-        if _NUMBA_CONTRACT is not None:
-            _NUMBA_CONTRACT(self.hat, a, out)
-        else:
-            H = self.hat
-            np.multiply(H[0], a[0], out=out[0])
-            out[0] += H[1] * a[1]
-            out[0] += H[2] * a[2]
-            np.multiply(H[1], a[0], out=out[1])
-            out[1] += H[3] * a[1]
-            out[1] += H[4] * a[2]
-            np.multiply(H[2], a[0], out=out[2])
-            out[2] += H[4] * a[1]
-            out[2] += H[5] * a[2]
+        H = self.hat
+        np.multiply(H[0], a[0], out=out[0])
+        out[0] += H[1] * a[1]
+        out[0] += H[2] * a[2]
+        np.multiply(H[1], a[0], out=out[1])
+        out[1] += H[3] * a[1]
+        out[1] += H[4] * a[2]
+        np.multiply(H[2], a[0], out=out[2])
+        out[2] += H[4] * a[1]
+        out[2] += H[5] * a[2]
         res = sfft.ifftn(out, axes=(1, 2, 3))
         return res[:, :n, :n, :n]
-
-    def apply_component(self, i: int, j: int, u: np.ndarray) -> np.ndarray:
-        """Convolve a scalar complex field with the single kernel phi^ij."""
-        n = self.grid.n
-        buf = np.zeros((self.pad,) * 3, dtype=complex)
-        buf[:n, :n, :n] = u
-        out = sfft.ifftn(sfft.fftn(buf) * self.hat[_PACK[(i, j)]])
-        return out[:n, :n, :n]
 
     def apply_all_components(self, u: np.ndarray) -> np.ndarray:
         """All six convolutions phi^ij * u of one scalar field, packed (6, n, n, n)."""

@@ -170,11 +170,16 @@ def cmd_decay_sweep(args) -> int:
     return 0 if not archive.failures else 1
 
 
+def _shell_count(archive: RunArchive) -> int:
+    """Number of distinct shell radii |k| in the archive's k-set."""
+    return len({round(float(np.linalg.norm(k)), 12) for k, _ in archive.k_set})
+
+
 def cmd_fit(args) -> int:
     archive = load_archive(args.archive)
     times, series = synthesize_norms(archive, args.m)
     fit = decay_fit(times, series, tuple(args.window), m=args.m,
-                    shells_used=len({tuple(np.round(k, 12)) for k, _ in archive.k_set}))
+                    shells_used=_shell_count(archive))
     if not fit.conclusive:
         print("inconclusive: insufficient decay inside the window")
         return 1
@@ -189,7 +194,7 @@ def cmd_report(args) -> int:
     for m in args.m:
         times, series = synthesize_norms(archive, m)
         fits.append(decay_fit(times, series, tuple(args.window), m=m,
-                              shells_used=len(archive.k_set)))
+                              shells_used=_shell_count(archive)))
     manifest = report(archive, fits)
     print(f"summary: {archive.summary_path()}")
     print(f"manifest: {archive.manifest_path()} ({len(manifest['files'])} files)")

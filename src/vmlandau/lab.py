@@ -12,12 +12,17 @@ Fit summary schema:
     m,sigma_hat,sigma_target,resid,t1,t2,n_shells
 
 Parallelism: modes are farmed to forked worker processes (the assembled
-operator is shared copy-on-write); VML_THREADS caps the worker count.  Output
-bytes are independent of scheduling order.
+operator is shared copy-on-write); VML_THREADS caps the worker count.  Every
+mode, forked or serial, runs on one OpenBLAS thread, so workers x BLAS threads
+never exceeds the worker count and each mode does the same arithmetic whatever
+VML_THREADS says: archive bytes depend neither on scheduling order nor on the
+worker count.  The deflation basis, built once in the parent, still follows
+the host's BLAS default thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import uuid
@@ -317,10 +322,50 @@ def _mode_csv_text(rep: ModeEnergyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# thread-count (setter, getter) symbols of the OpenBLAS builds numpy and scipy
+# bundle (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS, tried in order
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_controls() -> list:
+    """(set_threads, get_threads) of every OpenBLAS copy mapped into this process.
+
+    numpy and scipy each bundle their own copy, so there can be several.
+    Empty where no OpenBLAS is loaded or /proc/self/maps cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.rstrip("\n").split(maxsplit=5)[-1] for line in fh}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
 _WORKER_CTX: dict = {}
 
 
 def _worker_init(cfg, op):
+    # one BLAS thread per mode: forked workers would otherwise each run the
+    # host's default pool and oversubscribe the cores
+    for set_threads, _ in _openblas_controls():
+        set_threads(1)
     _WORKER_CTX["cfg"] = cfg
     _WORKER_CTX["op"] = op
 
@@ -360,8 +405,10 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     """Integrate every configured mode, archiving CSV series and checkpoints.
 
     Deterministic: identical configs on the same build produce byte-identical
-    archives regardless of worker scheduling.  Per-mode solver failures are
-    recorded in the archive (and manifest) without aborting the sweep.
+    archives regardless of worker scheduling and count.  Each mode runs on one
+    BLAS thread; the serial path restores the caller's thread count on return.
+    Per-mode solver failures are recorded in the archive (and manifest) without
+    aborting the sweep.
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -383,10 +430,16 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
             for idx, csv, ckpt, rep, err in pool.imap_unordered(_run_one_mode, jobs):
                 results[idx] = (csv, ckpt, rep, err)
     else:
-        _worker_init(cfg, op)
-        for job in jobs:
-            idx, csv, ckpt, rep, err = _run_one_mode(job)
-            results[idx] = (csv, ckpt, rep, err)
+        controls = _openblas_controls()
+        saved = [get_threads() for _, get_threads in controls]
+        try:
+            _worker_init(cfg, op)
+            for job in jobs:
+                idx, csv, ckpt, rep, err = _run_one_mode(job)
+                results[idx] = (csv, ckpt, rep, err)
+        finally:
+            for (set_threads, _), count in zip(controls, saved):
+                set_threads(count)
     mode_csvs, checkpoints, reports, failures = [], [], [], []
     for idx in range(len(jobs)):
         csv, ckpt, rep, err = results[idx]

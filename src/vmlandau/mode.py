@@ -257,8 +257,17 @@ class _ModeSolver:
                                restart=50, maxiter=200, callback=cb,
                                callback_type="pr_norm")
         if info != 0:
-            raise RuntimeError(f"implicit solve failed to converge (info={info})")
+            raise _gmres_failure("implicit solve", info, A, rhs, sol, iters[0],
+                                 self.cfg.lin_tol)
         return sol, iters[0]
+
+
+def _gmres_failure(what: str, info: int, A, rhs: np.ndarray, sol: np.ndarray,
+                   iters: int, rtol: float) -> RuntimeError:
+    """The error for a GMRES solve that stopped with ``info != 0``."""
+    rel = np.linalg.norm(rhs - A.matvec(sol)) / (np.linalg.norm(rhs) or 1.0)
+    return RuntimeError(f"{what} failed to converge (info={info}): relative residual "
+                        f"{rel:.3e} against rtol {rtol:.1e} after {iters} iterations")
 
 
 def _flatten(state: ModeState) -> np.ndarray:
@@ -278,6 +287,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                    couple_kinetic: bool = True) -> ModeHistory:
     """Evolve a mode to time T at uniform dt; returns per-step scalars and frames.
 
+    T must be a whole number of steps dt (to 1e-9 relative), else ValueError.
     Initial data must satisfy the Gauss constraints to within
     cfg.constraint_tol; k = 0 additionally requires charge-neutral data.
     Constraint drift beyond tolerance during the run sets a flag on the
@@ -299,6 +309,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         raise ValueError("k = 0 modes require charge-neutral initial data")
 
     nsteps = int(round(T / cfg.dt))
+    if abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
+        raise ValueError(f"T = {T!r} is not a whole number of steps of dt = {cfg.dt!r}")
     if nsteps > cfg.max_steps:
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
     midpoint = cfg.scheme == "imex-midpoint"
@@ -413,7 +425,8 @@ def _solve_kinetic(solver: _ModeSolver, rhs_f: np.ndarray, guess_f: np.ndarray):
                            callback=lambda _: iters.__setitem__(0, iters[0] + 1),
                            callback_type="pr_norm")
     if info != 0:
-        raise RuntimeError(f"kinetic solve failed to converge (info={info})")
+        raise _gmres_failure("kinetic solve", info, A, rhs_f, sol, iters[0],
+                             solver.cfg.lin_tol)
     return sol, iters[0]
 
 

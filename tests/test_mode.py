@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from vmlandau.checkpoint import CheckpointWriter, read_checkpoint
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
+from vmlandau import mode
 from vmlandau.macro import macro_residuals, project_P
 from vmlandau.mode import (ModeState, StepperConfig, energy_identity_check,
                            envelope_fit, integrate_mode, mode_energy_report,
@@ -170,6 +173,31 @@ class TestIntegrateMode:
         st.Ehat = np.array([0.0, 0.0, 1.0], dtype=complex)  # i k.E != 0, no charge
         with pytest.raises(ValueError):
             integrate_mode(st, StepperConfig(dt=0.1, constraint_tol=1e-8), 1.0, op11)
+
+
+class TestSolverGuards:
+    def test_T_not_a_multiple_of_dt_rejected(self, op11, grid11):
+        st = _micro_state(grid11, [0.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            integrate_mode(st, StepperConfig(dt=0.3), 1.0, op11)
+
+    @pytest.mark.parametrize("scheme, what", [("imex-midpoint", "implicit solve"),
+                                              ("imex-euler", "kinetic solve")])
+    def test_gmres_failure_reports_residual_and_iterations(self, op11, grid11, monkeypatch,
+                                                            scheme, what):
+        def stalled(A, b, x0=None, callback=None, **kwargs):
+            for _ in range(3):
+                callback(1.0)
+            return np.zeros_like(b), 200
+
+        monkeypatch.setattr(mode.spla, "gmres", stalled)
+        st = _micro_state(grid11, [0.0, 0.0, 0.5])
+        with pytest.raises(RuntimeError) as err:
+            integrate_mode(st, StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8), 0.1, op11)
+        # a zero iterate leaves the whole right-hand side as residual
+        assert re.fullmatch(rf"{what} failed to converge \(info=200\): relative residual "
+                            r"1\.000e\+00 against rtol 1\.0e-08 after 3 iterations",
+                            str(err.value))
 
 
 class TestMacroResidualConvergence:
