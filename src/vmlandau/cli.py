@@ -21,9 +21,8 @@ import numpy as np
 
 from .collision import CollisionParams, assemble_L
 from .grid import build_grid, inner_product
-from .lab import (ExperimentConfig, RunArchive, decay_fit, load_archive,
-                  parse_config, report, run_sweep, synthesize_norms)
-from .mode import StepperConfig, integrate_mode, mode_energy_report
+from .lab import (ExperimentConfig, RunArchive, _fmt, decay_fit, load_archive,
+                  parse_config, report, run_mode, run_sweep, synthesize_norms)
 from .weights import WeightSpec, characterization_norm, dissipation_norm
 
 SIGMA_CSV_HEADER = "r,xi1,xi2,xi3,s11,s12,s13,s22,s23,s33"
@@ -34,10 +33,6 @@ def _parse_vec(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
     return np.array(parts)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def cmd_sigma_table(args) -> int:
@@ -73,7 +68,6 @@ def cmd_sigma_table(args) -> int:
 def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = 1.0,
                    n_random: int = 200, seed: int = 7):
     """Null residuals, symmetry defect, Rayleigh minimum and coercivity stats."""
-    from .collision import assemble_L
     from .grid import TwoSpeciesField
     from .macro import project_P
 
@@ -138,24 +132,12 @@ def cmd_mode_run(args) -> int:
                            dt=args.dt, scheme=args.scheme, T=args.T,
                            outdir=args.out, save_interval=args.save_interval,
                            shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(cfg.R, cfg.n)
-    op = assemble_L(grid, cfg.collision_params())
-    from .checkpoint import CheckpointWriter
-    from .lab import MODE_CSV_HEADER, _mode_csv_text, init_data
-    state0 = init_data(cfg, args.k, grid)
-    writer = CheckpointWriter(out / "mode_0000.ckpt", grid, cfg.gamma, cfg.c_phi)
-    try:
-        hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
-                              sample_interval=cfg.save_interval, checkpoint=writer)
-    finally:
-        writer.close()
-    rep = mode_energy_report(hist, cfg.ell, op)
-    (out / "mode_0000.csv").write_text(_mode_csv_text(rep))
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
+    csv_path, _, rep = run_mode(cfg, 0, args.k, op)
+    energy = rep.f_l2sq + rep.em_sq
     print(f"mode k={args.k} integrated to T={args.T}; "
-          f"energy {hist.energy[0]:.6g} -> {hist.energy[-1]:.6g}; "
-          f"series in {out / 'mode_0000.csv'}")
+          f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {csv_path}")
     return 0
 
 

@@ -12,16 +12,17 @@ Fit summary schema:
     m,sigma_hat,sigma_target,resid,t1,t2,n_shells
 
 Parallelism: modes are farmed to forked worker processes (the assembled
-operator is shared copy-on-write); VML_THREADS caps the worker count.  Every
-mode, forked or serial, runs on one OpenBLAS thread, so workers x BLAS threads
-never exceeds the worker count and each mode does the same arithmetic whatever
-VML_THREADS says: archive bytes depend neither on scheduling order nor on the
-worker count.  The deflation basis, built once in the parent, still follows
-the host's BLAS default thread count.
+operator is shared copy-on-write); VML_THREADS caps the worker count.  A sweep
+runs on one OpenBLAS thread throughout: the operator and deflation basis built
+once in the parent, and every mode, forked or serial.  So workers x BLAS
+threads never exceeds the worker count, and archive bytes depend neither on
+scheduling order, nor on the worker count, nor on the caller's BLAS thread
+count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import os
@@ -46,6 +47,7 @@ __all__ = [
     "parse_config",
     "build_k_set",
     "init_data",
+    "run_mode",
     "run_sweep",
     "synthesize_norms",
     "decay_fit",
@@ -108,32 +110,26 @@ class ExperimentConfig:
         return CollisionParams(gamma=self.gamma, c_phi=self.c_phi)
 
     def deflation_needed(self) -> bool:
-        a = 0.5 * self.dt if self.scheme == "imex-midpoint" else self.dt
-        return a * 0.7 >= 0.02
+        return self.stepper().deflation_needed()
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(dt=self.dt, scheme=self.scheme, lin_tol=self.lin_tol,
                              constraint_tol=self.constraint_tol, max_steps=self.max_steps)
 
 
+# value parsers keyed by the field annotations, which are strings under
+# ``from __future__ import annotations``
 _PARSERS = {
-    float: float,
-    int: int,
-    str: str,
-    tuple: lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
 }
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse the line-oriented ``key = value`` config file; unknown keys are errors."""
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    types = {"gamma": float, "c_phi": float, "R": float, "n": int, "shells": tuple,
-             "directions_per_shell": int, "family": str, "amplitude": float,
-             "ell": float, "tau": float, "lam": float, "theta": float, "dt": float,
-             "scheme": str, "lin_tol": float, "constraint_tol": float,
-             "max_steps": int, "T": float, "outdir": str, "save_interval": float,
-             "checkpoint_interval": float}
-    assert set(types) == set(known)
+    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -143,10 +139,10 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in types:
+        if key not in parsers:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _PARSERS[types[key]](val)
+            values[key] = parsers[key](val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values)
@@ -358,6 +354,20 @@ def _openblas_controls() -> list:
     return controls
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of every loaded OpenBLAS; restore the counts after."""
+    controls = _openblas_controls()
+    saved = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
+
+
 _WORKER_CTX: dict = {}
 
 
@@ -370,26 +380,33 @@ def _worker_init(cfg, op):
     _WORKER_CTX["op"] = op
 
 
+def run_mode(cfg: ExperimentConfig, idx: int, kvec, op: LinearizedOperator):
+    """Integrate the configured data at wavevector ``kvec`` to cfg.T.
+
+    Writes ``mode_<idx>.ckpt`` and ``mode_<idx>.csv`` (4-digit idx) into the
+    existing directory cfg.outdir; returns their paths and the energy report.
+    """
+    outdir = Path(cfg.outdir)
+    state0 = init_data(cfg, kvec, op.grid)
+    ckpt_path = outdir / f"mode_{idx:04d}.ckpt"
+    writer = CheckpointWriter(ckpt_path, op.grid, cfg.gamma, cfg.c_phi)
+    interval = cfg.checkpoint_interval if cfg.checkpoint_interval > 0 else None
+    try:
+        hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
+                              sample_interval=cfg.save_interval,
+                              checkpoint=writer, checkpoint_interval=interval)
+    finally:
+        writer.close()
+    rep = mode_energy_report(hist, cfg.ell, op)
+    csv_path = outdir / f"mode_{idx:04d}.csv"
+    csv_path.write_text(_mode_csv_text(rep))
+    return str(csv_path), str(ckpt_path), rep
+
+
 def _run_one_mode(args):
     idx, kvec = args
-    cfg: ExperimentConfig = _WORKER_CTX["cfg"]
-    op: LinearizedOperator = _WORKER_CTX["op"]
-    outdir = Path(cfg.outdir)
     try:
-        state0 = init_data(cfg, kvec, op.grid)
-        ckpt_path = outdir / f"mode_{idx:04d}.ckpt"
-        writer = CheckpointWriter(ckpt_path, op.grid, cfg.gamma, cfg.c_phi)
-        interval = cfg.checkpoint_interval if cfg.checkpoint_interval > 0 else None
-        try:
-            hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
-                                  sample_interval=cfg.save_interval,
-                                  checkpoint=writer, checkpoint_interval=interval)
-        finally:
-            writer.close()
-        rep = mode_energy_report(hist, cfg.ell, op)
-        csv_path = outdir / f"mode_{idx:04d}.csv"
-        csv_path.write_text(_mode_csv_text(rep))
-        return idx, str(csv_path), str(ckpt_path), rep, None
+        return idx, *run_mode(_WORKER_CTX["cfg"], idx, kvec, _WORKER_CTX["op"]), None
     except Exception as exc:  # per-mode failures are recorded, not fatal
         return idx, None, None, None, f"{type(exc).__name__}: {exc}"
 
@@ -405,41 +422,35 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     """Integrate every configured mode, archiving CSV series and checkpoints.
 
     Deterministic: identical configs on the same build produce byte-identical
-    archives regardless of worker scheduling and count.  Each mode runs on one
-    BLAS thread; the serial path restores the caller's thread count on return.
-    Per-mode solver failures are recorded in the archive (and manifest) without
-    aborting the sweep.
+    archives regardless of worker scheduling and count and of the caller's
+    BLAS thread count.  The sweep runs on one BLAS thread and restores the
+    caller's thread count on return.  Per-mode solver failures are recorded in
+    the archive (and manifest) without aborting the sweep.
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(cfg.R, cfg.n)
-    if op is None:
-        op = assemble_L(grid, cfg.collision_params())
-    if cfg.deflation_needed():
-        op.deflation_basis()   # build once in the parent; workers inherit it
     k_set = build_k_set(cfg)
     config_path = outdir / "config.cfg"
     config_path.write_text(config_to_text(cfg))
     jobs = [(idx, kvec) for idx, (kvec, _w) in enumerate(k_set)]
     nproc = min(max_workers(), len(jobs))
     results = {}
-    if nproc > 1:
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
-            for idx, csv, ckpt, rep, err in pool.imap_unordered(_run_one_mode, jobs):
-                results[idx] = (csv, ckpt, rep, err)
-    else:
-        controls = _openblas_controls()
-        saved = [get_threads() for _, get_threads in controls]
-        try:
+    with _one_blas_thread():
+        if op is None:
+            op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
+        if cfg.deflation_needed():
+            op.deflation_basis()   # build once in the parent; workers inherit it
+        if nproc > 1:
+            import multiprocessing as mp
+            ctx = mp.get_context("fork")
+            with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
+                for idx, csv, ckpt, rep, err in pool.imap_unordered(_run_one_mode, jobs):
+                    results[idx] = (csv, ckpt, rep, err)
+        else:
             _worker_init(cfg, op)
             for job in jobs:
                 idx, csv, ckpt, rep, err = _run_one_mode(job)
                 results[idx] = (csv, ckpt, rep, err)
-        finally:
-            for (set_threads, _), count in zip(controls, saved):
-                set_threads(count)
     mode_csvs, checkpoints, reports, failures = [], [], [], []
     for idx in range(len(jobs)):
         csv, ckpt, rep, err = results[idx]
@@ -454,11 +465,6 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
                          mode_csvs=mode_csvs, checkpoints=checkpoints,
                          k_set=k_set, reports=reports, failures=failures)
     return archive
-
-
-def _csv_series(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return data
 
 
 def load_archive(outdir) -> RunArchive:
@@ -509,7 +515,7 @@ def synthesize_norms(archive: RunArchive, m: int, ell: float = 0.0):
     times = None
     total = None
     for path in archive.mode_csvs:
-        data = _csv_series(path)
+        data = np.genfromtxt(path, delimiter=",", names=True)
         kvec = np.array([data["k1"][0], data["k2"][0], data["k3"][0]])
         ksq = float(kvec @ kvec)
         series = data["f_l2sq"] + data["em_sq"]

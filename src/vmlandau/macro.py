@@ -260,7 +260,6 @@ def source_moments(f: TwoSpeciesField, E, B, params, *, budget=None) -> SourceMo
     g = f.grid
     xi = g.xi
     smu = g.sqrt_mu
-    r2 = np.sum(xi ** 2, axis=0)
     E = np.asarray(E, dtype=complex)
     B = np.asarray(B, dtype=complex)
     gam = gamma_bilinear(f, f, params, budget=budget)
@@ -272,29 +271,21 @@ def source_moments(f: TwoSpeciesField, E, B, params, *, budget=None) -> SourceMo
                     xi[0] * B[1] - xi[1] * B[0]])
     force = np.stack([E[i] + xiB[i] for i in range(3)])
     sgn = np.array([1.0, -1.0])
-    mass = np.empty(2, dtype=complex)
-    xi_lhs = np.empty((2, 3), dtype=complex)
-    xi_rhs = np.empty((2, 3), dtype=complex)
-    e_lhs = np.empty(2, dtype=complex)
-    e_rhs = np.empty(2, dtype=complex)
-    a_pm = np.array([macro.a_plus, macro.a_minus])
+    S = np.empty_like(f.values)
     for s in range(2):
         ratio = f.values[s] / smu
         grad = np.stack([smu * (D[i] @ ratio) - 0.5 * xi[i] * f.values[s]
                          for i in range(3)])
-        S = (sgn[s] * 0.5 * Exi * f.values[s]
-             - sgn[s] * (force[0] * grad[0] + force[1] * grad[1] + force[2] * grad[2])
-             + gam.values[s])
-        mass[s] = linear_moment(g, smu, S)
-        micro_xi = np.array([linear_moment(g, xi[i] * smu, micro.values[s]) for i in range(3)])
-        gam_xi = np.array([linear_moment(g, xi[i] * smu, gam.values[s]) for i in range(3)])
-        for i in range(3):
-            xi_lhs[s, i] = linear_moment(g, xi[i] * smu, S)
-        xi_rhs[s] = (sgn[s] * (E * a_pm[s] + np.cross(macro.b, B) + np.cross(micro_xi, B))
-                     + gam_xi)
-        e_lhs[s] = linear_moment(g, (r2 - 3.0) * smu, S) / 6.0
-        e_rhs[s] = (sgn[s] * (macro.b @ E) / 3.0
-                    + sgn[s] * (micro_xi @ E) / 3.0
-                    + linear_moment(g, (r2 - 3.0) * smu, gam.values[s]) / 6.0)
-    return SourceMomentReport(mass=mass, xi_lhs=xi_lhs, xi_rhs=xi_rhs,
-                              energy_lhs=e_lhs, energy_rhs=e_rhs)
+        S[s] = (sgn[s] * 0.5 * Exi * f.values[s]
+                - sgn[s] * (force[0] * grad[0] + force[1] * grad[1] + force[2] * grad[2])
+                + gam.values[s])
+    # rows: sqrt(mu), xi_i sqrt(mu), (|xi|^2 - 3) sqrt(mu) / 6
+    rows = _moment_rows(g)[:5].T
+    m_S, m_gam = S @ rows, gam.values @ rows
+    micro_xi = micro.values @ rows[:, 1:4]
+    a_pm = np.array([macro.a_plus, macro.a_minus])
+    xi_rhs = (sgn[:, None] * (E * a_pm[:, None] + np.cross(macro.b, B) + np.cross(micro_xi, B))
+              + m_gam[:, 1:4])
+    e_rhs = sgn * (macro.b @ E) / 3.0 + sgn * (micro_xi @ E) / 3.0 + m_gam[:, 4]
+    return SourceMomentReport(mass=m_S[:, 0], xi_lhs=m_S[:, 1:4], xi_rhs=xi_rhs,
+                              energy_lhs=m_S[:, 4], energy_rhs=e_rhs)

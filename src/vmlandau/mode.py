@@ -17,11 +17,13 @@ up to solver tolerance at any dt.  imex-euler treats L and the transport
 implicitly and the Maxwell coupling explicitly, with the current j evaluated
 at the new f so the discrete charge moment telescopes exactly.
 
-The implicit solves use GMRES preconditioned by an ILU factorization of the
-sparse part of L plus the diagonal transport, optionally deflated by a
-low-rank approximation of the compact nonlocal part; the GMRES initial guess
-is the current state, so a restarted run reproduces an uninterrupted one
-bitwise.
+One generator M, built on one kinetic block -(i xi.k + L), and one solve path
+serve both schemes: midpoint solves with M on the whole state, Euler with its
+kinetic block on f alone.  The solves use GMRES preconditioned by an ILU
+factorization of the sparse part of L plus the diagonal transport, optionally
+deflated by a low-rank approximation of the compact nonlocal part; the GMRES
+initial guess is the current state, so a restarted run reproduces an
+uninterrupted one bitwise.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .collision import LinearizedOperator
 from .grid import TwoSpeciesField
-from .macro import linear_moment, project_P
+from .macro import project_P
 from .weights import WeightSpec, dissipation_norm
 
 __all__ = [
@@ -83,13 +85,7 @@ class ModeState:
         self.Bhat = np.asarray(self.Bhat, dtype=complex).reshape(3)
 
     def charge_moment(self) -> complex:
-        g = self.fhat.grid
-        return linear_moment(g, g.sqrt_mu, self.fhat.values[0] - self.fhat.values[1])
-
-    def current_moment(self) -> np.ndarray:
-        g = self.fhat.grid
-        d = self.fhat.values[0] - self.fhat.values[1]
-        return np.array([linear_moment(g, g.xi[i] * g.sqrt_mu, d) for i in range(3)])
+        return _charge(self.fhat.grid, self.fhat.values)
 
     def gauss_residuals(self):
         """|i k.E - charge| and |i k.B|."""
@@ -126,25 +122,78 @@ class StepperConfig:
         if self.lin_tol <= 0 or self.constraint_tol <= 0:
             raise ValueError("tolerances must be positive")
 
+    def implicit_weight(self) -> float:
+        """Weight a of the implicit solves (I - a M): dt/2 for imex-midpoint, dt for imex-euler."""
+        return 0.5 * self.dt if self.scheme == "imex-midpoint" else self.dt
+
+    def deflation_needed(self) -> bool:
+        """Whether the implicit solves deflate the compact part of L.
+
+        That part contributes a |lambda(K)| ~ a to the preconditioned spectrum;
+        deflation only pays off once that exceeds the ILU leftover.
+        """
+        return self.deflation_rank > 0 and self.implicit_weight() * 0.7 >= 0.02
+
+
+def _xi_dot(g, v) -> np.ndarray:
+    """xi.v at every velocity node."""
+    return g.xi[0] * v[0] + g.xi[1] * v[1] + g.xi[2] * v[2]
+
+
+def _charge(g, f: np.ndarray) -> complex:
+    """Charge <sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
+    return complex(np.sum(g.weights * g.sqrt_mu * (f[0] - f[1])))
+
+
+def _current(g, f: np.ndarray) -> np.ndarray:
+    """Current <xi sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
+    return (g.weights * g.sqrt_mu * g.xi * (f[0] - f[1])).sum(axis=1)
+
+
+def _kinetic(f: np.ndarray, op: LinearizedOperator, k: np.ndarray) -> np.ndarray:
+    """-(i xi.k + L) f on a (2, n^3) block."""
+    return -1j * _xi_dot(op.grid, k) * f - op.apply_raw(f)
+
+
+def _generator(u: np.ndarray, op: LinearizedOperator, k: np.ndarray,
+               couple_kinetic: bool = True) -> np.ndarray:
+    """M u for the flattened state u = (f+, f-, E, B).
+
+    ``couple_kinetic=False`` drops the E.xi sqrt(mu) q1 and current terms.
+    """
+    g = op.grid
+    n3 = g.size
+    f = u[:2 * n3].reshape(2, n3)
+    E = u[2 * n3:2 * n3 + 3]
+    B = u[2 * n3 + 3:]
+    out = np.empty_like(u)
+    out[:2 * n3] = _kinetic(f, op, k).ravel()
+    out[2 * n3:2 * n3 + 3] = 1j * np.cross(k, B)
+    out[2 * n3 + 3:] = -1j * np.cross(k, E)
+    if couple_kinetic:
+        Exi = _xi_dot(g, E)
+        out[:n3] += Exi * g.sqrt_mu
+        out[n3:2 * n3] -= Exi * g.sqrt_mu
+        out[2 * n3:2 * n3 + 3] -= _current(g, f)
+    return out
+
+
+def _flatten(state: ModeState) -> np.ndarray:
+    return np.concatenate([state.fhat.values.reshape(-1), state.Ehat, state.Bhat])
+
+
+def _unflatten(u: np.ndarray, template: ModeState, t: float) -> ModeState:
+    n3 = template.fhat.grid.size
+    f = TwoSpeciesField(u[:2 * n3].reshape(2, n3).copy(), template.fhat.grid)
+    return ModeState(template.k.copy(), f, u[2 * n3:2 * n3 + 3].copy(),
+                     u[2 * n3 + 3:].copy(), t)
+
 
 def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
-    g = op.grid
-    xi = g.xi
-    smu = g.sqrt_mu
-    k = state.k
-    f = state.fhat.values
-    Lf = op.apply_raw(f)
-    transport = -1j * (xi[0] * k[0] + xi[1] * k[1] + xi[2] * k[2])
-    Exi = state.Ehat[0] * xi[0] + state.Ehat[1] * xi[1] + state.Ehat[2] * xi[2]
-    df = np.empty_like(f)
-    df[0] = transport * f[0] + Exi * smu - Lf[0]
-    df[1] = transport * f[1] - Exi * smu - Lf[1]
-    j = state.current_moment()
-    dE = 1j * np.cross(k, state.Bhat) - j
-    dB = -1j * np.cross(k, state.Ehat)
-    return TwoSpeciesField(df, g), dE, dB
+    d = _unflatten(_generator(_flatten(state), op, state.k), state, state.t)
+    return d.fhat, d.Ehat, d.Bhat
 
 
 @dataclass
@@ -163,39 +212,33 @@ class ModeHistory:
 
 
 class _ModeSolver:
-    """Flattened linear algebra for one mode: generator, preconditioner, solve."""
+    """The implicit solve (I - a M) u = rhs of one mode and scheme.
 
-    def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, cfg: StepperConfig,
+    imex-midpoint solves the full state u = (f+, f-, E, B) with the generator
+    M; imex-euler solves the kinetic block f alone with M's kinetic part.
+    """
+
+    def __init__(self, op: LinearizedOperator, k: np.ndarray, cfg: StepperConfig,
                  couple_kinetic: bool = True):
         self.op = op
         self.k = np.asarray(k, dtype=float)
-        self.a = a
+        self.a = cfg.implicit_weight()
         self.cfg = cfg
         self.couple_kinetic = couple_kinetic
-        g = op.grid
-        self.n3 = g.size
-        self.xi = g.xi
-        self.smu = g.sqrt_mu
-        self.w = g.weights
-        self.transport = self.xi[0] * k[0] + self.xi[1] * k[1] + self.xi[2] * k[2]
-        self.xw = (g.weights * g.sqrt_mu)[None, :] * g.xi
-        self.nt = 2 * self.n3 + 6
+        self.kinetic_only = cfg.scheme == "imex-euler"
+        self.n3 = op.grid.size
         Msp = (sp.identity(self.n3, format="csr")
-               + a * (op.A_sparse + 1j * sp.diags_array(self.transport))).tocsc()
+               + self.a * (op.A_sparse + 1j * sp.diags_array(_xi_dot(op.grid, self.k)))).tocsc()
         self.ilu = spla.spilu(Msp, drop_tol=1e-3, fill_factor=12)
         self._setup_deflation()
 
     def _setup_deflation(self):
-        rank = self.cfg.deflation_rank
-        # the compact part contributes a * |lambda(K)| ~ a to the preconditioned
-        # spectrum; deflation only pays off once that exceeds the ILU leftover
-        if rank <= 0 or self.a * 0.7 < 0.02:
-            self.defl = None
+        self.defl = None
+        if not self.cfg.deflation_needed():
             return
-        lam, Vl, Vr = self.op.deflation_basis(rank=rank)
+        lam, Vl, Vr = self.op.deflation_basis(rank=self.cfg.deflation_rank)
         keep = np.abs(lam) > 0.05
         if not np.any(keep):
-            self.defl = None
             return
         lam, Vl, Vr = lam[keep], Vl[:, keep], Vr[:, keep]
         Y = np.empty_like(Vl, dtype=complex)
@@ -204,34 +247,15 @@ class _ModeSolver:
         cap = np.diag(1.0 / lam) + 2.0 * self.a * (Vr.T @ Y)
         self.defl = (np.linalg.inv(cap), Y, Vr)
 
-    def generator(self, u: np.ndarray) -> np.ndarray:
-        """M u for the flattened state u = (f+, f-, E, B)."""
-        n3 = self.n3
-        f = u[:2 * n3].reshape(2, n3)
-        E = u[2 * n3:2 * n3 + 3]
-        B = u[2 * n3 + 3:]
-        Lf = self.op.apply_raw(f)
-        out = np.empty_like(u)
-        tr = self.transport
-        out[:n3] = -1j * tr * f[0] - Lf[0]
-        out[n3:2 * n3] = -1j * tr * f[1] - Lf[1]
-        out[2 * n3:2 * n3 + 3] = 1j * np.cross(self.k, B)
-        out[2 * n3 + 3:] = -1j * np.cross(self.k, E)
-        if self.couple_kinetic:
-            Exi = E[0] * self.xi[0] + E[1] * self.xi[1] + E[2] * self.xi[2]
-            out[:n3] += Exi * self.smu
-            out[n3:2 * n3] -= Exi * self.smu
-            j = (self.xw * (f[0] - f[1])).sum(axis=1)
-            out[2 * n3:2 * n3 + 3] -= j
-        return out
-
     def shifted(self, u: np.ndarray) -> np.ndarray:
-        """(I - a M) u."""
-        return u - self.a * self.generator(u)
+        """(I - a M) u, with M's kinetic part alone on a kinetic-only solver."""
+        if self.kinetic_only:
+            return u - self.a * _kinetic(u.reshape(2, self.n3), self.op, self.k).ravel()
+        return u - self.a * _generator(u, self.op, self.k, self.couple_kinetic)
 
     def precondition(self, u: np.ndarray) -> np.ndarray:
+        """ILU plus deflation on the kinetic block of u; field entries pass through."""
         n3 = self.n3
-        out = np.empty_like(u)
         y0 = self.ilu.solve(u[:n3])
         y1 = self.ilu.solve(u[n3:2 * n3])
         if self.defl is not None:
@@ -240,14 +264,13 @@ class _ModeSolver:
             corr = self.a * (Y @ z)
             y0 = y0 - corr
             y1 = y1 - corr
-        out[:n3] = y0
-        out[n3:2 * n3] = y1
-        out[2 * n3:] = u[2 * n3:]
-        return out
+        return np.concatenate([y0, y1, u[2 * n3:]])
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray):
-        A = spla.LinearOperator((self.nt, self.nt), matvec=self.shifted, dtype=complex)
-        P = spla.LinearOperator((self.nt, self.nt), matvec=self.precondition, dtype=complex)
+        """GMRES from ``guess``; returns the solution and the iteration count."""
+        n = rhs.size
+        A = spla.LinearOperator((n, n), matvec=self.shifted, dtype=complex)
+        P = spla.LinearOperator((n, n), matvec=self.precondition, dtype=complex)
         iters = [0]
 
         def cb(_):
@@ -257,28 +280,12 @@ class _ModeSolver:
                                restart=50, maxiter=200, callback=cb,
                                callback_type="pr_norm")
         if info != 0:
-            raise _gmres_failure("implicit solve", info, A, rhs, sol, iters[0],
-                                 self.cfg.lin_tol)
+            what = "kinetic solve" if self.kinetic_only else "implicit solve"
+            rel = np.linalg.norm(rhs - self.shifted(sol)) / (np.linalg.norm(rhs) or 1.0)
+            raise RuntimeError(f"{what} failed to converge (info={info}): relative residual "
+                               f"{rel:.3e} against rtol {self.cfg.lin_tol:.1e} after {iters[0]} "
+                               "iterations")
         return sol, iters[0]
-
-
-def _gmres_failure(what: str, info: int, A, rhs: np.ndarray, sol: np.ndarray,
-                   iters: int, rtol: float) -> RuntimeError:
-    """The error for a GMRES solve that stopped with ``info != 0``."""
-    rel = np.linalg.norm(rhs - A.matvec(sol)) / (np.linalg.norm(rhs) or 1.0)
-    return RuntimeError(f"{what} failed to converge (info={info}): relative residual "
-                        f"{rel:.3e} against rtol {rtol:.1e} after {iters} iterations")
-
-
-def _flatten(state: ModeState) -> np.ndarray:
-    return np.concatenate([state.fhat.values.reshape(-1), state.Ehat, state.Bhat])
-
-
-def _unflatten(u: np.ndarray, template: ModeState, t: float) -> ModeState:
-    n3 = template.fhat.grid.size
-    f = TwoSpeciesField(u[:2 * n3].reshape(2, n3).copy(), template.fhat.grid)
-    return ModeState(template.k.copy(), f, u[2 * n3:2 * n3 + 3].copy(),
-                     u[2 * n3 + 3:].copy(), t)
 
 
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
@@ -314,8 +321,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     if nsteps > cfg.max_steps:
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
     midpoint = cfg.scheme == "imex-midpoint"
-    a = 0.5 * cfg.dt if midpoint else cfg.dt
-    solver = _ModeSolver(op, k, a, cfg, couple_kinetic=couple_kinetic)
+    solver = _ModeSolver(op, k, cfg, couple_kinetic=couple_kinetic)
 
     n3 = g.size
     u = _flatten(state0)
@@ -331,7 +337,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         dval = float(np.sum(g.weights * (Lf * np.conj(f)).sum(axis=0)).real)
         en = float(np.sum(g.weights * (np.abs(f) ** 2).sum(axis=0))
                    + np.sum(np.abs(uvec[2 * n3:]) ** 2))
-        charge = np.sum(g.weights * g.sqrt_mu * (f[0] - f[1]))
+        charge = _charge(g, f)
         E = uvec[2 * n3:2 * n3 + 3]
         B = uvec[2 * n3 + 3:]
         times[idx] = t
@@ -347,8 +353,6 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     next_ckpt = state0.t + checkpoint_interval if (checkpoint and checkpoint_interval) else None
     if checkpoint is not None:
         checkpoint.append(state0)
-    smu = g.sqrt_mu
-    xi = g.xi
     flagged = False
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
@@ -360,15 +364,14 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
             # update uses j(f^{n+1}) so the charge moment telescopes exactly
             E_old = u[2 * n3:2 * n3 + 3]
             B_old = u[2 * n3 + 3:].copy()
-            rhs = u.copy()
+            rhs = u[:2 * n3].copy()
             if couple_kinetic:
-                Exi = E_old[0] * xi[0] + E_old[1] * xi[1] + E_old[2] * xi[2]
-                rhs[:n3] += cfg.dt * Exi * smu
-                rhs[n3:2 * n3] -= cfg.dt * Exi * smu
-            rhs[2 * n3:] = 0.0
+                Exi = _xi_dot(g, E_old)
+                rhs[:n3] += cfg.dt * Exi * g.sqrt_mu
+                rhs[n3:2 * n3] -= cfg.dt * Exi * g.sqrt_mu
             # solve the kinetic block only: (I + dt (L + i xi.k)) f = rhs
-            fnew, it = _solve_kinetic(solver, rhs[:2 * n3], u[:2 * n3])
-            j = (solver.xw * (fnew[:n3] - fnew[n3:])).sum(axis=1) if couple_kinetic else 0.0
+            fnew, it = solver.solve(rhs, u[:2 * n3])
+            j = _current(g, fnew.reshape(2, n3)) if couple_kinetic else 0.0
             E_new = E_old + cfg.dt * (1j * np.cross(k, B_old) - j)
             B_new = B_old + cfg.dt * (-1j * np.cross(k, E_old))
             u = np.concatenate([fnew, E_new, B_new])
@@ -391,43 +394,6 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                        gauss_E=gauss_e, gauss_B=gauss_b, frames=frames,
                        constraint_flag=flagged,
                        solver_iterations=total_iters / max(nsteps, 1))
-
-
-def _solve_kinetic(solver: _ModeSolver, rhs_f: np.ndarray, guess_f: np.ndarray):
-    """GMRES on the kinetic block (I + a (L + i xi.k)) f = rhs."""
-    n3 = solver.n3
-
-    def mv(f2):
-        f = f2.reshape(2, n3)
-        Lf = solver.op.apply_raw(f)
-        out = np.empty_like(f)
-        out[0] = f[0] + solver.a * (Lf[0] + 1j * solver.transport * f[0])
-        out[1] = f[1] + solver.a * (Lf[1] + 1j * solver.transport * f[1])
-        return out.reshape(-1)
-
-    def pc(f2):
-        f = f2.reshape(2, n3)
-        y0 = solver.ilu.solve(f[0])
-        y1 = solver.ilu.solve(f[1])
-        if solver.defl is not None:
-            cap_inv, Y, Vr = solver.defl
-            z = cap_inv @ (Vr.T @ (y0 + y1))
-            corr = solver.a * (Y @ z)
-            y0 = y0 - corr
-            y1 = y1 - corr
-        return np.concatenate([y0, y1])
-
-    A = spla.LinearOperator((2 * n3, 2 * n3), matvec=mv, dtype=complex)
-    P = spla.LinearOperator((2 * n3, 2 * n3), matvec=pc, dtype=complex)
-    iters = [0]
-    sol, info = spla.gmres(A, rhs_f, x0=guess_f, M=P, rtol=solver.cfg.lin_tol,
-                           atol=0.0, restart=50, maxiter=200,
-                           callback=lambda _: iters.__setitem__(0, iters[0] + 1),
-                           callback_type="pr_norm")
-    if info != 0:
-        raise _gmres_failure("kinetic solve", info, A, rhs_f, sol, iters[0],
-                             solver.cfg.lin_tol)
-    return sol, iters[0]
 
 
 @dataclass
