@@ -2,13 +2,17 @@
 
 All velocity integrals against phi^ij(xi - xi_*) are discrete convolutions on
 the uniform lattice, evaluated exactly (to roundoff) by zero-padded FFTs.  The
-kernel is tabulated at every lattice offset; the coincident-offset entry is an
-isotropized cell average of the |v|^(gamma+2) singularity plus a calibration
-term that makes the discrete collision frequency exact at xi = 0 (the
-point-sampled near field otherwise biases sigma by O(h^2); see notes on
-kernel_tables).  Every off-zero entry keeps the exact projector structure
-phi^ij(d) d_j = 0, which the null-space identities of the assembled operator
-rely on.
+FFTs are pruned (Markel, "FFT pruning", 1971): one axis at a time, they skip
+the all-zero input slabs and the output slabs the crop discards, with the axis
+order and the 1/pad^3 placement of ``fftn``/``ifftn``, so the results are
+those of the full 3-D transforms bit for bit.  Results never alias the
+convolver's reused buffers.  The kernel is tabulated at every lattice offset;
+the coincident-offset entry is an isotropized cell average of the
+|v|^(gamma+2) singularity plus a calibration term that makes the discrete
+collision frequency exact at xi = 0 (the point-sampled near field otherwise
+biases sigma by O(h^2); see notes on kernel_tables).  Every off-zero entry
+keeps the exact projector structure phi^ij(d) d_j = 0, which the null-space
+identities of the assembled operator rely on.
 """
 
 from __future__ import annotations
@@ -90,9 +94,21 @@ def kernel_tables(grid, gamma: float, c_phi: float, pad: int) -> np.ndarray:
 class LatticeConvolver:
     """Applies the 3x3 kernel convolution (out_i = sum_j phi^ij * v_j) via FFT.
 
-    The zero-padded circular convolution of size >= 2n-1 reproduces the direct
-    weighted double sum exactly (to roundoff); quadrature weights are folded
-    into the input fields by the caller.
+    The zero-padded circular convolution of size pad >= 2n-1 reproduces the
+    direct weighted double sum exactly (to roundoff); quadrature weights are
+    folded into the input fields by the caller.
+
+    The 3-D transforms are pruned and run one axis at a time, in place, in
+    buffers the convolver owns.  The forward transform runs along axis 1 over
+    the n^2 lines that hold data, along axis 2 over n*pad lines, and along
+    axis 3 over all pad^2 lines.  The inverse transform runs along axes 1, 2
+    and 3 in turn and keeps only the first n entries after each pass, so its
+    passes cover pad^2, n*pad and n^2 lines.  Each pass overwrites the zero
+    padding its successor reads, so the padding is re-zeroed on every call.
+    Axis order and scaling follow ``fftn``/``ifftn``: the inverse passes are
+    unscaled and the 1/pad^3 factor is applied right after the axis-1 pass,
+    where ``ifftn`` applies it, so results equal the full 3-D transforms bit
+    for bit.  Results are fresh arrays and never alias the buffers.
     """
 
     def __init__(self, grid, gamma: float, c_phi: float):
@@ -104,36 +120,56 @@ class LatticeConvolver:
         self.hat = np.empty((6,) + (self.pad,) * 3)
         for m in range(6):
             self.hat[m] = sfft.fftn(tabs[m]).real
-        self._in = np.zeros((3,) + (self.pad,) * 3, dtype=complex)
-        self._mid = np.empty_like(self._in)
+        self._spec = np.empty((3,) + (self.pad,) * 3, dtype=complex)
+        self._prod = np.empty_like(self._spec)
+        self._tmp = np.empty_like(self._spec[0])
+
+    def _forward(self, x: np.ndarray) -> None:
+        """DFT of x[:, :n, :n, :n], zero-padded to pad^3, in place over all of x."""
+        n = self.grid.n
+        x[:, n:, :n, :n] = 0.0
+        sfft.fft(x[:, :, :n, :n], axis=1, overwrite_x=True)
+        x[:, :, n:, :n] = 0.0
+        sfft.fft(x[:, :, :, :n], axis=2, overwrite_x=True)
+        x[:, :, :, n:] = 0.0
+        sfft.fft(x, axis=3, overwrite_x=True)
+
+    def _inverse(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Inverse DFT of y (destroyed), cropped to the first n^3 entries, into out."""
+        n = self.grid.n
+        sfft.ifft(y, axis=1, norm="forward", overwrite_x=True)
+        top = y[:, :n]
+        # ifftn's 1/pad^3, where ifftn applies it, on real and imaginary parts apart
+        flat = top.view(np.float64)
+        np.multiply(flat, 1.0 / self.pad ** 3, out=flat)
+        sfft.ifft(top, axis=2, norm="forward", overwrite_x=True)
+        sfft.ifft(top[:, :, :n], axis=3, norm="forward", overwrite_x=True)
+        out[...] = top[:, :, :n, :n]
 
     def apply_vector(self, v3: np.ndarray) -> np.ndarray:
         """Convolve a 3-component complex field (3, n, n, n) -> (3, n, n, n)."""
         n = self.grid.n
-        buf = self._in
-        buf[:, :n, :n, :n] = v3
-        a = sfft.fftn(buf, axes=(1, 2, 3))
-        out = self._mid
-        H = self.hat
-        np.multiply(H[0], a[0], out=out[0])
-        out[0] += H[1] * a[1]
-        out[0] += H[2] * a[2]
-        np.multiply(H[1], a[0], out=out[1])
-        out[1] += H[3] * a[1]
-        out[1] += H[4] * a[2]
-        np.multiply(H[2], a[0], out=out[2])
-        out[2] += H[4] * a[1]
-        out[2] += H[5] * a[2]
-        res = sfft.ifftn(out, axes=(1, 2, 3))
-        return res[:, :n, :n, :n]
+        a, prod, tmp, H = self._spec, self._prod, self._tmp, self.hat
+        a[:, :n, :n, :n] = v3
+        self._forward(a)
+        for i, row in enumerate(((0, 1, 2), (1, 3, 4), (2, 4, 5))):
+            np.multiply(H[row[0]], a[0], out=prod[i])
+            for j in (1, 2):
+                np.multiply(H[row[j]], a[j], out=tmp)
+                prod[i] += tmp
+        out = np.empty((3, n, n, n), dtype=complex)
+        self._inverse(prod, out)
+        return out
 
     def apply_all_components(self, u: np.ndarray) -> np.ndarray:
         """All six convolutions phi^ij * u of one scalar field, packed (6, n, n, n)."""
         n = self.grid.n
-        buf = np.zeros((self.pad,) * 3, dtype=complex)
-        buf[:n, :n, :n] = u
-        uhat = sfft.fftn(buf)
+        a, prod = self._spec[:1], self._prod
+        a[0, :n, :n, :n] = u
+        self._forward(a)
         out = np.empty((6, n, n, n), dtype=complex)
-        for m in range(6):
-            out[m] = sfft.ifftn(self.hat[m] * uhat)[:n, :n, :n]
+        for lo in (0, 3):
+            for m in range(3):
+                np.multiply(self.hat[lo + m], a[0], out=prod[m])
+            self._inverse(prod, out[lo:lo + 3])
         return out

@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError("directions_per_shell must be 2 or 6 (axis directions)")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        try:
+            self.stepper()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def collision_params(self) -> CollisionParams:
         return CollisionParams(gamma=self.gamma, c_phi=self.c_phi)
@@ -130,7 +134,7 @@ _PARSERS = {
 def parse_config(path) -> ExperimentConfig:
     """Parse the line-oriented ``key = value`` config file; unknown keys are errors."""
     parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,7 +149,19 @@ def parse_config(path) -> ExperimentConfig:
             values[key] = parsers[key](val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**values)
+        lines[key] = lineno
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        # the first key, in file order, whose value makes the config invalid
+        prefix = {}
+        for key, val in values.items():
+            prefix[key] = val
+            try:
+                ExperimentConfig(**prefix)
+            except ConfigError:
+                raise ConfigError(f"{path}:{lines[key]}: {exc}") from exc
+        raise
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -425,8 +441,14 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     archives regardless of worker scheduling and count and of the caller's
     BLAS thread count.  The sweep runs on one BLAS thread and restores the
     caller's thread count on return.  Per-mode solver failures are recorded in
-    the archive (and manifest) without aborting the sweep.
+    the archive (and manifest) without aborting the sweep.  A given ``op``
+    must match the config's grid (R, n) and collision parameters.
     """
+    if op is not None and ((op.grid.R, op.grid.n) != (cfg.R, cfg.n)
+                           or op.params != cfg.collision_params()):
+        raise ValueError(
+            f"operator built for R = {op.grid.R}, n = {op.grid.n}, {op.params}; "
+            f"the config asks for R = {cfg.R}, n = {cfg.n}, {cfg.collision_params()}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     k_set = build_k_set(cfg)

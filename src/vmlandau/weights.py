@@ -182,6 +182,29 @@ def _beta_derivative(f: TwoSpeciesField, beta) -> TwoSpeciesField:
     return out
 
 
+def _energy_part(state, req: EnergyRequest, t: float, params: CollisionParams) -> EnergyLedger:
+    """A ledger holding only the energy terms and em_sobolev of one mode state."""
+    f = state.fhat
+    k = np.asarray(state.k, dtype=float)
+    ledger = EnergyLedger(t=t)
+    derivs: dict = {}
+    em_sq = float(np.sum(np.abs(state.Ehat) ** 2 + np.abs(state.Bhat) ** 2))
+    for atot in range(req.N + 1):
+        for alpha in _multi_indices(atot):
+            kfac = _k_power_sq(k, alpha)
+            ledger.em_sobolev += kfac * em_sq
+            for btot in range(min(req.N - atot, req.max_beta) + 1):
+                for beta in _multi_indices(btot):
+                    spec = WeightSpec(tau=btot - req.ell, lam=req.lam, theta=req.theta)
+                    w2 = _weight_sq(spec, t, f.grid, params)
+                    if beta not in derivs:
+                        derivs[beta] = _beta_derivative(f, beta)
+                    df = derivs[beta]
+                    ledger.energy_terms[(alpha, beta)] = kfac * float(np.sum(
+                        f.grid.weights * w2 * (df.values * np.conj(df.values)).real.sum(axis=0)))
+    return ledger
+
+
 def energy_ledger(state, req: EnergyRequest, t: float,
                   op: LinearizedOperator) -> EnergyLedger:
     """Evaluate the (N, ell, lambda) ledger for one mode state.
@@ -196,38 +219,23 @@ def energy_ledger(state, req: EnergyRequest, t: float,
     f = state.fhat
     k = np.asarray(state.k, dtype=float)
     params = op.params
-    ledger = EnergyLedger(t=t)
+    ledger = _energy_part(state, req, t, params)
     macro_state, _, micro = project_P(f)
 
-    beta_cache: dict = {}
-
-    def beta_field(base: TwoSpeciesField, beta, cache_key):
-        key = (cache_key, beta)
-        if key not in beta_cache:
-            beta_cache[key] = _beta_derivative(base, beta)
-        return beta_cache[key]
-
-    em_sq = float(np.sum(np.abs(state.Ehat) ** 2 + np.abs(state.Bhat) ** 2))
-    for atot in range(req.N + 1):
-        for alpha in _multi_indices(atot):
-            kfac = _k_power_sq(k, alpha)
-            ledger.em_sobolev += kfac * em_sq
-            for btot in range(min(req.N - atot, req.max_beta) + 1):
-                for beta in _multi_indices(btot):
-                    spec = WeightSpec(tau=btot - req.ell, lam=req.lam, theta=req.theta)
-                    w2 = _weight_sq(spec, t, f.grid, params)
-                    df = beta_field(f, beta, "f")
-                    val = kfac * float(np.sum(f.grid.weights * w2 *
-                                              (df.values * np.conj(df.values)).real.sum(axis=0)))
-                    ledger.energy_terms[(alpha, beta)] = val
-                    dmicro = beta_field(micro, beta, "micro")
-                    dval = kfac * dissipation_norm(dmicro, spec, t, op.sigma)
-                    ledger.micro_dissipation[(alpha, beta)] = dval
-                    if req.lam > 0.0:
-                        br2 = 1.0 + np.sum(f.grid.xi ** 2, axis=0)
-                        extra = kfac * float(np.sum(f.grid.weights * w2 * br2 *
-                                                    (dmicro.values * np.conj(dmicro.values)).real.sum(axis=0)))
-                        ledger.extra_decay += (req.lam / (1.0 + t) ** (1.0 + req.theta)) * extra
+    derivs: dict = {}
+    for alpha, beta in ledger.energy_terms:
+        kfac = _k_power_sq(k, alpha)
+        spec = WeightSpec(tau=sum(beta) - req.ell, lam=req.lam, theta=req.theta)
+        if beta not in derivs:
+            derivs[beta] = _beta_derivative(micro, beta)
+        dmicro = derivs[beta]
+        ledger.micro_dissipation[(alpha, beta)] = kfac * dissipation_norm(dmicro, spec, t, op.sigma)
+        if req.lam > 0.0:
+            w2 = _weight_sq(spec, t, f.grid, params)
+            br2 = 1.0 + np.sum(f.grid.xi ** 2, axis=0)
+            extra = kfac * float(np.sum(f.grid.weights * w2 * br2 *
+                                        (dmicro.values * np.conj(dmicro.values)).real.sum(axis=0)))
+            ledger.extra_decay += (req.lam / (1.0 + t) ** (1.0 + req.theta)) * extra
 
     abc_sq = (abs(macro_state.a_plus) ** 2 + abs(macro_state.a_minus) ** 2
               + float(np.sum(np.abs(macro_state.b) ** 2)) + abs(macro_state.c) ** 2)
@@ -295,7 +303,7 @@ def temporal_norm_x(states, times, op, config: XNormConfig = XNormConfig()):
     def E(state, t, N, ell, lam):
         N = max(int(N), 0)
         req = EnergyRequest(N=N, ell=max(ell, N if lam > 0 else 0.0), lam=lam, theta=c.theta)
-        return energy_ledger(state, req, t, op).energy
+        return _energy_part(state, req, t, op.params).energy
 
     parts = []
     for state, t in zip(states, times):

@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from vmlandau._conv import LatticeConvolver, kernel_tables
+from vmlandau.collision import CollisionFrequencyField
+from vmlandau.grid import build_grid
+
+_PACK = CollisionFrequencyField._PACK
+
+
+@pytest.fixture(scope="module")
+def grid9():
+    return build_grid(7.0, 9)
+
+
+@pytest.fixture(scope="module")
+def conv9(grid9, params):
+    return LatticeConvolver(grid9, params.gamma, params.c_phi)
+
+
+def _field(n, seed, shape=(3,)):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape + (n,) * 3) + 1j * rng.standard_normal(shape + (n,) * 3)
+
+
+def _direct(grid, params, pad, v3):
+    """out_i(p) = sum_q sum_j phi^ij(p - q) v_j(q), with phi^ij read from kernel_tables."""
+    tabs = kernel_tables(grid, params.gamma, params.c_phi, pad)
+    idx = np.indices((grid.n,) * 3).reshape(3, -1)
+    off = tuple((idx[a][:, None] - idx[a][None, :]) % pad for a in range(3))
+    v = v3.reshape(3, -1)
+    out = np.zeros((3, grid.size), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            out[i] += tabs[_PACK[(i, j)]][off] @ v[j]
+    return out.reshape(v3.shape)
+
+
+class TestLatticeConvolver:
+    def test_matches_direct_lattice_sum(self, grid9, params, conv9):
+        v3 = _field(9, 11)
+        got = conv9.apply_vector(v3)
+        want = _direct(grid9, params, conv9.pad, v3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_second_call_equals_fresh_convolver(self, grid9, params):
+        conv = LatticeConvolver(grid9, params.gamma, params.c_phi)
+        conv.apply_vector(_field(9, 1))
+        second = conv.apply_vector(_field(9, 2))
+        fresh = LatticeConvolver(grid9, params.gamma, params.c_phi).apply_vector(_field(9, 2))
+        assert np.array_equal(second, fresh)
+
+    def test_result_survives_later_calls(self, conv9):
+        first = conv9.apply_vector(_field(9, 3))
+        kept = first.copy()
+        conv9.apply_vector(_field(9, 4))
+        conv9.apply_all_components(_field(9, 5, shape=()))
+        assert np.array_equal(first, kept)
+
+    def test_all_components_match_apply_vector(self, conv9):
+        u = _field(9, 6, shape=())
+        packed = conv9.apply_all_components(u)
+        scale = np.max(np.abs(packed))
+        for j in range(3):
+            v3 = np.zeros((3,) + u.shape, dtype=complex)
+            v3[j] = u
+            res = conv9.apply_vector(v3)
+            for i in range(3):
+                assert np.max(np.abs(packed[_PACK[(i, j)]] - res[i])) <= 1e-14 * scale

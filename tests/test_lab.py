@@ -113,6 +113,15 @@ class TestRunSweep:
         assert after == [2] * len(controls)
 
 
+    def test_foreign_operator_is_refused(self, op11_soft, tmp_path):
+        cfg = lab.ExperimentConfig(n=9, R=7.0, gamma=-3.0, shells=(0.5,), directions_per_shell=2,
+                                   T=0.5, dt=0.25, save_interval=0.25, outdir=str(tmp_path / "run"))
+        with pytest.raises(ValueError, match="operator built for R = 6.0, n = 11"):
+            lab.run_sweep(cfg, op11_soft)
+        assert not list(tmp_path.rglob("mode_*"))
+        assert not (tmp_path / "run" / "config.cfg").exists()
+
+
 class TestCli:
     def test_report_counts_shells_not_k_vectors(self, sweeps):
         outdir = sweeps["1"].outdir
@@ -156,6 +165,20 @@ class TestConfigText:
         path = tmp_path / "bad.cfg"
         path.write_text(f"# a comment\ndt = 0.5\n{line}\n")
         with pytest.raises(lab.ConfigError, match=f":3: {message}"):
+            lab.parse_config(path)
+
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("scheme", "imex-bogus", "unknown scheme 'imex-bogus'"),
+        ("dt", -1.0, "dt must be positive"),
+        ("lin_tol", 0.0, "tolerances must be positive"),
+    ])
+    def test_invalid_stepper_field_names_its_line(self, tmp_path, key, value, message):
+        with pytest.raises(lab.ConfigError, match=message):
+            lab.ExperimentConfig(**{key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# a comment\nn = 9\n{key} = {value}\nT = 0.5\n")
+        with pytest.raises(lab.ConfigError, match=f"bad.cfg:3: {message}"):
             lab.parse_config(path)
 
 

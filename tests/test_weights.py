@@ -4,7 +4,7 @@ import pytest
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.macro import project_P
 from vmlandau.mode import ModeState
-from vmlandau.weights import (EnergyRequest, WeightSpec, characterization_norm,
+from vmlandau.weights import (EnergyRequest, WeightSpec, XNormConfig, characterization_norm,
                               dissipation_norm, energy_ledger, merge_ledgers,
                               temporal_norm_x, weight_eval)
 
@@ -214,3 +214,40 @@ def test_temporal_norm_x_is_monotone(op11, grid11):
     assert series.shape == (3,)
     assert np.all(np.diff(series) >= 0.0)
     assert np.all(series > 0.0)
+
+
+def test_temporal_norm_x_equals_the_ledger_formula(op11, grid11):
+    """X(t) bit for bit against the seven energy ledgers plus the field-gradient term."""
+    rng = np.random.default_rng(8)
+    k = np.array([0.3, -0.2, 0.4])
+    times = [0.0, 0.5, 1.5]
+    states = [ModeState(k, random_field(grid11, rng, decay=0.75),
+                        rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                        rng.standard_normal(3) + 1j * rng.standard_normal(3), t)
+              for t in times]
+    c = XNormConfig()
+
+    def E(state, t, N, ell, lam):
+        req = EnergyRequest(N=N, ell=max(ell, N if lam > 0 else 0.0), lam=lam, theta=c.theta)
+        return energy_ledger(state, req, t, op11).energy
+
+    parts = []
+    for state, t in zip(states, times):
+        s = 1.0 + t
+        val = (E(state, t, c.N1, 0.0, 0.0)
+               + s ** 1.5 * E(state, t, c.N1 - 2, 0.0, 0.0)
+               + s ** (-(1.0 + c.eps0) / 2.0) * E(state, t, c.N1, c.ell1, c.lam0)
+               + E(state, t, c.N1 - 1, c.ell1, c.lam0)
+               + s ** 1.5 * E(state, t, c.N1 - 3, c.ell1 - 1.0, c.lam0)
+               + E(state, t, c.N0, c.ell0, c.lam0)
+               + s ** 1.5 * E(state, t, c.N0, c.ell0 - 1.0, c.lam0))
+        em_sq = float(np.sum(np.abs(state.Ehat) ** 2 + np.abs(state.Bhat) ** 2))
+        ksq = float(k @ k)
+        # the |alpha| < N0 = 2 spatial orders: alpha = 0, then e3, e2, e1
+        em_grad = ksq * em_sq
+        for kfac in (k[2] ** 2, k[1] ** 2, k[0] ** 2):
+            em_grad += float(kfac) * ksq * em_sq
+        val += s ** (2.0 * (1.0 + c.theta)) * em_grad
+        parts.append(val)
+    assert np.array_equal(temporal_norm_x(states, times, op11),
+                          np.maximum.accumulate(np.array(parts)))
