@@ -166,7 +166,8 @@ def cmd_fit(args) -> int:
         print("inconclusive: insufficient decay inside the window")
         return 1
     print(f"m={fit.m}: sigma_hat={fit.sigma_hat:.4f} "
-          f"(target {fit.sigma_target:.4f}), residual={fit.residual:.3e}")
+          f"(target {fit.sigma_target:.4f}), residual={fit.residual:.3e}, "
+          f"fitted on t in [{fit.window[0]:g}, {fit.window[1]:g}]")
     return 0
 
 

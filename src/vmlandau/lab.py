@@ -13,11 +13,11 @@ Fit summary schema:
 
 Parallelism: modes are farmed to forked worker processes (the assembled
 operator is shared copy-on-write); VML_THREADS caps the worker count.  A sweep
-runs on one OpenBLAS thread throughout: the operator and deflation basis built
-once in the parent, and every mode, forked or serial.  So workers x BLAS
-threads never exceeds the worker count, and archive bytes depend neither on
-scheduling order, nor on the worker count, nor on the caller's BLAS thread
-count.
+runs on one OpenBLAS thread throughout: the operator built once in the parent,
+and every mode, forked or serial, since forked workers inherit the parent's
+count.  So workers x BLAS threads never exceeds the worker count, and archive
+bytes depend neither on scheduling order, nor on the worker count, nor on the
+caller's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -79,9 +79,6 @@ class ExperimentConfig:
     family: str = "mixed"
     amplitude: float = 1.0
     ell: float = 0.0
-    tau: float = 0.0
-    lam: float = 0.0
-    theta: float = 0.25
     dt: float = 0.25
     scheme: str = "imex-midpoint"
     lin_tol: float = 1e-8
@@ -114,7 +111,11 @@ class ExperimentConfig:
         return CollisionParams(gamma=self.gamma, c_phi=self.c_phi)
 
     def deflation_needed(self) -> bool:
-        return self.stepper().deflation_needed()
+        """Always False: the solves have no deflation.
+
+        Kept only because ``perfbench/workloads.py::_setup`` calls it.
+        """
+        return False
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(dt=self.dt, scheme=self.scheme, lin_tol=self.lin_tol,
@@ -388,10 +389,6 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(cfg, op):
-    # one BLAS thread per mode: forked workers would otherwise each run the
-    # host's default pool and oversubscribe the cores
-    for set_threads, _ in _openblas_controls():
-        set_threads(1)
     _WORKER_CTX["cfg"] = cfg
     _WORKER_CTX["op"] = op
 
@@ -460,8 +457,6 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     with _one_blas_thread():
         if op is None:
             op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
-        if cfg.deflation_needed():
-            op.deflation_basis()   # build once in the parent; workers inherit it
         if nproc > 1:
             import multiprocessing as mp
             ctx = mp.get_context("fork")
@@ -511,40 +506,38 @@ def synthesize_norms(archive: RunArchive, m: int, ell: float = 0.0):
     Approximates the squared whole-space norm of the m-th spatial derivative
     of (w^ell f, E, B).  ell = 0 is served directly from the archived CSV
     series; ell != 0 requires in-process reports (archive.reports) computed at
-    that ell.
+    that ell.  Raises ValueError when a mode of the k-set has no series, since
+    the quadrature would silently lose that mode's weight.
     """
     if not archive.mode_csvs and not archive.reports:
         raise ValueError("archive holds no mode series")
-    weights = {tuple(np.round(k, 12)): w for k, w in archive.k_set}
-
-    def kw(kvec):
-        return weights[tuple(np.round(kvec, 12))]
-
     if archive.reports:
-        reps = archive.reports
-        if ell != 0.0 and any(r.ell != ell for r in reps):
+        if ell != 0.0 and any(r.ell != ell for r in archive.reports):
             raise ValueError(f"archived reports were computed at ell != {ell}")
-        times = reps[0].times
-        total = np.zeros_like(times)
-        for rep in reps:
-            ksq = float(rep.k @ rep.k)
-            series = rep.m_tilde if ell != 0.0 else rep.f_l2sq + rep.em_sq
-            total += kw(rep.k) * ksq ** m * series
-        return times, total
-    if ell != 0.0:
+        modes = [(rep.k, rep.times, rep.m_tilde if ell != 0.0 else rep.f_l2sq + rep.em_sq)
+                 for rep in archive.reports]
+    elif ell != 0.0:
         raise ValueError("ell != 0 synthesis needs in-process reports; "
                          "the CSV schema stores the unweighted series")
-    times = None
-    total = None
-    for path in archive.mode_csvs:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        kvec = np.array([data["k1"][0], data["k2"][0], data["k3"][0]])
+    else:
+        modes = []
+        for path in archive.mode_csvs:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+            kvec = np.array([data["k1"][0], data["k2"][0], data["k3"][0]])
+            modes.append((kvec, data["t"], data["f_l2sq"] + data["em_sq"]))
+    index = {tuple(np.round(k, 12)): idx for idx, (k, _w) in enumerate(archive.k_set)}
+    idxs = [index[tuple(np.round(kvec, 12))] for kvec, _, _ in modes]
+    missing = sorted(set(range(len(archive.k_set))) - set(idxs))
+    if missing:
+        share = (sum(archive.k_set[idx][1] for idx in missing)
+                 / sum(w for _k, w in archive.k_set))
+        raise ValueError(f"modes {missing} have no series; they carry {share:.3g} "
+                         "of the k-quadrature weight")
+    times = modes[0][1]
+    total = np.zeros_like(times)
+    for idx, (kvec, _, series) in zip(idxs, modes):
         ksq = float(kvec @ kvec)
-        series = data["f_l2sq"] + data["em_sq"]
-        if times is None:
-            times = data["t"]
-            total = np.zeros_like(times)
-        total += kw(kvec) * ksq ** m * series
+        total += archive.k_set[idx][1] * ksq ** m * series
     return times, total
 
 
@@ -554,7 +547,8 @@ def decay_fit(times, series, window, m: int = 0, shells_used: int = 0,
 
     The series is a squared norm, so the reported exponent is -slope/2.
     Insufficient decay (< min_decay within the window) or nonpositive values
-    yield an inconclusive report.
+    yield an inconclusive report.  A conclusive report's window is the first
+    and last sample time inside the requested one: the span actually fitted.
     """
     t1, t2 = window
     times = np.asarray(times, dtype=float)
@@ -574,7 +568,8 @@ def decay_fit(times, series, window, m: int = 0, shells_used: int = 0,
     y = np.log(sub_v)
     coef, res = np.polyfit(x, y, 1, full=True)[:2]
     rms = float(np.sqrt(res[0] / sub_t.size)) if len(res) else 0.0
-    return DecayFitReport(m=m, window=(t1, t2), sigma_hat=float(-coef[0] / 2.0),
+    return DecayFitReport(m=m, window=(float(sub_t[0]), float(sub_t[-1])),
+                          sigma_hat=float(-coef[0] / 2.0),
                           sigma_target=target, residual=rms,
                           shells_used=shells_used, conclusive=True)
 

@@ -20,10 +20,9 @@ at the new f so the discrete charge moment telescopes exactly.
 One generator M, built on one kinetic block -(i xi.k + L), and one solve path
 serve both schemes: midpoint solves with M on the whole state, Euler with its
 kinetic block on f alone.  The solves use GMRES preconditioned by an ILU
-factorization of the sparse part of L plus the diagonal transport, optionally
-deflated by a low-rank approximation of the compact nonlocal part; the GMRES
-initial guess is the current state, so a restarted run reproduces an
-uninterrupted one bitwise.
+factorization of the sparse part of L plus the diagonal transport, applied to
+each species block; the GMRES initial guess is the current state, so a
+restarted run reproduces an uninterrupted one bitwise.
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ class StepperConfig:
     lin_tol: float = 1e-10
     constraint_tol: float = 1e-6
     max_steps: int = 10_000_000
-    deflation_rank: int = 48
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -125,14 +123,6 @@ class StepperConfig:
     def implicit_weight(self) -> float:
         """Weight a of the implicit solves (I - a M): dt/2 for imex-midpoint, dt for imex-euler."""
         return 0.5 * self.dt if self.scheme == "imex-midpoint" else self.dt
-
-    def deflation_needed(self) -> bool:
-        """Whether the implicit solves deflate the compact part of L.
-
-        That part contributes a |lambda(K)| ~ a to the preconditioned spectrum;
-        deflation only pays off once that exceeds the ILU leftover.
-        """
-        return self.deflation_rank > 0 and self.implicit_weight() * 0.7 >= 0.02
 
 
 def _xi_dot(g, v) -> np.ndarray:
@@ -230,22 +220,6 @@ class _ModeSolver:
         Msp = (sp.identity(self.n3, format="csr")
                + self.a * (op.A_sparse + 1j * sp.diags_array(_xi_dot(op.grid, self.k)))).tocsc()
         self.ilu = spla.spilu(Msp, drop_tol=1e-3, fill_factor=12)
-        self._setup_deflation()
-
-    def _setup_deflation(self):
-        self.defl = None
-        if not self.cfg.deflation_needed():
-            return
-        lam, Vl, Vr = self.op.deflation_basis(rank=self.cfg.deflation_rank)
-        keep = np.abs(lam) > 0.05
-        if not np.any(keep):
-            return
-        lam, Vl, Vr = lam[keep], Vl[:, keep], Vr[:, keep]
-        Y = np.empty_like(Vl, dtype=complex)
-        for c in range(Vl.shape[1]):
-            Y[:, c] = self.ilu.solve(Vl[:, c].astype(complex))
-        cap = np.diag(1.0 / lam) + 2.0 * self.a * (Vr.T @ Y)
-        self.defl = (np.linalg.inv(cap), Y, Vr)
 
     def shifted(self, u: np.ndarray) -> np.ndarray:
         """(I - a M) u, with M's kinetic part alone on a kinetic-only solver."""
@@ -254,17 +228,10 @@ class _ModeSolver:
         return u - self.a * _generator(u, self.op, self.k, self.couple_kinetic)
 
     def precondition(self, u: np.ndarray) -> np.ndarray:
-        """ILU plus deflation on the kinetic block of u; field entries pass through."""
+        """ILU on each species block of u; field entries pass through."""
         n3 = self.n3
-        y0 = self.ilu.solve(u[:n3])
-        y1 = self.ilu.solve(u[n3:2 * n3])
-        if self.defl is not None:
-            cap_inv, Y, Vr = self.defl
-            z = cap_inv @ (Vr.T @ (y0 + y1))
-            corr = self.a * (Y @ z)
-            y0 = y0 - corr
-            y1 = y1 - corr
-        return np.concatenate([y0, y1, u[2 * n3:]])
+        return np.concatenate([self.ilu.solve(u[:n3]), self.ilu.solve(u[n3:2 * n3]),
+                               u[2 * n3:]])
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray):
         """GMRES from ``guess``; returns the solution and the iteration count."""

@@ -1,12 +1,13 @@
 import contextlib
 import csv
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from vmlandau import cli, lab
-from vmlandau.collision import assemble_L
+from vmlandau.collision import CollisionParams, assemble_L, sigma_field
 from vmlandau.grid import build_grid
 
 
@@ -74,7 +75,7 @@ class TestRunSweep:
 
     @needs_openblas
     def test_archive_bytes_do_not_depend_on_caller_blas_threads(self, tmp_path, monkeypatch):
-        # op=None: each sweep assembles its own operator and deflation basis
+        # op=None: each sweep assembles its own operator, under the caller's BLAS count
         monkeypatch.setenv("VML_THREADS", "1")
         archives = {}
         for count in (1, 2):
@@ -141,6 +142,43 @@ class TestCli:
         assert code == 0
         _same_mode_files(sweeps["1"].outdir, out, ["mode_0000.csv", "mode_0000.ckpt"])
 
+    def test_sigma_table_writes_sigma_along_the_ray(self, tmp_path):
+        out = tmp_path / "sigma.csv"
+        assert cli.main(["sigma-table", "--n", "9", "--rmax", "7", "--ray", "1,0,0",
+                         "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        grid = build_grid(7.0, 9)
+        sigma = sigma_field(grid, CollisionParams(gamma=-3.0, c_phi=1.0))
+        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        for j, row in enumerate(rows):
+            node = (4 + j) * 81 + 4 * 9 + 4   # the centre node plus j steps along xi1
+            S = sigma.matrix_at(node)
+            assert [float(row[f"xi{i + 1}"]) for i in range(3)] == list(grid.xi[:, node])
+            assert [float(row[f"s{a + 1}{b + 1}"]) for a, b in pairs] == [S[a, b] for a, b in pairs]
+
+    def test_spectrum_check_runs_and_annihilates_the_null_space(self):
+        assert cli.main(["spectrum-check", "--n", "9", "--samples", "3"]) == 0
+        res = cli.spectrum_suite(9, 7.0, -3.0, n_random=3)
+        assert len(res["null_residuals"]) == 6
+        assert max(res["null_residuals"]) <= 1e-12
+
+    def test_fit_exits_1_when_inconclusive(self, sweeps, capsys):
+        # T = 0.5 puts no sample inside the default window (20, 200)
+        assert cli.main(["fit", "--archive", sweeps["1"].outdir]) == 1
+        assert "inconclusive" in capsys.readouterr().out
+
+
+class TestSynthesis:
+    def test_missing_mode_is_refused(self, sweeps, tmp_path):
+        outdir = tmp_path / "run"
+        shutil.copytree(sweeps["1"].outdir, outdir)
+        (outdir / "mode_0001.csv").unlink()
+        archive = lab.load_archive(outdir)
+        with pytest.raises(ValueError, match=r"modes \[1\] have no series; they carry 0\.5 "):
+            lab.synthesize_norms(archive, 0)
+
 
 class TestConfigText:
     def test_round_trip(self, tmp_path):
@@ -160,6 +198,7 @@ class TestConfigText:
         ("bogus = 1", "unknown key 'bogus'"),
         ("n 25", "expected 'key = value'"),
         ("n = 2.5", "bad value for 'n'"),
+        ("tau = 0.0", "unknown key 'tau'"),
     ])
     def test_bad_line_names_its_number(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
@@ -200,6 +239,12 @@ class TestDecayFit:
         fit = lab.decay_fit(self.times, series, self.window, min_decay=5.0)
         assert not fit.conclusive
         assert np.isnan(fit.sigma_hat)
+
+    def test_reports_the_window_it_fitted(self):
+        times = self.times[self.times <= 100.0]
+        fit = lab.decay_fit(times, (1.0 + times) ** -2.0, self.window)
+        assert fit.conclusive
+        assert fit.window == (20.0, 100.0)
 
     @pytest.mark.parametrize("window", [(200.0, 20.0), (50.0, 50.0)])
     def test_empty_window_rejected(self, window):
