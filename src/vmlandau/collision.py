@@ -50,7 +50,7 @@ class SingularPointError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """Operation would exceed the configured desk-scale budget."""
+    """Operation would exceed the desk-scale budget."""
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,10 @@ class CollisionParams:
             raise ValueError(f"c_phi must be positive, got {self.c_phi}")
 
 
-def _check_budget(n: int, budget) -> None:
-    limit = DEFAULT_DESK_BUDGET if budget is None else budget
-    if 2 * n ** 6 > limit:
+def _check_budget(n: int) -> None:
+    if 2 * n ** 6 > DEFAULT_DESK_BUDGET:
         raise ResourceBudgetError(
-            f"2*n^6 = {2 * n ** 6:.3g} exceeds the configured budget {limit:.3g}"
+            f"2*n^6 = {2 * n ** 6:.3g} exceeds the desk budget {DEFAULT_DESK_BUDGET:.3g}"
         )
 
 
@@ -165,7 +164,7 @@ def _divergence(grid: VelocityGrid, u3) -> np.ndarray:
     return -acc / w
 
 
-def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G, *, budget=None) -> np.ndarray:
+def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G) -> np.ndarray:
     """Bilinear Landau operator Q(F, G) on single-species fields.
 
     Evaluates the divergence form
@@ -177,7 +176,7 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G, *, budget=None) -
     energy moments of the symmetrized pair Q(F,G) + Q(G,F) cancel exactly
     through the lattice identity phi^ij(d) d_j = 0.  Desk scale only.
     """
-    _check_budget(grid.n, budget)
+    _check_budget(grid.n)
     conv = _convolver(grid, params)
     n = grid.n
     D = grid.gradient_matrices
@@ -199,15 +198,15 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G, *, budget=None) -
 
 
 def gamma_bilinear(f: TwoSpeciesField, g: TwoSpeciesField,
-                   params: CollisionParams, *, budget=None) -> TwoSpeciesField:
+                   params: CollisionParams) -> TwoSpeciesField:
     """Nonlinear collision operator Gamma_pm(f, g) = mu^{-1/2} Q(sqrt(mu) f_pm, sqrt(mu)(g_+ + g_-))."""
     f.grid.check_same(g.grid)
     grid = f.grid
     smu = grid.sqrt_mu
     gsum = smu * (g.values[0] + g.values[1])
     out = np.stack([
-        apply_Q(grid, params, smu * f.values[0], gsum, budget=budget) / smu,
-        apply_Q(grid, params, smu * f.values[1], gsum, budget=budget) / smu,
+        apply_Q(grid, params, smu * f.values[0], gsum) / smu,
+        apply_Q(grid, params, smu * f.values[1], gsum) / smu,
     ])
     return TwoSpeciesField(out, grid)
 
@@ -273,9 +272,6 @@ class LinearizedOperator:
         self.grid.check_same(f.grid)
         return TwoSpeciesField(self.apply_raw(f.values), self.grid)
 
-    def __call__(self, f: TwoSpeciesField) -> TwoSpeciesField:
-        return self.apply(f)
-
     def nullspace_basis(self):
         """The six discrete null vectors: [1,0], [0,1] mass, shared momentum, energy."""
         g = self.grid
@@ -327,9 +323,9 @@ class LinearizedOperator:
         return lam, Vl, Vr
 
 
-def assemble_L(grid: VelocityGrid, params: CollisionParams, *, budget=None) -> LinearizedOperator:
+def assemble_L(grid: VelocityGrid, params: CollisionParams) -> LinearizedOperator:
     """Assemble the linearized operator once per (grid, params)."""
-    _check_budget(grid.n, budget)
+    _check_budget(grid.n)
     sigma = sigma_field(grid, params)
     return LinearizedOperator(grid, params, sigma)
 

@@ -242,7 +242,7 @@ class SourceMomentReport:
     energy_rhs: np.ndarray      # (2,)
 
 
-def source_moments(f: TwoSpeciesField, E, B, params, *, budget=None) -> SourceMomentReport:
+def source_moments(f: TwoSpeciesField, E, B, params) -> SourceMomentReport:
     """Moments of the nonlinear source S_pm against sqrt(mu), xi sqrt(mu), (|xi|^2-3) sqrt(mu)/6.
 
     S_pm = +- (1/2) E.xi f_pm -+ (E + xi x B) . grad f_pm + Gamma_pm(f, f),
@@ -262,7 +262,7 @@ def source_moments(f: TwoSpeciesField, E, B, params, *, budget=None) -> SourceMo
     smu = g.sqrt_mu
     E = np.asarray(E, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    gam = gamma_bilinear(f, f, params, budget=budget)
+    gam = gamma_bilinear(f, f, params)
     macro, pf, micro = project_P(f)
     D = g.gradient_matrices
     Exi = E[0] * xi[0] + E[1] * xi[1] + E[2] * xi[2]

@@ -9,20 +9,25 @@ State per mode: (k, fhat, Ehat, Bhat, t) with
 and the Gauss constraints i k.Ehat = <sqrt(mu), fhat_+ - fhat_-> and
 i k.Bhat = 0 monitored (never enforced) along the run.
 
-Two IMEX schemes are provided.  imex-midpoint solves the full linear step map
-(I - dt/2 M) u* = u^n to the configured tolerance and sets u^{n+1} = 2u* - u^n,
-which conserves the quadratic energy of the skew (transport/Maxwell/coupling)
-part exactly and dissipates 2 dt <L f*, f*>, so total mode energy is monotone
-up to solver tolerance at any dt.  imex-euler treats L and the transport
-implicitly and the Maxwell coupling explicitly, with the current j evaluated
-at the new f so the discrete charge moment telescopes exactly.
+Two IMEX schemes are provided.  imex-midpoint solves (I - dt/2 M) u* = u^n to
+the configured tolerance and sets u^{n+1} = 2u* - u^n, which conserves the
+energy of the skew (transport/Maxwell/coupling) part exactly and dissipates
+2 dt <L f*, f*>, so mode energy is monotone up to solver tolerance at any dt.
+imex-euler treats L and the transport implicitly and the Maxwell coupling
+explicitly, with the current j evaluated at the new f so the discrete charge
+moment telescopes exactly.
 
-One generator M, built on one kinetic block -(i xi.k + L), and one solve path
-serve both schemes: midpoint solves with M on the whole state, Euler with its
-kinetic block on f alone.  The solves use GMRES preconditioned by an ILU
-factorization of the sparse part of L plus the diagonal transport, applied to
-each species block; the GMRES initial guess is the current state, so a
-restarted run reproduces an uninterrupted one bitwise.
+Since L f_pm = A f_pm + K (f_+ + f_-), both schemes solve in s, d =
+(f_+ +- f_-)/sqrt2.  The sum block -(i xi.k + A + 2K) s holds all of the
+FFT-applied K and no field; the difference block -(i xi.k + A) d is sparse and
+couples to (E, B) through sqrt2 (E.xi) sqrt(mu) and the current
+sqrt2 <xi sqrt(mu), d>.  The sqrt2 makes the map orthogonal and its own
+inverse, so it keeps the energy norm: the blocks' GMRES tests
+|r_b| <= lin_tol |rhs_b| add up to lin_tol |rhs| on the whole state.  Between
+steps the state stays in species form.  Each block's GMRES starts from the
+current state and is preconditioned by the mode's one ILU of I + a (A + i xi.k)
+on its kinetic entries, so a restarted run reproduces an uninterrupted one
+bitwise.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ __all__ = [
     "rho_frequency",
     "report_weight",
 ]
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def rho_frequency(k) -> float:
@@ -91,11 +98,6 @@ class ModeState:
         res_e = abs(1j * (self.k @ self.Ehat) - self.charge_moment())
         res_b = abs(1j * (self.k @ self.Bhat))
         return res_e, res_b
-
-    def total_energy(self) -> float:
-        from .grid import inner_product
-        return float(inner_product(self.fhat, self.fhat).real
-                     + np.sum(np.abs(self.Ehat) ** 2) + np.sum(np.abs(self.Bhat) ** 2))
 
     def copy(self) -> "ModeState":
         return ModeState(self.k.copy(), self.fhat.copy(),
@@ -135,37 +137,51 @@ def _charge(g, f: np.ndarray) -> complex:
     return complex(np.sum(g.weights * g.sqrt_mu * (f[0] - f[1])))
 
 
-def _current(g, f: np.ndarray) -> np.ndarray:
-    """Current <xi sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
-    return (g.weights * g.sqrt_mu * g.xi * (f[0] - f[1])).sum(axis=1)
+def _current(g, d: np.ndarray) -> np.ndarray:
+    """<xi sqrt(mu), d> of one n^3 block; the current is sqrt2 times it at d = (f_+ - f_-)/sqrt2."""
+    return (g.weights * g.sqrt_mu * g.xi * d).sum(axis=1)
 
 
-def _kinetic(f: np.ndarray, op: LinearizedOperator, k: np.ndarray) -> np.ndarray:
-    """-(i xi.k + L) f on a (2, n^3) block."""
-    return -1j * _xi_dot(op.grid, k) * f - op.apply_raw(f)
+def _sum_diff(u: np.ndarray, n3: int) -> np.ndarray:
+    """(f+, f-, E, B) <-> (s, d, E, B) with s, d = (f+ +- f-)/sqrt2; the map is its own inverse."""
+    f0, f1 = u[:n3], u[n3:2 * n3]
+    return np.concatenate([(f0 + f1) / _SQRT2, (f0 - f1) / _SQRT2, u[2 * n3:]])
 
 
-def _generator(u: np.ndarray, op: LinearizedOperator, k: np.ndarray,
-               couple_kinetic: bool = True) -> np.ndarray:
-    """M u for the flattened state u = (f+, f-, E, B).
+def _sparse_block(x: np.ndarray, op: LinearizedOperator, xik: np.ndarray) -> np.ndarray:
+    """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L."""
+    return -1j * xik * x - op.A_sparse @ x
 
-    ``couple_kinetic=False`` drops the E.xi sqrt(mu) q1 and current terms.
+
+def _sum_block(s: np.ndarray, op: LinearizedOperator, xik: np.ndarray) -> np.ndarray:
+    """The sum block's generator -(i xi.k + A + 2K) s."""
+    return _sparse_block(s, op, xik) - 2.0 * op.k_part(s)
+
+
+def _diff_block(v: np.ndarray, op: LinearizedOperator, k: np.ndarray, xik: np.ndarray,
+                couple_kinetic: bool = True) -> np.ndarray:
+    """The difference block's generator on v = (d, E, B).
+
+    ``couple_kinetic=False`` drops the sqrt2 (E.xi) sqrt(mu) and current terms.
     """
     g = op.grid
     n3 = g.size
-    f = u[:2 * n3].reshape(2, n3)
-    E = u[2 * n3:2 * n3 + 3]
-    B = u[2 * n3 + 3:]
-    out = np.empty_like(u)
-    out[:2 * n3] = _kinetic(f, op, k).ravel()
-    out[2 * n3:2 * n3 + 3] = 1j * np.cross(k, B)
-    out[2 * n3 + 3:] = -1j * np.cross(k, E)
+    d, E, B = v[:n3], v[n3:n3 + 3], v[n3 + 3:]
+    out = np.empty_like(v)
+    out[:n3] = _sparse_block(d, op, xik)
+    out[n3:n3 + 3] = 1j * np.cross(k, B)
+    out[n3 + 3:] = -1j * np.cross(k, E)
     if couple_kinetic:
-        Exi = _xi_dot(g, E)
-        out[:n3] += Exi * g.sqrt_mu
-        out[n3:2 * n3] -= Exi * g.sqrt_mu
-        out[2 * n3:2 * n3 + 3] -= _current(g, f)
+        out[:n3] += _SQRT2 * _xi_dot(g, E) * g.sqrt_mu
+        out[n3:n3 + 3] -= _SQRT2 * _current(g, d)
     return out
+
+
+def _generator(u: np.ndarray, op: LinearizedOperator, k: np.ndarray) -> np.ndarray:
+    """M u for the flattened state u = (s, d, E, B): the sum and difference blocks."""
+    n3 = op.grid.size
+    xik = _xi_dot(op.grid, k)
+    return np.concatenate([_sum_block(u[:n3], op, xik), _diff_block(u[n3:], op, k, xik)])
 
 
 def _flatten(state: ModeState) -> np.ndarray:
@@ -182,7 +198,9 @@ def _unflatten(u: np.ndarray, template: ModeState, t: float) -> ModeState:
 def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
-    d = _unflatten(_generator(_flatten(state), op, state.k), state, state.t)
+    n3 = op.grid.size
+    du = _generator(_sum_diff(_flatten(state), n3), op, state.k)
+    d = _unflatten(_sum_diff(du, n3), state, state.t)
     return d.fhat, d.Ehat, d.Bhat
 
 
@@ -197,44 +215,32 @@ class ModeHistory:
     gauss_E: np.ndarray
     gauss_B: np.ndarray
     frames: list                 # ModeState samples (always includes first/last)
-    constraint_flag: bool = False
-    solver_iterations: float = 0.0
 
 
-class _ModeSolver:
-    """The implicit solve (I - a M) u = rhs of one mode and scheme.
+class _BlockSolver:
+    """GMRES for (I - a G) x = rhs on one block x = (n^3 kinetic entries, fields).
 
-    imex-midpoint solves the full state u = (f+, f-, E, B) with the generator
-    M; imex-euler solves the kinetic block f alone with M's kinetic part.
+    G is the block's part of the generator.  The preconditioner is the ILU of
+    I + a (A + i xi.k) that both blocks of a mode share, on the leading n^3
+    entries; field entries, if the block has any, pass through.
     """
 
-    def __init__(self, op: LinearizedOperator, k: np.ndarray, cfg: StepperConfig,
-                 couple_kinetic: bool = True):
-        self.op = op
-        self.k = np.asarray(k, dtype=float)
-        self.a = cfg.implicit_weight()
-        self.cfg = cfg
-        self.couple_kinetic = couple_kinetic
-        self.kinetic_only = cfg.scheme == "imex-euler"
-        self.n3 = op.grid.size
-        Msp = (sp.identity(self.n3, format="csr")
-               + self.a * (op.A_sparse + 1j * sp.diags_array(_xi_dot(op.grid, self.k)))).tocsc()
-        self.ilu = spla.spilu(Msp, drop_tol=1e-3, fill_factor=12)
+    def __init__(self, gen, a: float, ilu, n3: int, lin_tol: float, what: str):
+        self.gen = gen
+        self.a = a
+        self.ilu = ilu
+        self.n3 = n3
+        self.lin_tol = lin_tol
+        self.what = what
 
-    def shifted(self, u: np.ndarray) -> np.ndarray:
-        """(I - a M) u, with M's kinetic part alone on a kinetic-only solver."""
-        if self.kinetic_only:
-            return u - self.a * _kinetic(u.reshape(2, self.n3), self.op, self.k).ravel()
-        return u - self.a * _generator(u, self.op, self.k, self.couple_kinetic)
+    def shifted(self, x: np.ndarray) -> np.ndarray:
+        return x - self.a * self.gen(x)
 
-    def precondition(self, u: np.ndarray) -> np.ndarray:
-        """ILU on each species block of u; field entries pass through."""
-        n3 = self.n3
-        return np.concatenate([self.ilu.solve(u[:n3]), self.ilu.solve(u[n3:2 * n3]),
-                               u[2 * n3:]])
+    def precondition(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.ilu.solve(x[:self.n3]), x[self.n3:]])
 
-    def solve(self, rhs: np.ndarray, guess: np.ndarray):
-        """GMRES from ``guess``; returns the solution and the iteration count."""
+    def solve(self, rhs: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """GMRES from ``guess``; raises RuntimeError with the residual if it fails."""
         n = rhs.size
         A = spla.LinearOperator((n, n), matvec=self.shifted, dtype=complex)
         P = spla.LinearOperator((n, n), matvec=self.precondition, dtype=complex)
@@ -243,16 +249,15 @@ class _ModeSolver:
         def cb(_):
             iters[0] += 1
 
-        sol, info = spla.gmres(A, rhs, x0=guess, M=P, rtol=self.cfg.lin_tol, atol=0.0,
+        sol, info = spla.gmres(A, rhs, x0=guess, M=P, rtol=self.lin_tol, atol=0.0,
                                restart=50, maxiter=200, callback=cb,
                                callback_type="pr_norm")
         if info != 0:
-            what = "kinetic solve" if self.kinetic_only else "implicit solve"
             rel = np.linalg.norm(rhs - self.shifted(sol)) / (np.linalg.norm(rhs) or 1.0)
-            raise RuntimeError(f"{what} failed to converge (info={info}): relative residual "
-                               f"{rel:.3e} against rtol {self.cfg.lin_tol:.1e} after {iters[0]} "
+            raise RuntimeError(f"{self.what} failed to converge (info={info}): relative residual "
+                               f"{rel:.3e} against rtol {self.lin_tol:.1e} after {iters[0]} "
                                "iterations")
-        return sol, iters[0]
+        return sol
 
 
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
@@ -264,8 +269,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     T must be a whole number of steps dt (to 1e-9 relative), else ValueError.
     Initial data must satisfy the Gauss constraints to within
     cfg.constraint_tol; k = 0 additionally requires charge-neutral data.
-    Constraint drift beyond tolerance during the run sets a flag on the
-    history without aborting.  If ``checkpoint`` (a CheckpointWriter) is
+    Constraint drift during the run is recorded in the gauss_E and gauss_B
+    series without aborting.  If ``checkpoint`` (a CheckpointWriter) is
     given, full states are appended every ``checkpoint_interval`` time units
     and at the end.  ``couple_kinetic=False`` drops the field-kinetic coupling
     terms (E.xi sqrt(mu) q1 and the current), leaving the decoupled Maxwell
@@ -288,9 +293,19 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     if nsteps > cfg.max_steps:
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
     midpoint = cfg.scheme == "imex-midpoint"
-    solver = _ModeSolver(op, k, cfg, couple_kinetic=couple_kinetic)
-
     n3 = g.size
+    a = cfg.implicit_weight()
+    xik = _xi_dot(g, k)
+    ilu = spla.spilu((sp.identity(n3, format="csr")
+                      + a * (op.A_sparse + 1j * sp.diags_array(xik))).tocsc(),
+                     drop_tol=1e-3, fill_factor=12)
+    what = "implicit solve" if midpoint else "kinetic solve"
+    sum_solver = _BlockSolver(lambda s: _sum_block(s, op, xik), a, ilu, n3, cfg.lin_tol, what)
+    # imex-euler solves d alone and updates (E, B) explicitly after the solve
+    diff_gen = ((lambda v: _diff_block(v, op, k, xik, couple_kinetic)) if midpoint
+                else (lambda d: _sparse_block(d, op, xik)))
+    diff_solver = _BlockSolver(diff_gen, a, ilu, n3, cfg.lin_tol, what)
+
     u = _flatten(state0)
     times = np.empty(nsteps + 1)
     energy = np.empty(nsteps + 1)
@@ -315,37 +330,27 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
 
     scalars(0, u, state0.t)
     frames = [state0.copy()]
-    total_iters = 0
     next_sample = state0.t + sample_interval
     next_ckpt = state0.t + checkpoint_interval if (checkpoint and checkpoint_interval) else None
     if checkpoint is not None:
         checkpoint.append(state0)
-    flagged = False
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
+        v = _sum_diff(u, n3)
+        s = sum_solver.solve(v[:n3], guess=v[:n3])
         if midpoint:
-            ustar, it = solver.solve(u, guess=u)
-            u = 2.0 * ustar - u
+            v = 2.0 * np.concatenate([s, diff_solver.solve(v[n3:], guess=v[n3:])]) - v
         else:
             # implicit Euler in L + transport; E-coupling frozen at t_n; Maxwell
             # update uses j(f^{n+1}) so the charge moment telescopes exactly
-            E_old = u[2 * n3:2 * n3 + 3]
-            B_old = u[2 * n3 + 3:].copy()
-            rhs = u[:2 * n3].copy()
-            if couple_kinetic:
-                Exi = _xi_dot(g, E_old)
-                rhs[:n3] += cfg.dt * Exi * g.sqrt_mu
-                rhs[n3:2 * n3] -= cfg.dt * Exi * g.sqrt_mu
-            # solve the kinetic block only: (I + dt (L + i xi.k)) f = rhs
-            fnew, it = solver.solve(rhs, u[:2 * n3])
-            j = _current(g, fnew.reshape(2, n3)) if couple_kinetic else 0.0
-            E_new = E_old + cfg.dt * (1j * np.cross(k, B_old) - j)
-            B_new = B_old + cfg.dt * (-1j * np.cross(k, E_old))
-            u = np.concatenate([fnew, E_new, B_new])
-        total_iters += it
+            d, E, B = v[n3:2 * n3], v[2 * n3:2 * n3 + 3], v[2 * n3 + 3:]
+            rhs = d + _SQRT2 * cfg.dt * _xi_dot(g, E) * g.sqrt_mu if couple_kinetic else d
+            d_new = diff_solver.solve(rhs, guess=d)
+            j = _SQRT2 * _current(g, d_new) if couple_kinetic else 0.0
+            v = np.concatenate([s, d_new, E + cfg.dt * (1j * np.cross(k, B) - j),
+                                B + cfg.dt * (-1j * np.cross(k, E))])
+        u = _sum_diff(v, n3)
         scalars(step, u, t_new)
-        if gauss_e[step] > cfg.constraint_tol or gauss_b[step] > cfg.constraint_tol:
-            flagged = True
         at_end = step == nsteps
         if at_end or t_new >= next_sample - 1e-9 * cfg.dt:
             frames.append(_unflatten(u, state0, t_new))
@@ -358,9 +363,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                 while next_ckpt <= t_new + 1e-9 * cfg.dt:
                     next_ckpt += checkpoint_interval
     return ModeHistory(k=k.copy(), times=times, energy=energy, dissipation=diss,
-                       gauss_E=gauss_e, gauss_B=gauss_b, frames=frames,
-                       constraint_flag=flagged,
-                       solver_iterations=total_iters / max(nsteps, 1))
+                       gauss_E=gauss_e, gauss_B=gauss_b, frames=frames)
 
 
 @dataclass

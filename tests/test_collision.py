@@ -230,9 +230,13 @@ class TestApplyQ:
         rhs = apply_Q(grid11, params, F, G) + 2.0 * apply_Q(grid11, params, F, H)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-14)
 
-    def test_resource_guard(self, grid11, params):
+    def test_resource_guard(self, params):
+        # 2 n^6 at n = 35 exceeds the desk budget; both entry points refuse before any work
+        grid = build_grid(7.0, 35)
         with pytest.raises(ResourceBudgetError):
-            apply_Q(grid11, params, grid11.mu, grid11.mu, budget=100)
+            apply_Q(grid, params, grid.mu, grid.mu)
+        with pytest.raises(ResourceBudgetError):
+            assemble_L(grid, params)
 
 
 class TestGammaBilinear:

@@ -9,6 +9,7 @@ import pytest
 from vmlandau import cli, lab
 from vmlandau.collision import CollisionParams, assemble_L, sigma_field
 from vmlandau.grid import build_grid
+from vmlandau.mode import ModeEnergyReport
 
 
 def _tiny_cfg(outdir) -> lab.ExperimentConfig:
@@ -178,6 +179,38 @@ class TestSynthesis:
         archive = lab.load_archive(outdir)
         with pytest.raises(ValueError, match=r"modes \[1\] have no series; they carry 0\.5 "):
             lab.synthesize_norms(archive, 0)
+
+
+class TestSynthesizeNorms:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_matches_shell_quadrature(self, tmp_path, m):
+        cfg = lab.ExperimentConfig(shells=(0.25, 0.5, 1.0), directions_per_shell=6,
+                                   outdir=str(tmp_path))
+        k_set = lab.build_k_set(cfg)
+        times = np.linspace(0.0, 5.0, 11)
+
+        def series(k):
+            # closed form that differs between the six directions of a shell
+            return np.exp(-2.0 * float(k @ k) * times) * (1.0 + 0.3 * k[0] - 0.2 * k[2])
+
+        z = np.zeros_like(times)
+        reports = [ModeEnergyReport(k=k, rho=0.0, times=times, f_l2sq=series(k), em_sq=z,
+                                    micro_D=z, micro_D_weighted=z, f_weighted_l2sq=z,
+                                    macro_abc=z, a_diff=z, E_term=z, B_term=z,
+                                    gauss_E=z, gauss_B=z)
+                   for k, _w in reversed(k_set)]
+        archive = lab.RunArchive(run_id="x", outdir=str(tmp_path), config_path="",
+                                 mode_csvs=[], checkpoints=[], k_set=k_set, reports=reports)
+        got_t, got = lab.synthesize_norms(archive, m)
+        # trapezoid half-widths of the shells 0.25, 0.5, 1.0, and the six axis directions
+        axes = [np.array(v, dtype=float) for v in
+                ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
+        want = np.zeros_like(times)
+        for r, dr in ((0.25, 0.125), (0.5, 0.375), (1.0, 0.25)):
+            for e in axes:
+                want += 4.0 * np.pi * r ** 2 * dr * r ** (2 * m) * series(r * e) / 6.0
+        assert np.array_equal(got_t, times)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestConfigText:
