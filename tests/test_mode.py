@@ -3,8 +3,11 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vmlandau.checkpoint import CheckpointWriter, read_checkpoint
+from vmlandau.collision import assemble_L
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau import mode
 from vmlandau.macro import macro_residuals, project_P
@@ -205,19 +208,114 @@ class TestSolverGuards:
                                               ("imex-euler", "kinetic solve")])
     def test_gmres_failure_reports_residual_and_iterations(self, op11, grid11, monkeypatch,
                                                             scheme, what):
-        def stalled(A, b, x0=None, callback=None, **kwargs):
-            for _ in range(3):
-                callback(1.0)
-            return np.zeros_like(b), 200
-
-        monkeypatch.setattr(mode.spla, "gmres", stalled)
+        # a zero preconditioner gives GMRES no direction, so no iterate lowers the residual
+        monkeypatch.setattr(mode._BlockSolver, "precondition",
+                            lambda self, x: np.zeros_like(x))
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
+        cfg = StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8)
         with pytest.raises(RuntimeError) as err:
-            integrate_mode(st, StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8), 0.1, op11)
-        # a zero iterate leaves the whole right-hand side as residual
-        assert re.fullmatch(rf"{what} failed to converge \(info=200\): relative residual "
-                            r"1\.000e\+00 against rtol 1\.0e-08 after 3 iterations",
-                            str(err.value))
+            integrate_mode(st, cfg, 0.1, op11)
+        # the sum block fails first; its iterate stays at the guess s, and
+        # rhs - (I - aG) s = a G s, with G s the species sum of mode_rhs over sqrt2
+        df, _, _ = mode_rhs(st, op11)
+        f = st.fhat.values
+        want = (cfg.implicit_weight() * np.linalg.norm(df.values[0] + df.values[1])
+                / np.linalg.norm(f[0] + f[1]))
+        got = re.fullmatch(rf"{what} failed to converge: relative residual (\S+) "
+                           r"against rtol 1\.0e-08 after 200 iterations", str(err.value))
+        assert got is not None, str(err.value)
+        assert float(got.group(1)) == pytest.approx(want, rel=1e-3)
+        assert want > 1e-3
+
+    @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
+    def test_every_K_application_is_an_iteration_or_the_state_one(self, op11, grid11,
+                                                                  monkeypatch, scheme):
+        from vmlandau._conv import LatticeConvolver
+        pre_calls = {}          # solver -> precondition calls, in first-call order
+        last_z = [None]
+        on_z = [0]
+        conv_calls = [0]
+        precondition = mode._BlockSolver.precondition
+        k_part = type(op11).k_part
+        apply_vector = LatticeConvolver.apply_vector
+
+        def counted_precondition(self, x):
+            pre_calls[self] = pre_calls.get(self, 0) + 1
+            last_z[0] = precondition(self, x)
+            return last_z[0]
+
+        def counted_k_part(self, h):
+            on_z[0] += h is last_z[0]
+            return k_part(self, h)
+
+        def counted_apply_vector(self, v3):
+            conv_calls[0] += 1
+            return apply_vector(self, v3)
+
+        monkeypatch.setattr(mode._BlockSolver, "precondition", counted_precondition)
+        monkeypatch.setattr(type(op11), "k_part", counted_k_part)
+        monkeypatch.setattr(LatticeConvolver, "apply_vector", counted_apply_vector)
+        st = _micro_state(grid11, [0.0, 0.0, 0.5])
+        h = integrate_mode(st, StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8), 0.3, op11)
+        steps = len(h.times) - 1
+        assert len(pre_calls) == 2
+        s_calls = next(iter(pre_calls.values()))   # the sum block is solved first
+        assert s_calls >= steps
+        assert conv_calls[0] == s_calls + steps + 1
+        # each K inside a solve acts on the vector its ILU solve just returned
+        assert on_z[0] == s_calls
+
+
+class TestBlockSolver:
+    @pytest.fixture(scope="class")
+    def op9(self, params):
+        return assemble_L(build_grid(6.0, 9), params)
+
+    def _sum_solver(self, op, a, lin_tol=1e-8):
+        g = op.grid
+        xik = mode._xi_dot(g, np.array([0.0, 0.3, 0.4]))
+        ilu = spla.spilu((sp.identity(g.size, format="csr")
+                          + a * (op.A_sparse + 1j * sp.diags_array(xik))).tocsc(),
+                         drop_tol=1e-3, fill_factor=12)
+        gen = lambda s: mode._sum_block(s, op, xik)
+        return mode._BlockSolver(gen, a, ilu, g.size, lin_tol, "implicit solve"), gen
+
+    def _counted(self, monkeypatch, solver):
+        calls = [0]
+        precondition = solver.precondition
+
+        def counted(x):
+            calls[0] += 1
+            return precondition(x)
+
+        monkeypatch.setattr(solver, "precondition", counted)
+        return calls
+
+    def test_restarted_solve_meets_tolerance_on_true_residual(self, op9, monkeypatch):
+        a = 2.0
+        solver, gen = self._sum_solver(op9, a)
+        calls = self._counted(monkeypatch, solver)
+        rng = np.random.default_rng(7)
+        n3 = op9.grid.size
+        rhs = rng.standard_normal(n3) + 1j * rng.standard_normal(n3)
+        guess = 0.5 * rhs
+        for restart in (50, 3):
+            for gen_guess in (None, gen(guess)):
+                calls[0] = 0
+                x = solver.solve(rhs, guess, gen_guess, restart=restart)
+                res = np.linalg.norm(rhs - (x - a * gen(x)))
+                assert res <= 1e-8 * np.linalg.norm(rhs)
+                if restart == 3:
+                    assert calls[0] > restart   # needed at least one restart cycle
+
+    def test_zero_rhs_returns_zeros_without_iterating(self, op9, monkeypatch):
+        solver, _ = self._sum_solver(op9, 0.5)
+        calls = self._counted(monkeypatch, solver)
+        monkeypatch.setattr(solver, "gen", None)   # any application would raise
+        zero = np.zeros(op9.grid.size, dtype=complex)
+        x = solver.solve(zero, zero)
+        assert calls[0] == 0
+        assert np.array_equal(x, zero)
 
 
 class TestMacroResidualConvergence:
