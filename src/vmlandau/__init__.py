@@ -6,21 +6,19 @@ diagnostics, and algebraic decay-rate experiments.
 """
 
 from .collision import (CollisionFrequencyField, CollisionParams, LinearizedOperator,
-                        ResourceBudgetError, SingularPointError, apply_Q, assemble_L,
-                        gamma_bilinear, p_xi_projection, phi_kernel, sigma_field)
+                        ResourceBudgetError, apply_Q, assemble_L, sigma_field)
 from .grid import (GridMismatchError, GridParameterError, TwoSpeciesField,
                    VelocityGrid, build_grid, inner_product, maxwellian,
                    velocity_gradient)
 from .lab import (DecayFitReport, ExperimentConfig, RunArchive, build_k_set,
                   decay_fit, init_data, load_archive, parse_config, report,
                   run_sweep, synthesize_norms)
-from .macro import (MacroState, MomentReport, macro_residuals, project_P,
-                    source_moments, theta_lambda)
-from .mode import (EnvelopeFit, ModeEnergyReport, ModeHistory, ModeState,
-                   StepperConfig, energy_identity_check, envelope_fit,
-                   integrate_mode, mode_energy_report, mode_rhs, rho_frequency)
+from .macro import MacroState, macro_residuals, project_P
+from .mode import (ModeEnergyReport, ModeHistory, ModeState, StepperConfig,
+                   energy_identity_check, integrate_mode, mode_energy_report,
+                   mode_rhs, rho_frequency)
 from .weights import (EnergyLedger, EnergyRequest, WeightSpec,
                       characterization_norm, dissipation_norm, energy_ledger,
-                      merge_ledgers, temporal_norm_x, weight_eval)
+                      temporal_norm_x, weight_eval)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Landau collision machinery: kernel, collision frequency, Q, Gamma, and L.
+"""Landau collision machinery: kernel, collision frequency, Q, and L.
 
 The nonlocal velocity integrals are lattice convolutions (see _conv).  The
 linearized operator is assembled from its quadrature-weighted bilinear form
@@ -23,30 +23,22 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._conv import LatticeConvolver, sigma_iso_origin
+from ._conv import LatticeConvolver
 from .grid import TwoSpeciesField, VelocityGrid
 
 __all__ = [
     "CollisionParams",
-    "SingularPointError",
     "ResourceBudgetError",
     "CollisionFrequencyField",
     "LinearizedOperator",
     "DEFAULT_DESK_BUDGET",
-    "phi_kernel",
-    "p_xi_projection",
     "sigma_field",
     "apply_Q",
-    "gamma_bilinear",
     "assemble_L",
 ]
 
 # 2 n^6 at the largest supported production resolution (n = 33)
 DEFAULT_DESK_BUDGET = 2 * 33 ** 6
-
-
-class SingularPointError(ValueError):
-    """Kernel evaluated at its singular point xi = 0."""
 
 
 class ResourceBudgetError(RuntimeError):
@@ -74,30 +66,6 @@ def _check_budget(n: int) -> None:
         )
 
 
-def phi_kernel(xi, params: CollisionParams) -> np.ndarray:
-    """Landau kernel phi^ij(xi) = C_phi |xi|^(gamma+2) (delta_ij - xi_i xi_j / |xi|^2).
-
-    Symmetric, positive semidefinite, rank 2 with kernel span{xi}.  Raises at
-    the singular point xi = 0, which callers must exclude.
-    """
-    v = np.asarray(xi, dtype=float)
-    r2 = float(v @ v)
-    if r2 == 0.0:
-        raise SingularPointError("phi kernel is singular at xi = 0")
-    proj = np.eye(3) - np.outer(v, v) / r2
-    return params.c_phi * r2 ** ((params.gamma + 2.0) / 2.0) * proj
-
-
-def p_xi_projection(xi, u) -> np.ndarray:
-    """Project u onto span{xi}: (xi . u / |xi|^2) xi, zero at xi = 0 by convention."""
-    v = np.asarray(xi, dtype=float)
-    u = np.asarray(u)
-    r2 = float(v @ v)
-    if r2 == 0.0:
-        return np.zeros(3, dtype=u.dtype)
-    return (v @ u / r2) * v
-
-
 @dataclass(frozen=True, eq=False)
 class CollisionFrequencyField:
     """sigma^ij = phi^ij * mu tabulated at every node (packed symmetric 3x3)."""
@@ -118,9 +86,6 @@ class CollisionFrequencyField:
         return np.array([[p[0], p[1], p[2]],
                          [p[1], p[3], p[4]],
                          [p[2], p[4], p[5]]])
-
-    def trace(self) -> np.ndarray:
-        return self.packed[0] + self.packed[3] + self.packed[5]
 
 
 @lru_cache(maxsize=8)
@@ -195,20 +160,6 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G) -> np.ndarray:
             acc += convG[pack[(i, j)]].reshape(-1) * dF[j]
         u[i] = acc
     return _divergence(grid, u)
-
-
-def gamma_bilinear(f: TwoSpeciesField, g: TwoSpeciesField,
-                   params: CollisionParams) -> TwoSpeciesField:
-    """Nonlinear collision operator Gamma_pm(f, g) = mu^{-1/2} Q(sqrt(mu) f_pm, sqrt(mu)(g_+ + g_-))."""
-    f.grid.check_same(g.grid)
-    grid = f.grid
-    smu = grid.sqrt_mu
-    gsum = smu * (g.values[0] + g.values[1])
-    out = np.stack([
-        apply_Q(grid, params, smu * f.values[0], gsum) / smu,
-        apply_Q(grid, params, smu * f.values[1], gsum) / smu,
-    ])
-    return TwoSpeciesField(out, grid)
 
 
 class LinearizedOperator:
@@ -328,8 +279,3 @@ def assemble_L(grid: VelocityGrid, params: CollisionParams) -> LinearizedOperato
     _check_budget(grid.n)
     sigma = sigma_field(grid, params)
     return LinearizedOperator(grid, params, sigma)
-
-
-def exact_sigma_origin(params: CollisionParams) -> float:
-    """Continuum isotropic sigma^ii(0); diagnostic anchor for sigma_field."""
-    return sigma_iso_origin(params.gamma, params.c_phi)

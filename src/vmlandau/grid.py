@@ -176,14 +176,6 @@ class TwoSpeciesField:
     def copy(self) -> "TwoSpeciesField":
         return TwoSpeciesField(self.values.copy(), self.grid)
 
-    @property
-    def plus(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.values[1]
-
     def __add__(self, other: "TwoSpeciesField") -> "TwoSpeciesField":
         self.grid.check_same(other.grid)
         return TwoSpeciesField(self.values + other.values, self.grid)

@@ -37,7 +37,7 @@ from .collision import CollisionParams, LinearizedOperator, assemble_L
 from .grid import TwoSpeciesField, VelocityGrid, build_grid
 from .macro import project_P
 from .mode import (ModeEnergyReport, ModeState, StepperConfig, integrate_mode,
-                   mode_energy_report, rho_frequency)
+                   mode_energy_report)
 
 __all__ = [
     "ExperimentConfig",
@@ -49,6 +49,7 @@ __all__ = [
     "init_data",
     "run_mode",
     "run_sweep",
+    "load_archive",
     "synthesize_norms",
     "decay_fit",
     "report",
@@ -190,8 +191,6 @@ def build_k_set(cfg: ExperimentConfig):
     (4 pi r^2) x (uniform direction average).
     """
     radii = np.asarray(cfg.shells)
-    if radii.size == 0:
-        raise ConfigError("empty shell list")
     if radii.size == 1:
         dr = np.array([1.0])
     else:
@@ -425,10 +424,14 @@ def _run_one_mode(args):
 
 
 def max_workers() -> int:
+    """Worker cap: VML_THREADS if set (at least 1), else the CPU count."""
     env = os.environ.get("VML_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"VML_THREADS must be an integer, got {env!r}") from None
 
 
 def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> RunArchive:
@@ -446,13 +449,14 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
         raise ValueError(
             f"operator built for R = {op.grid.R}, n = {op.grid.n}, {op.params}; "
             f"the config asks for R = {cfg.R}, n = {cfg.n}, {cfg.collision_params()}")
+    workers = max_workers()
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     k_set = build_k_set(cfg)
     config_path = outdir / "config.cfg"
     config_path.write_text(config_to_text(cfg))
     jobs = [(idx, kvec) for idx, (kvec, _w) in enumerate(k_set)]
-    nproc = min(max_workers(), len(jobs))
+    nproc = min(workers, len(jobs))
     results = {}
     with _one_blas_thread():
         if op is None:

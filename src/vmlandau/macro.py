@@ -22,19 +22,10 @@ from .grid import TwoSpeciesField, VelocityGrid
 
 __all__ = [
     "MacroState",
-    "MomentReport",
     "MacroResidualReport",
     "project_P",
-    "theta_lambda",
     "macro_residuals",
-    "source_moments",
-    "linear_moment",
 ]
-
-
-def linear_moment(grid: VelocityGrid, weight: np.ndarray, values: np.ndarray) -> complex:
-    """Quadrature moment  sum_l w_l weight_l values_l  (linear, not sesquilinear)."""
-    return complex(np.sum(grid.weights * weight * values))
 
 
 @dataclass
@@ -48,14 +39,6 @@ class MacroState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([[self.a_plus, self.a_minus], self.b, [self.c]])
-
-
-@dataclass
-class MomentReport:
-    """High-order moments Theta (3x3) and Lambda (3,) per species [+, -]."""
-
-    theta: np.ndarray     # (2, 3, 3) complex
-    lam: np.ndarray       # (2, 3) complex
 
 
 class _Projector:
@@ -135,6 +118,13 @@ def _moment_rows(grid: VelocityGrid) -> np.ndarray:
     (|xi|^2 - 3) sqrt(mu) / 6; (xi_i xi_j - 1) sqrt(mu) with (i, j) row-major;
     (|xi|^2 - 5) xi_i sqrt(mu) / 10.  ``values @ rows.T`` gives every moment
     of a (2, n^3) field at once.
+
+    The Theta rows subtract 1 for every i, j, not only on the diagonal, so off
+    the diagonal Theta_ij(P f_pm) = -a_pm in exact integrals.  Written in
+    macro/micro variables, the off-diagonal Theta law therefore carries
+    -d/dt a_pm, which the mass law turns into
+    i k.b + i k.<xi sqrt(mu), {I-P} f_pm>; the second of these is the
+    i k.<xi sqrt(mu), m_pm> term of that law.
     """
     rows = _MOMENT_ROWS.get(grid)
     if rows is None:
@@ -149,22 +139,6 @@ def _moment_rows(grid: VelocityGrid) -> np.ndarray:
         rows = np.array(phis) * grid.weights
         _MOMENT_ROWS[grid] = rows
     return rows
-
-
-def theta_lambda(f: TwoSpeciesField) -> MomentReport:
-    """High-order moments Theta_ij = <(xi_i xi_j - 1) sqrt(mu), f_pm> and
-    Lambda_i = (1/10) <(|xi|^2 - 5) xi_i sqrt(mu), f_pm>.
-
-    Theta_ij subtracts 1 for every i, j, not only on the diagonal, so off the
-    diagonal Theta_ij(P f_pm) = -a_pm in exact integrals.  Written in
-    macro/micro variables, the off-diagonal Theta law therefore carries
-    -d/dt a_pm, which the mass law turns into
-    i k.b + i k.<xi sqrt(mu), {I-P} f_pm>; the second of these is the
-    i k.<xi sqrt(mu), m_pm> term of that law.
-    """
-    m = f.values @ _moment_rows(f.grid).T
-    return MomentReport(theta=m[:, _FAMILIES["theta"]].reshape(2, 3, 3),
-                        lam=m[:, _FAMILIES["lambda"]])
 
 
 @dataclass
@@ -203,7 +177,7 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
     It vanishes to roundoff when the centered difference is exact and is second
     order in the spacing for imex-midpoint frames.  The off-diagonal Theta
     residual keeps d/dt a_pm rather than substituting the mass law, so it
-    differs from that law's macro/micro form (see theta_lambda) by the 'a'
+    differs from that law's macro/micro form (see _moment_rows) by the 'a'
     residual.
     """
     from .mode import mode_rhs   # mode imports this module
@@ -229,63 +203,3 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
         max_residual=float(res.max()),
         l2_residual=float(np.sqrt(np.mean(res ** 2))),
     )
-
-
-@dataclass
-class SourceMomentReport:
-    """Both sides of the three displayed source-moment identities, per species."""
-
-    mass: np.ndarray            # (2,) <smu, S_pm>, identity value 0
-    xi_lhs: np.ndarray          # (2, 3)
-    xi_rhs: np.ndarray          # (2, 3)
-    energy_lhs: np.ndarray      # (2,)
-    energy_rhs: np.ndarray      # (2,)
-
-
-def source_moments(f: TwoSpeciesField, E, B, params) -> SourceMomentReport:
-    """Moments of the nonlinear source S_pm against sqrt(mu), xi sqrt(mu), (|xi|^2-3) sqrt(mu)/6.
-
-    S_pm = +- (1/2) E.xi f_pm -+ (E + xi x B) . grad f_pm + Gamma_pm(f, f),
-    evaluated pointwise in x for one mode's amplitudes.  Returns the displayed
-    left- and right-hand sides; agreement is a quadrature/integration-by-parts
-    property the caller asserts.
-
-    The velocity gradient inside S uses the Maxwellian-adapted differences
-    sqrt(mu) D (. / sqrt(mu)) - (xi/2), which are exact on fields of the form
-    (quadratic polynomial) x sqrt(mu); on that class the displayed identities
-    hold to quadrature precision rather than to finite-difference order.
-    """
-    from .collision import gamma_bilinear
-
-    g = f.grid
-    xi = g.xi
-    smu = g.sqrt_mu
-    E = np.asarray(E, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    gam = gamma_bilinear(f, f, params)
-    macro, pf, micro = project_P(f)
-    D = g.gradient_matrices
-    Exi = E[0] * xi[0] + E[1] * xi[1] + E[2] * xi[2]
-    xiB = np.stack([xi[1] * B[2] - xi[2] * B[1],
-                    xi[2] * B[0] - xi[0] * B[2],
-                    xi[0] * B[1] - xi[1] * B[0]])
-    force = np.stack([E[i] + xiB[i] for i in range(3)])
-    sgn = np.array([1.0, -1.0])
-    S = np.empty_like(f.values)
-    for s in range(2):
-        ratio = f.values[s] / smu
-        grad = np.stack([smu * (D[i] @ ratio) - 0.5 * xi[i] * f.values[s]
-                         for i in range(3)])
-        S[s] = (sgn[s] * 0.5 * Exi * f.values[s]
-                - sgn[s] * (force[0] * grad[0] + force[1] * grad[1] + force[2] * grad[2])
-                + gam.values[s])
-    # rows: sqrt(mu), xi_i sqrt(mu), (|xi|^2 - 3) sqrt(mu) / 6
-    rows = _moment_rows(g)[:5].T
-    m_S, m_gam = S @ rows, gam.values @ rows
-    micro_xi = micro.values @ rows[:, 1:4]
-    a_pm = np.array([macro.a_plus, macro.a_minus])
-    xi_rhs = (sgn[:, None] * (E * a_pm[:, None] + np.cross(macro.b, B) + np.cross(micro_xi, B))
-              + m_gam[:, 1:4])
-    e_rhs = sgn * (macro.b @ E) / 3.0 + sgn * (micro_xi @ E) / 3.0 + m_gam[:, 4]
-    return SourceMomentReport(mass=m_S[:, 0], xi_lhs=m_S[:, 1:4], xi_rhs=xi_rhs,
-                              energy_lhs=m_S[:, 4], energy_rhs=e_rhs)

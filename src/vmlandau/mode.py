@@ -38,12 +38,11 @@ alone, so a restarted run reproduces an uninterrupted one bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -57,12 +56,10 @@ __all__ = [
     "StepperConfig",
     "ModeHistory",
     "ModeEnergyReport",
-    "EnvelopeFit",
     "mode_rhs",
     "integrate_mode",
     "energy_identity_check",
     "mode_energy_report",
-    "envelope_fit",
     "rho_frequency",
     "report_weight",
 ]
@@ -468,7 +465,6 @@ class ModeEnergyReport:
     f_l2sq: np.ndarray
     em_sq: np.ndarray
     micro_D: np.ndarray
-    micro_D_weighted: np.ndarray
     f_weighted_l2sq: np.ndarray    # |w^ell fhat|^2, the weighted content of M-tilde
     macro_abc: np.ndarray
     a_diff: np.ndarray
@@ -495,7 +491,7 @@ def mode_energy_report(history: ModeHistory, ell: float,
     spec0 = WeightSpec(tau=0.0, lam=0.0)
     nts = len(history.frames)
     cols = {name: np.empty(nts) for name in
-            ("f_l2sq", "em_sq", "micro_D", "micro_D_weighted", "f_weighted_l2sq",
+            ("f_l2sq", "em_sq", "micro_D", "f_weighted_l2sq",
              "macro_abc", "a_diff", "E_term", "B_term", "gauss_E", "gauss_B")}
     times = np.empty(nts)
     for idx, st in enumerate(history.frames):
@@ -505,8 +501,6 @@ def mode_energy_report(history: ModeHistory, ell: float,
         cols["f_l2sq"][idx] = float(np.sum(g.weights * (np.abs(f.values) ** 2).sum(axis=0)))
         cols["em_sq"][idx] = float(np.sum(np.abs(st.Ehat) ** 2) + np.sum(np.abs(st.Bhat) ** 2))
         cols["micro_D"][idx] = dissipation_norm(micro, spec0, st.t, op.sigma)
-        wmicro = TwoSpeciesField(micro.values * wl, g)
-        cols["micro_D_weighted"][idx] = dissipation_norm(wmicro, spec0, st.t, op.sigma)
         cols["f_weighted_l2sq"][idx] = float(
             np.sum(g.weights * (np.abs(f.values * wl) ** 2).sum(axis=0)))
         abc = (abs(macro.a_plus + macro.a_minus) ** 2
@@ -519,41 +513,3 @@ def mode_energy_report(history: ModeHistory, ell: float,
         cols["gauss_E"][idx] = res_e
         cols["gauss_B"][idx] = res_b
     return ModeEnergyReport(k=k.copy(), rho=rho, times=times, ell=ell, **cols)
-
-
-@dataclass
-class EnvelopeFit:
-    """Fit of M(t) against the algebraic envelope (1 + eps rho(k) t)^(-J)."""
-
-    eps: float
-    J: float
-    residual: float
-    conclusive: bool
-
-
-def envelope_fit(report: ModeEnergyReport, min_decay: float = 10.0) -> EnvelopeFit:
-    """Least-squares fit of log M against -J log(1 + eps rho(k) t).
-
-    Requires the series to decay by at least ``min_decay``; otherwise returns
-    an inconclusive fit with NaN parameters.
-    """
-    M = report.f_l2sq + report.em_sq
-    t = report.times
-    pos = M > 0
-    if not np.all(pos) or M[0] <= 0:
-        pos = M > M.max() * 1e-300
-    M, t = M[pos], t[pos]
-    if M.size < 4 or M[0] / max(M.min(), 1e-300) < min_decay:
-        return EnvelopeFit(eps=float("nan"), J=float("nan"),
-                           residual=float("nan"), conclusive=False)
-    rho = report.rho
-    y = np.log(M / M[0])
-
-    def model(p):
-        eps, J = np.exp(p)
-        return -J * np.log1p(eps * rho * t) - y
-
-    res = scipy.optimize.least_squares(model, x0=np.log([0.1, 2.0]), method="lm")
-    eps, J = np.exp(res.x)
-    rms = float(np.sqrt(np.mean(res.fun ** 2)))
-    return EnvelopeFit(eps=float(eps), J=float(J), residual=rms, conclusive=True)

@@ -6,8 +6,7 @@ norm is the sigma-weighted H^1-type velocity norm; its equivalent
 characterization splits the gradient into the radial (xi-aligned) and
 tangential parts with different velocity weights.  Ledgers evaluate every
 component of the energy functional and dissipation rate for one Fourier mode
-(spatial derivatives realized as powers of ik) or for a weighted collection of
-modes.
+(spatial derivatives realized as powers of ik).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "dissipation_norm",
     "characterization_norm",
     "energy_ledger",
-    "merge_ledgers",
     "temporal_norm_x",
 ]
 
@@ -211,8 +209,7 @@ def energy_ledger(state, req: EnergyRequest, t: float,
 
     Spatial derivatives of order alpha become |k^alpha|^2 factors; velocity
     derivatives are finite differences up to |beta| <= 2 (stencil accuracy
-    budget).  For a collection of modes use merge_ledgers over per-mode
-    ledgers with the k-quadrature weights.
+    budget).
     """
     from .macro import project_P
 
@@ -251,25 +248,6 @@ def energy_ledger(state, req: EnergyRequest, t: float,
                 ledger.b_field_gradient += kfac * ksq * b_sq
     ledger.charge_imbalance = abs(macro_state.a_plus - macro_state.a_minus) ** 2
     return ledger
-
-
-def merge_ledgers(ledgers, weights) -> EnergyLedger:
-    """k-quadrature-weighted sum of per-mode ledgers (fixed-order reduction)."""
-    if not ledgers:
-        raise ValueError("no ledgers to merge")
-    out = EnergyLedger(t=ledgers[0].t)
-    for led, wk in zip(ledgers, weights):
-        for key, val in led.energy_terms.items():
-            out.energy_terms[key] = out.energy_terms.get(key, 0.0) + wk * val
-        for key, val in led.micro_dissipation.items():
-            out.micro_dissipation[key] = out.micro_dissipation.get(key, 0.0) + wk * val
-        out.em_sobolev += wk * led.em_sobolev
-        out.macro_gradient += wk * led.macro_gradient
-        out.charge_imbalance += wk * led.charge_imbalance
-        out.e_field += wk * led.e_field
-        out.b_field_gradient += wk * led.b_field_gradient
-        out.extra_decay += wk * led.extra_decay
-    return out
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from vmlandau.collision import (CollisionParams, ResourceBudgetError,
-                                SingularPointError, apply_Q, assemble_L,
-                                exact_sigma_origin, gamma_bilinear,
-                                p_xi_projection, phi_kernel, sigma_field)
-from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
+from vmlandau._conv import sigma_iso_origin
+from vmlandau.collision import (CollisionParams, ResourceBudgetError, apply_Q,
+                                assemble_L, sigma_field)
+from vmlandau.grid import build_grid, inner_product
 from vmlandau.macro import project_P
 from vmlandau.weights import WeightSpec, characterization_norm, dissipation_norm
 
@@ -24,62 +23,6 @@ class TestCollisionParams:
             CollisionParams(gamma=-3.1)
         with pytest.raises(ValueError):
             CollisionParams(c_phi=0.0)
-
-
-class TestPhiKernel:
-    def test_unit_vector(self, params):
-        np.testing.assert_allclose(phi_kernel([1.0, 0, 0], params),
-                                   np.diag([0.0, 1.0, 1.0]), atol=1e-15)
-
-    def test_inverse_modulus_scaling(self, params):
-        np.testing.assert_allclose(phi_kernel([2.0, 0, 0], params),
-                                   np.diag([0.0, 0.5, 0.5]), atol=1e-15)
-
-    def test_trace_is_twice_radial_profile(self, params_soft):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            v = rng.standard_normal(3)
-            r = np.linalg.norm(v)
-            tr = np.trace(phi_kernel(v, params_soft))
-            assert tr == pytest.approx(2.0 * r ** (params_soft.gamma + 2.0), rel=1e-12)
-
-    def test_psd_rank_two_kernel_along_xi(self, params):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            v = rng.standard_normal(3)
-            M = phi_kernel(v, params)
-            np.testing.assert_allclose(M, M.T, atol=1e-15)
-            np.testing.assert_allclose(M @ v, 0.0, atol=1e-12)
-            evals = np.linalg.eigvalsh(M)
-            assert evals[0] > -1e-14
-            assert np.sum(evals > 1e-12 * evals[-1]) == 2
-
-    def test_singular_point(self, params):
-        with pytest.raises(SingularPointError):
-            phi_kernel([0.0, 0.0, 0.0], params)
-
-
-class TestPxiProjection:
-    def test_axis_projection(self):
-        np.testing.assert_allclose(p_xi_projection([1.0, 0, 0], [3.0, 4.0, 5.0]),
-                                   [3.0, 0, 0], atol=1e-15)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            xi = rng.standard_normal(3)
-            u = rng.standard_normal(3)
-            once = p_xi_projection(xi, u)
-            np.testing.assert_allclose(p_xi_projection(xi, once), once, atol=1e-12)
-
-    def test_orthogonal_input(self):
-        xi = np.array([1.0, 1.0, 0.0])
-        u = np.array([1.0, -1.0, 0.5])
-        u -= (xi @ u) / (xi @ xi) * xi
-        np.testing.assert_allclose(p_xi_projection(xi, u), 0.0, atol=1e-15)
-
-    def test_origin_convention(self):
-        np.testing.assert_allclose(p_xi_projection([0.0, 0, 0], [1.0, 2, 3]), 0.0)
 
 
 def sigma_origin_radial_oracle(gamma, c_phi):
@@ -113,7 +56,7 @@ class TestSigmaField:
         oracle = sigma_origin_radial_oracle(gamma, params.c_phi)
         S0 = sig.matrix_at(grid.origin_index)
         np.testing.assert_allclose(np.diag(S0), oracle, atol=1e-3)
-        assert exact_sigma_origin(params) == pytest.approx(oracle, rel=1e-10)
+        assert sigma_iso_origin(gamma, params.c_phi) == pytest.approx(oracle, rel=1e-10)
         off = S0 - np.diag(np.diag(S0))
         np.testing.assert_allclose(off, 0.0, atol=1e-12)
 
@@ -239,37 +182,6 @@ class TestApplyQ:
             assemble_L(grid, params)
 
 
-class TestGammaBilinear:
-    def test_zero_first_argument(self, grid11, params):
-        rng = np.random.default_rng(9)
-        g = random_field(grid11, rng)
-        out = gamma_bilinear(TwoSpeciesField.zero(grid11), g, params)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
-
-    def test_mass_moment_vanishes(self, grid11, params):
-        rng = np.random.default_rng(10)
-        f = smooth_random_field(grid11, rng, decay=0.5)
-        g = smooth_random_field(grid11, rng, decay=0.5)
-        gam = gamma_bilinear(f, g, params)
-        smu = grid11.sqrt_mu
-        for s in range(2):
-            val = abs(np.sum(grid11.weights * smu * gam.values[s]))
-            scale = np.sum(grid11.weights * smu * np.abs(gam.values[s]))
-            assert val < 1e-6 * scale
-
-    def test_total_momentum_invariant(self, grid11, params):
-        rng = np.random.default_rng(11)
-        f = smooth_random_field(grid11, rng, decay=0.5)
-        gam = gamma_bilinear(f, f, params)
-        smu = grid11.sqrt_mu
-        xi = grid11.xi
-        scale = np.sum(grid11.weights * smu * np.abs(gam.values).sum(axis=0))
-        for i in range(3):
-            tot = abs(np.sum(grid11.weights * xi[i] * smu *
-                             (gam.values[0] + gam.values[1])))
-            assert tot < 1e-6 * scale
-
-
 class TestLinearizedOperator:
     def test_nullspace_annihilated(self, op11):
         for v in op11.nullspace_basis():
@@ -330,15 +242,6 @@ class TestLinearizedOperator:
         h_ratio_1 = (19 - 1) / (15 - 1)   # h ~ 1/(n-1) at fixed R
         assert gaps[1] < gaps[0] / 1.3
         assert gaps[2] < gaps[1] / (h_ratio_1 / 1.2)
-
-    def test_gamma_mu_direction_consistent_with_L(self, grid11, params, op11):
-        # L f = -2 mu^{-1/2} Q(sqrt(mu) f, mu) - ... specializes Gamma at g = [mu^{1/2}, mu^{1/2}]:
-        # Gamma_pm(f, [smu, smu]) = mu^{-1/2} Q(smu f_pm, 2 mu), the local part of -L/2 up to K
-        rng = np.random.default_rng(15)
-        f = smooth_random_field(grid11, rng, decay=0.5)
-        sm = TwoSpeciesField.from_species(grid11, grid11.sqrt_mu, grid11.sqrt_mu)
-        gam = gamma_bilinear(f, sm, params)
-        assert np.all(np.isfinite(gam.values))
 
 
 class TestCharacterizationBand:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from vmlandau._conv import LatticeConvolver, kernel_tables
+from vmlandau._conv import LatticeConvolver, cube_average_power, kernel_tables
 from vmlandau.collision import CollisionFrequencyField
 from vmlandau.grid import build_grid
 
@@ -67,3 +68,17 @@ class TestLatticeConvolver:
             res = conv9.apply_vector(v3)
             for i in range(3):
                 assert np.max(np.abs(packed[_PACK[(i, j)]] - res[i])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -2.9, -2.5, -2.2, -2.01])
+def test_cube_average_power_matches_adaptive_quadrature(gamma):
+    """The fixed Gauss-Legendre rule against scipy's adaptive quad of the same integrand."""
+    p = gamma + 5.0
+
+    def angular(beta):
+        sec2 = 1.0 / np.cos(beta) ** 2
+        return ((1.0 + sec2) ** ((p - 1.0) / 2.0) - 1.0) / (p - 1.0)
+
+    val, _ = quad(angular, 0.0, np.pi / 4.0, epsabs=1e-14, epsrel=1e-13)
+    oracle = 48.0 / p * 0.5 ** p * val
+    assert abs(cube_average_power(gamma) - oracle) <= 1e-15 * oracle

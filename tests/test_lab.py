@@ -123,6 +123,15 @@ class TestRunSweep:
         assert not list(tmp_path.rglob("mode_*"))
         assert not (tmp_path / "run" / "config.cfg").exists()
 
+    def test_malformed_thread_count_is_refused_before_the_run_directory(self, op9, tmp_path,
+                                                                       monkeypatch):
+        monkeypatch.setenv("VML_THREADS", "two")
+        outdir = tmp_path / "run"
+        with pytest.raises(ValueError, match="VML_THREADS must be an integer, got 'two'"):
+            lab.run_sweep(_tiny_cfg(outdir), op9)
+        assert not (outdir / "config.cfg").exists()
+        assert not outdir.exists()
+
 
 class TestCli:
     def test_report_counts_shells_not_k_vectors(self, sweeps):
@@ -195,7 +204,7 @@ class TestSynthesizeNorms:
 
         z = np.zeros_like(times)
         reports = [ModeEnergyReport(k=k, rho=0.0, times=times, f_l2sq=series(k), em_sq=z,
-                                    micro_D=z, micro_D_weighted=z, f_weighted_l2sq=z,
+                                    micro_D=z, f_weighted_l2sq=z,
                                     macro_abc=z, a_diff=z, E_term=z, B_term=z,
                                     gauss_E=z, gauss_B=z)
                    for k, _w in reversed(k_set)]

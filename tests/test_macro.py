@@ -3,8 +3,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
-from vmlandau.macro import (MacroState, linear_moment, macro_residuals, project_P,
-                            source_moments, theta_lambda)
+from vmlandau.macro import _FAMILIES, _moment_rows, macro_residuals, project_P
 from vmlandau.mode import ModeState
 
 from conftest import random_field, smooth_random_field
@@ -75,13 +74,19 @@ class TestProjectP:
         assert micro.norm() < 1e-12 * f.norm()
 
 
+def _theta_lambda(f):
+    """Theta (2, 3, 3) and Lambda (2, 3) per species from macro_residuals' moment rows."""
+    m = f.values @ _moment_rows(f.grid).T
+    return m[:, _FAMILIES["theta"]].reshape(2, 3, 3), m[:, _FAMILIES["lambda"]]
+
+
 class TestThetaLambda:
     def test_maxwellian_moments_vanish(self, grid17):
         smu = grid17.sqrt_mu
         f = TwoSpeciesField.from_species(grid17, smu, smu)
-        rep = theta_lambda(f)
-        np.testing.assert_allclose(rep.theta[:, 0, 0], 0.0, atol=1e-8)
-        np.testing.assert_allclose(rep.lam, 0.0, atol=1e-9)
+        theta, lam = _theta_lambda(f)
+        np.testing.assert_allclose(theta[:, 0, 0], 0.0, atol=1e-8)
+        np.testing.assert_allclose(lam, 0.0, atol=1e-9)
 
     def test_lambda_of_momentum_vector_vanishes(self):
         # Lambda_1(xi_1 smu): (1/10) <(|xi|^2 - 5) xi_1^2 mu> = (3 + 1 + 1 - 5)/10 = 0;
@@ -94,22 +99,22 @@ class TestThetaLambda:
         assert abs(oracle) < 1e-12
         v = g.xi[0] * g.sqrt_mu
         f = TwoSpeciesField.from_species(g, v, v)
-        rep = theta_lambda(f)
-        assert abs(rep.lam[0, 0] - oracle) < 1e-8
+        _, lam = _theta_lambda(f)
+        assert abs(lam[0, 0] - oracle) < 1e-8
 
     def test_theta_symmetric_for_symmetric_fields(self, grid11):
         v = grid11.xi[0] * grid11.xi[1] * grid11.sqrt_mu
         f = TwoSpeciesField.from_species(grid11, v, 2.0 * v)
-        rep = theta_lambda(f)
-        np.testing.assert_allclose(rep.theta, np.transpose(rep.theta, (0, 2, 1)),
+        theta, _ = _theta_lambda(f)
+        np.testing.assert_allclose(theta, np.transpose(theta, (0, 2, 1)),
                                    atol=1e-14)
 
     def test_lambda_annihilates_macro_subspace(self, grid17):
         rng = np.random.default_rng(3)
         f = random_field(grid17, rng)
         _, pf, _ = project_P(f)
-        rep = theta_lambda(pf)
-        np.testing.assert_allclose(rep.lam, 0.0, atol=1e-8 * max(pf.norm(), 1.0))
+        _, lam = _theta_lambda(pf)
+        np.testing.assert_allclose(lam, 0.0, atol=1e-8 * max(pf.norm(), 1.0))
 
     def test_theta_offdiag_annihilates_neutral_macro(self, grid17):
         # off-diagonal Theta sees the macro subspace only through a_pm
@@ -118,11 +123,11 @@ class TestThetaLambda:
         r2 = np.sum(xi ** 2, axis=0)
         shared = 0.7 * xi[0] - 0.2 * xi[2] + 0.4 * (r2 - 3.0)
         f = TwoSpeciesField.from_species(grid17, shared * smu, shared * smu)
-        rep = theta_lambda(f)
+        theta, _ = _theta_lambda(f)
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert abs(rep.theta[0, i, j]) < 1e-8
+                    assert abs(theta[0, i, j]) < 1e-8
 
 
 def _macro_only_state(grid, k, b, c, t):
@@ -179,50 +184,3 @@ class TestMacroResiduals:
         rep = macro_residuals(frames, k, op17)
         expected = abs(k[2] * c)
         assert rep.series["lambda"][0] == pytest.approx(expected, rel=1e-6)
-
-
-class TestSourceMoments:
-    def test_zero_field(self, grid11, params):
-        f = TwoSpeciesField.zero(grid11)
-        rep = source_moments(f, np.zeros(3), np.zeros(3), params)
-        np.testing.assert_allclose(rep.mass, 0.0, atol=1e-15)
-        np.testing.assert_allclose(rep.xi_lhs, 0.0, atol=1e-15)
-        np.testing.assert_allclose(rep.energy_lhs, 0.0, atol=1e-15)
-
-    def test_mass_moment_vanishes(self, grid17, params):
-        rng = np.random.default_rng(4)
-        f = smooth_random_field(grid17, rng, max_degree=2, decay=0.5)
-        E = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        B = rng.standard_normal(3)
-        rep = source_moments(f, E, B, params)
-        scale = max(np.abs(rep.xi_lhs).max(), 1e-12)
-        np.testing.assert_allclose(rep.mass, 0.0, atol=1e-6 * scale)
-
-    def test_displayed_identities_agree(self, params):
-        g = build_grid(7.0, 17)
-        rng = np.random.default_rng(5)
-        f = smooth_random_field(g, rng, max_degree=2, decay=0.5)
-        E = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        B = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        rep = source_moments(f, E, B, params)
-        scale = max(np.abs(rep.xi_rhs).max(), np.abs(rep.energy_rhs).max())
-        np.testing.assert_allclose(rep.xi_lhs, rep.xi_rhs, atol=1e-6 * scale)
-        np.testing.assert_allclose(rep.energy_lhs, rep.energy_rhs, atol=1e-6 * scale)
-
-    def test_macro_data_without_b_reduces_to_Ea_plus_gamma(self, grid11, params):
-        # B = 0 and f = Pf with b = 0: the xi-moment is +-E a_pm plus the Gamma term
-        smu = grid11.sqrt_mu
-        r2 = np.sum(grid11.xi ** 2, axis=0)
-        a_p, a_m, c = 0.8, 0.3, 0.2
-        f = TwoSpeciesField.from_species(
-            grid11, (a_p + c * (r2 - 3.0)) * smu, (a_m + c * (r2 - 3.0)) * smu)
-        E = np.array([0.4, -0.1, 0.2], dtype=complex)
-        rep = source_moments(f, E, np.zeros(3), params)
-        from vmlandau.collision import gamma_bilinear
-        gam = gamma_bilinear(f, f, params)
-        macro, _, _ = project_P(f)
-        for s, sign in ((0, 1.0), (1, -1.0)):
-            gam_xi = np.array([linear_moment(grid11, grid11.xi[i] * smu, gam.values[s])
-                               for i in range(3)])
-            expected = sign * E * (macro.a_plus if s == 0 else macro.a_minus) + gam_xi
-            np.testing.assert_allclose(rep.xi_rhs[s], expected, atol=1e-10)

@@ -12,8 +12,8 @@ from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau import mode
 from vmlandau.macro import macro_residuals, project_P
 from vmlandau.mode import (ModeState, StepperConfig, energy_identity_check,
-                           envelope_fit, integrate_mode, mode_energy_report,
-                           mode_rhs, rho_frequency)
+                           integrate_mode, mode_energy_report, mode_rhs,
+                           rho_frequency)
 
 from conftest import random_field
 
@@ -355,32 +355,6 @@ class TestModeEnergyReport:
         assert rep.ell == 2.0
         assert np.all(rep.f_weighted_l2sq >= 0.0)
         assert np.all(rep.m_tilde >= rep.em_sq)
-
-
-class TestEnvelopeFit:
-    def _synthetic_report(self, eps, J, k=(1.0, 0, 0), T=400.0):
-        t = np.linspace(0.0, T, 400)
-        rho = rho_frequency(k)
-        M = (1.0 + eps * rho * t) ** (-J)
-        from vmlandau.mode import ModeEnergyReport
-        z = np.zeros_like(t)
-        return ModeEnergyReport(k=np.asarray(k, dtype=float), rho=rho, times=t,
-                                f_l2sq=M, em_sq=z, micro_D=z, micro_D_weighted=z,
-                                f_weighted_l2sq=M, macro_abc=z, a_diff=z,
-                                E_term=z, B_term=z, gauss_E=z, gauss_B=z)
-
-    def test_recovers_own_model(self):
-        rep = self._synthetic_report(eps=0.1, J=2.0)
-        fit = envelope_fit(rep)
-        assert fit.conclusive
-        assert fit.eps == pytest.approx(0.1, abs=1e-6)
-        assert fit.J == pytest.approx(2.0, abs=1e-6)
-
-    def test_constant_series_inconclusive(self):
-        rep = self._synthetic_report(eps=0.0, J=0.0)
-        rep.f_l2sq = np.ones_like(rep.times)
-        fit = envelope_fit(rep)
-        assert not fit.conclusive
 
 
 class TestCheckpoint:

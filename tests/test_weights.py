@@ -5,7 +5,7 @@ from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.macro import project_P
 from vmlandau.mode import ModeState
 from vmlandau.weights import (EnergyRequest, WeightSpec, XNormConfig, characterization_norm,
-                              dissipation_norm, energy_ledger, merge_ledgers,
+                              dissipation_norm, energy_ledger,
                               temporal_norm_x, weight_eval)
 
 from conftest import random_field
@@ -187,19 +187,6 @@ class TestEnergyLedger:
         led = energy_ledger(st, EnergyRequest(N=0, ell=0.0), 0.0, op11)
         base = led.energy_terms[((0, 0, 0), (0, 0, 0))]
         assert base == pytest.approx(inner_product(f, f).real, rel=1e-14)
-
-    def test_merge_additivity(self, op11, grid11):
-        rng = np.random.default_rng(6)
-        states = [self._state(grid11, random_field(grid11, rng).values, k=(0, 0, kz))
-                  for kz in (0.5, 1.0)]
-        req = EnergyRequest(N=1, ell=2.0)
-        ledgers = [energy_ledger(st, req, 0.0, op11) for st in states]
-        weights = [0.3, 1.7]
-        merged = merge_ledgers(ledgers, weights)
-        direct = sum(w * led.energy for led, w in zip(ledgers, weights))
-        assert merged.energy == pytest.approx(direct, rel=1e-13)
-        direct_d = sum(w * led.dissipation for led, w in zip(ledgers, weights))
-        assert merged.dissipation == pytest.approx(direct_d, rel=1e-13)
 
 
 def test_temporal_norm_x_is_monotone(op11, grid11):
