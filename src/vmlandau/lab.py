@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("directions_per_shell must be 2 or 6 (axis directions)")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        if not (self.save_interval > 0 and self.checkpoint_interval >= 0):
+            raise ConfigError("save_interval must be positive and checkpoint_interval not negative")
         try:
             self.stepper()
         except ValueError as exc:

@@ -255,6 +255,17 @@ class TestConfigText:
         ("lin_tol", 0.0, "tolerances must be positive"),
     ])
     def test_invalid_stepper_field_names_its_line(self, tmp_path, key, value, message):
+        self._assert_names_line_3(tmp_path, key, value, message)
+
+    @pytest.mark.parametrize("key, value", [("save_interval", 0.0), ("save_interval", -1.0),
+                                            ("checkpoint_interval", -0.5)])
+    def test_interval_that_cannot_advance_names_its_line(self, tmp_path, key, value):
+        # integrate_mode would loop forever on either interval
+        self._assert_names_line_3(tmp_path, key, value, "save_interval must be positive and "
+                                                        "checkpoint_interval not negative")
+
+    @staticmethod
+    def _assert_names_line_3(tmp_path, key, value, message):
         with pytest.raises(lab.ConfigError, match=message):
             lab.ExperimentConfig(**{key: value})
         path = tmp_path / "bad.cfg"

@@ -1,10 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from vmlandau.checkpoint import CheckpointWriter, read_checkpoint
 from vmlandau.collision import assemble_L
@@ -16,6 +19,8 @@ from vmlandau.mode import (ModeState, StepperConfig, energy_identity_check,
                            rho_frequency)
 
 from conftest import random_field
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(mode.__file__)))
 
 
 def _zero_state(grid, k):
@@ -204,6 +209,38 @@ class TestSolverGuards:
         with pytest.raises(ValueError, match="not a whole number of steps"):
             integrate_mode(st, StepperConfig(dt=0.3), 1.0, op11)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ("sample_interval=0.0", "sample_interval 0.0 must be positive"),
+        ("sample_interval=-0.5", "sample_interval -0.5 must be positive"),
+        ("checkpoint_interval=-0.5", "checkpoint_interval -0.5 not negative"),
+    ])
+    def test_interval_that_cannot_advance_is_rejected(self, tmp_path, kwargs, message):
+        # a child process, so that an interval loop that never ends fails the
+        # test on its timeout instead of hanging the suite
+        code = textwrap.dedent(f"""
+            import numpy as np
+            from vmlandau.checkpoint import CheckpointWriter
+            from vmlandau.collision import CollisionParams, assemble_L
+            from vmlandau.grid import TwoSpeciesField, build_grid
+            from vmlandau.mode import ModeState, StepperConfig, integrate_mode
+            g = build_grid(6.0, 5)
+            op = assemble_L(g, CollisionParams(gamma=-3.0, c_phi=1.0))
+            st = ModeState(np.array([0.0, 0.0, 1.0]), TwoSpeciesField.zero(g),
+                           np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), 0.0)
+            with CheckpointWriter({str(tmp_path / "m.ckpt")!r}, g, -3.0, 1.0) as w:
+                try:
+                    integrate_mode(st, StepperConfig(dt=0.1), 0.2, op, checkpoint=w, {kwargs})
+                except ValueError as exc:
+                    print(exc)
+            """)
+        try:
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 timeout=60, env={**os.environ, "PYTHONPATH": _SRC})
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"integrate_mode(..., {kwargs}) did not return within 60 s")
+        assert out.returncode == 0, out.stderr
+        assert message in out.stdout
+
     @pytest.mark.parametrize("scheme, what", [("imex-midpoint", "implicit solve"),
                                               ("imex-euler", "kinetic solve")])
     def test_gmres_failure_reports_residual_and_iterations(self, op11, grid11, monkeypatch,
@@ -274,11 +311,9 @@ class TestBlockSolver:
     def _sum_solver(self, op, a, lin_tol=1e-8):
         g = op.grid
         xik = mode._xi_dot(g, np.array([0.0, 0.3, 0.4]))
-        ilu = spla.spilu((sp.identity(g.size, format="csr")
-                          + a * (op.A_sparse + 1j * sp.diags_array(xik))).tocsc(),
-                         drop_tol=1e-3, fill_factor=12)
         gen = lambda s: mode._sum_block(s, op, xik)
-        return mode._BlockSolver(gen, a, ilu, g.size, lin_tol, "implicit solve"), gen
+        return mode._BlockSolver(gen, a, mode._DiagonalILU(op.A_sparse, a, xik), g.size,
+                                 lin_tol, "implicit solve"), gen
 
     def _counted(self, monkeypatch, solver):
         calls = [0]
@@ -302,9 +337,11 @@ class TestBlockSolver:
         for restart in (50, 3):
             for gen_guess in (None, gen(guess)):
                 calls[0] = 0
-                x = solver.solve(rhs, guess, gen_guess, restart=restart)
+                x, iters, relres = solver.solve(rhs, guess, gen_guess, restart=restart)
                 res = np.linalg.norm(rhs - (x - a * gen(x)))
                 assert res <= 1e-8 * np.linalg.norm(rhs)
+                assert iters == calls[0]
+                assert relres <= 1e-8
                 if restart == 3:
                     assert calls[0] > restart   # needed at least one restart cycle
 
@@ -313,9 +350,79 @@ class TestBlockSolver:
         calls = self._counted(monkeypatch, solver)
         monkeypatch.setattr(solver, "gen", None)   # any application would raise
         zero = np.zeros(op9.grid.size, dtype=complex)
-        x = solver.solve(zero, zero)
+        x, iters, relres = solver.solve(zero, zero)
         assert calls[0] == 0
-        assert np.array_equal(x, zero)
+        assert np.array_equal(x, zero) and (iters, relres) == (0, 0.0)
+
+
+class TestDiagonalILU:
+    k = np.array([0.3, -0.2, 0.5])
+
+    def _parts(self, op, a):
+        """The D-ILU, its factors P assembled explicitly, and M = I + a (A + i xi.k)."""
+        xik = mode._xi_dot(op.grid, self.k)
+        ilu = mode._DiagonalILU(op.A_sparse, a, xik)
+        D = sp.diags_array(ilu.d)
+        P = ((D + a * sp.tril(op.A_sparse, k=-1)) @ sp.diags_array(1.0 / ilu.d)
+             @ (D + a * sp.triu(op.A_sparse, k=1)))
+        M = sp.identity(op.grid.size) + a * (op.A_sparse + 1j * sp.diags_array(xik))
+        return ilu, P, M
+
+    @pytest.mark.parametrize("a", [0.125, 2.0])
+    def test_solve_inverts_the_assembled_factors(self, op11, a):
+        ilu, P, _ = self._parts(op11, a)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(op11.grid.size) + 1j * rng.standard_normal(op11.grid.size)
+        assert np.linalg.norm(P @ ilu.solve(x) - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("a", [0.125, 2.0])
+    def test_diagonal_of_P_is_diagonal_of_M(self, op11, a):
+        _, P, M = self._parts(op11, a)
+        m = M.diagonal()
+        assert np.abs(P.diagonal() - m).max() <= 1e-14 * np.abs(m).max()
+
+    def test_pivots_stay_in_the_right_half_plane_at_large_a(self, op11):
+        ilu, _, M = self._parts(op11, 100.0)
+        # measured 0.709 on this grid
+        assert ilu.d.real.min() >= 0.64 * np.abs(M.diagonal()).min()
+
+    def test_unsettled_diagonal_raises(self, op11, monkeypatch):
+        monkeypatch.setattr(mode, "_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="not settled after 1 sweeps"):
+            self._parts(op11, 0.125)
+
+
+class TestPreconditionerQuality:
+    @pytest.fixture(scope="class")
+    def op13(self, params):
+        return assemble_L(build_grid(7.0, 13), params)
+
+    @pytest.mark.parametrize("n, scheme, dt, T, kz, parent_calls", [
+        # parent_calls: precondition calls of the threshold ILU (drop_tol 1e-3,
+        # fill_factor 12) that D-ILU replaced, on the same run
+        (13, "imex-midpoint", 0.25, 1.0, 0.25, 44),
+        (13, "imex-midpoint", 0.25, 1.0, 1.0, 44),
+        (17, "imex-euler", 0.02, 0.2, 0.5, 60),
+    ])
+    def test_iterations_within_the_threshold_ilu_counts(self, request, monkeypatch, params,
+                                                        n, scheme, dt, T, kz, parent_calls):
+        from vmlandau.lab import ExperimentConfig, init_data
+        op = request.getfixturevalue("op13" if n == 13 else "op17")
+        calls = [0]
+        precondition = mode._BlockSolver.precondition
+
+        def counted(self, x):
+            calls[0] += 1
+            return precondition(self, x)
+
+        monkeypatch.setattr(mode._BlockSolver, "precondition", counted)
+        cfg = ExperimentConfig(R=op.grid.R, n=n, family="mixed", shells=(kz,), outdir="/tmp/unused")
+        st = init_data(cfg, [0.0, 0.0, kz], op.grid)
+        h = integrate_mode(st, StepperConfig(dt=dt, scheme=scheme, lin_tol=1e-8), T, op)
+        assert calls[0] <= parent_calls
+        assert h.solve_iters.shape == h.solve_residual.shape == (len(h.times) - 1, 2)
+        assert h.solve_iters.sum() == calls[0]
+        assert np.all(h.solve_residual <= 1e-8)
 
 
 class TestMacroResidualConvergence:
