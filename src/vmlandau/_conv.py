@@ -24,6 +24,7 @@ from scipy.special import gamma as _gamma_fn
 __all__ = ["cube_average_power", "sigma_iso_origin", "kernel_tables", "LatticeConvolver"]
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PACK = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # packed index of (i, j) in _PAIRS
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -151,7 +152,7 @@ class LatticeConvolver:
         a, prod, tmp, H = self._spec, self._prod, self._tmp, self.hat
         a[:, :n, :n, :n] = v3
         self._forward(a)
-        for i, row in enumerate(((0, 1, 2), (1, 3, 4), (2, 4, 5))):
+        for i, row in enumerate(_PACK):
             np.multiply(H[row[0]], a[0], out=prod[i])
             for j in (1, 2):
                 np.multiply(H[row[j]], a[j], out=tmp)

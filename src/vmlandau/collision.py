@@ -23,8 +23,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._conv import LatticeConvolver
+from ._conv import _PACK, LatticeConvolver
 from .grid import TwoSpeciesField, VelocityGrid
+from .macro import _projector
 
 __all__ = [
     "CollisionParams",
@@ -74,18 +75,14 @@ class CollisionFrequencyField:
     packed: np.ndarray = field(repr=False)   # (6, n^3): 11, 12, 13, 22, 23, 33
     params: CollisionParams = CollisionParams()
 
-    _PACK = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
-             (1, 1): 3, (1, 2): 4, (2, 1): 4, (2, 2): 5}
+    _PACK = _PACK
 
     def component(self, i: int, j: int) -> np.ndarray:
         """sigma^ij over all nodes, 0-based indices."""
-        return self.packed[self._PACK[(i, j)]]
+        return self.packed[_PACK[i, j]]
 
     def matrix_at(self, node: int) -> np.ndarray:
-        p = self.packed[:, node]
-        return np.array([[p[0], p[1], p[2]],
-                         [p[1], p[3], p[4]],
-                         [p[2], p[4], p[5]]])
+        return self.packed[:, node][_PACK]
 
 
 @lru_cache(maxsize=8)
@@ -99,16 +96,12 @@ def sigma_field(grid: VelocityGrid, params: CollisionParams) -> CollisionFrequen
     n = grid.n
     wmu = (grid.weights * grid.mu).reshape(n, n, n)
     packed = np.empty((6, grid.size))
-    done = set()
     for j in range(3):
         v = np.zeros((3, n, n, n), dtype=complex)
         v[j] = wmu
         res = conv.apply_vector(v)
-        for i in range(3):
-            m = CollisionFrequencyField._PACK[(i, j)]
-            if m not in done:
-                packed[m] = res[i].real.reshape(-1)
-                done.add(m)
+        for i in range(j, 3):
+            packed[_PACK[i, j]] = res[i].real.reshape(-1)
     packed.setflags(write=False)
     return CollisionFrequencyField(grid=grid, packed=packed, params=params)
 
@@ -152,12 +145,11 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G) -> np.ndarray:
     wdG = np.stack([w * (D[j] @ G) for j in range(3)]).reshape(3, n, n, n)
     conv_dG = conv.apply_vector(wdG)
     convG = conv.apply_all_components((w * G).reshape(n, n, n))
-    pack = CollisionFrequencyField._PACK
     u = np.empty((3, grid.size), dtype=complex)
     for i in range(3):
         acc = -F * conv_dG[i].reshape(-1)
         for j in range(3):
-            acc += convG[pack[(i, j)]].reshape(-1) * dF[j]
+            acc += convG[_PACK[i, j]].reshape(-1) * dF[j]
         u[i] = acc
     return _divergence(grid, u)
 
@@ -224,20 +216,9 @@ class LinearizedOperator:
         return TwoSpeciesField(self.apply_raw(f.values), self.grid)
 
     def nullspace_basis(self):
-        """The six discrete null vectors: [1,0], [0,1] mass, shared momentum, energy."""
-        g = self.grid
-        smu = g.sqrt_mu
-        zero = np.zeros_like(smu)
-        basis = [
-            TwoSpeciesField.from_species(g, smu, zero),
-            TwoSpeciesField.from_species(g, zero, smu),
-        ]
-        for i in range(3):
-            v = g.xi[i] * smu
-            basis.append(TwoSpeciesField.from_species(g, v, v))
-        v = np.sum(g.xi ** 2, axis=0) * smu
-        basis.append(TwoSpeciesField.from_species(g, v, v))
-        return basis
+        """The six null vectors, macro's basis: [1,0] and [0,1] sqrt(mu) (mass),
+        [1,1] xi_i sqrt(mu) (momentum) and [1,1](|xi|^2 - 3) sqrt(mu) (energy)."""
+        return [TwoSpeciesField(v, self.grid) for v in _projector(self.grid).basis]
 
     def deflation_basis(self, rank: int = 48, iters: int = 3, seed: int = 1234):
         """Dominant eigenpairs of the symmetrized nonlocal part.

@@ -12,18 +12,15 @@ Fit summary schema:
     m,sigma_hat,sigma_target,resid,t1,t2,n_shells
 
 Parallelism: modes are farmed to forked worker processes (the assembled
-operator is shared copy-on-write); VML_THREADS caps the worker count.  A sweep
-runs on one OpenBLAS thread throughout: the operator built once in the parent,
-and every mode, forked or serial, since forked workers inherit the parent's
-count.  So workers x BLAS threads never exceeds the worker count, and archive
-bytes depend neither on scheduling order, nor on the worker count, nor on the
-caller's BLAS thread count.
+operator is shared copy-on-write); VML_THREADS caps the worker count.  Each
+mode runs on one OpenBLAS thread, a rule that ``mode.integrate_mode`` holds
+for every caller, so workers x BLAS threads never exceeds the worker count
+while modes run, and archive bytes depend neither on scheduling order, nor on
+the worker count, nor on the caller's BLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import json
 import os
 import uuid
@@ -35,7 +32,7 @@ import numpy as np
 from .checkpoint import CheckpointWriter
 from .collision import CollisionParams, LinearizedOperator, assemble_L
 from .grid import TwoSpeciesField, VelocityGrid, build_grid
-from .macro import project_P
+from .macro import _projector, project_P
 from .mode import (ModeEnergyReport, ModeState, StepperConfig, integrate_mode,
                    mode_energy_report)
 
@@ -106,7 +103,7 @@ class ExperimentConfig:
         if not (self.save_interval > 0 and self.checkpoint_interval >= 0):
             raise ConfigError("save_interval must be positive and checkpoint_interval not negative")
         try:
-            self.stepper()
+            self.stepper().steps(self.T)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -234,14 +231,12 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     amp = cfg.amplitude * _envelope(k)
     xi = grid.xi
     smu = grid.sqrt_mu
-    r2 = np.sum(xi ** 2, axis=0)
+    proj = _projector(grid)
     zero3 = np.zeros(3, dtype=complex)
     knorm = float(np.linalg.norm(k))
 
     def macro_field(a_plus, a_minus, b, c):
-        shared = b[0] * xi[0] + b[1] * xi[1] + b[2] * xi[2] + c * (r2 - 3.0)
-        return TwoSpeciesField.from_species(
-            grid, (a_plus + shared) * smu, (a_minus + shared) * smu)
+        return TwoSpeciesField(proj.reconstruct(np.array([a_plus, a_minus, *b, c])), grid)
 
     def micro_field(scale):
         raw = TwoSpeciesField.from_species(
@@ -275,16 +270,11 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     delta = 0.5 * amp
     f = macro_field(amp + delta, amp - delta, amp * np.array([0.4, 0.2, 0.5]), 0.3 * amp)
     f = f + micro_field(0.7 * amp)
-    charge = 2.0 * delta * _mass_quadrature(grid)
+    charge = 2.0 * delta * proj.gram[0, 0]   # the quadrature <sqrt(mu), sqrt(mu)>
     E = (charge / (1j * knorm)) * khat.astype(complex)
     E = E + 0.6 * amp * t1 + 0.3j * amp * t2
     B = np.cross(k, 0.5 * amp * (t1 + 0.2 * t2)) / knorm
     return ModeState(k, f, E, B, 0.0)
-
-
-def _mass_quadrature(grid: VelocityGrid) -> float:
-    """Discrete <sqrt(mu), sqrt(mu)> entering exact Gauss-consistent charges."""
-    return float(np.sum(grid.weights * grid.mu))
 
 
 @dataclass
@@ -336,56 +326,6 @@ def _mode_csv_text(rep: ModeEnergyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# thread-count (setter, getter) symbols of the OpenBLAS builds numpy and scipy
-# bundle (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS, tried in order
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_controls() -> list:
-    """(set_threads, get_threads) of every OpenBLAS copy mapped into this process.
-
-    numpy and scipy each bundle their own copy, so there can be several.
-    Empty where no OpenBLAS is loaded or /proc/self/maps cannot be read.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            mapped = {line.rstrip("\n").split(maxsplit=5)[-1] for line in fh}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one thread of every loaded OpenBLAS; restore the counts after."""
-    controls = _openblas_controls()
-    saved = [get_threads() for _, get_threads in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, saved):
-            set_threads(count)
-
-
 _WORKER_CTX: dict = {}
 
 
@@ -419,10 +359,13 @@ def run_mode(cfg: ExperimentConfig, idx: int, kvec, op: LinearizedOperator):
 
 def _run_one_mode(args):
     idx, kvec = args
+    cfg = _WORKER_CTX["cfg"]
     try:
-        return idx, *run_mode(_WORKER_CTX["cfg"], idx, kvec, _WORKER_CTX["op"]), None
+        return idx, *run_mode(cfg, idx, kvec, _WORKER_CTX["op"]), None
     except Exception as exc:  # per-mode failures are recorded, not fatal
-        return idx, None, None, None, f"{type(exc).__name__}: {exc}"
+        ckpt = Path(cfg.outdir) / f"mode_{idx:04d}.ckpt"   # run_mode may have opened it
+        err = f"{type(exc).__name__}: {exc}"
+        return idx, None, str(ckpt) if ckpt.exists() else None, None, err
 
 
 def max_workers() -> int:
@@ -441,10 +384,10 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
 
     Deterministic: identical configs on the same build produce byte-identical
     archives regardless of worker scheduling and count and of the caller's
-    BLAS thread count.  The sweep runs on one BLAS thread and restores the
-    caller's thread count on return.  Per-mode solver failures are recorded in
-    the archive (and manifest) without aborting the sweep.  A given ``op``
-    must match the config's grid (R, n) and collision parameters.
+    BLAS thread count: each mode's ``integrate_mode`` runs on one BLAS thread.
+    Per-mode failures are recorded in the archive (and manifest), with the
+    partial checkpoint a failed mode leaves, without aborting the sweep.  A
+    given ``op`` must match the config's grid (R, n) and collision parameters.
     """
     if op is not None and ((op.grid.R, op.grid.n) != (cfg.R, cfg.n)
                            or op.params != cfg.collision_params()):
@@ -460,28 +403,29 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     jobs = [(idx, kvec) for idx, (kvec, _w) in enumerate(k_set)]
     nproc = min(workers, len(jobs))
     results = {}
-    with _one_blas_thread():
-        if op is None:
-            op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
-        if nproc > 1:
-            import multiprocessing as mp
-            ctx = mp.get_context("fork")
-            with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
-                for idx, csv, ckpt, rep, err in pool.imap_unordered(_run_one_mode, jobs):
-                    results[idx] = (csv, ckpt, rep, err)
-        else:
-            _worker_init(cfg, op)
-            for job in jobs:
-                idx, csv, ckpt, rep, err = _run_one_mode(job)
+    if op is None:
+        op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
+    if nproc > 1:
+        import multiprocessing as mp
+        ctx = mp.get_context("fork")
+        with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
+            for idx, csv, ckpt, rep, err in pool.imap_unordered(_run_one_mode, jobs):
                 results[idx] = (csv, ckpt, rep, err)
+    else:
+        _worker_init(cfg, op)
+        for job in jobs:
+            idx, csv, ckpt, rep, err = _run_one_mode(job)
+            results[idx] = (csv, ckpt, rep, err)
     mode_csvs, checkpoints, reports, failures = [], [], [], []
     for idx in range(len(jobs)):
         csv, ckpt, rep, err = results[idx]
+        if ckpt is not None:
+            checkpoints.append(ckpt)
         if err is not None:
-            failures.append({"mode": idx, "error": err})
+            failures.append({"mode": idx, "error": err,
+                             "checkpoint": os.path.basename(ckpt) if ckpt else None})
             continue
         mode_csvs.append(csv)
-        checkpoints.append(ckpt)
         reports.append(rep)
     run_id = uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex
     archive = RunArchive(run_id=run_id, outdir=str(outdir), config_path=str(config_path),

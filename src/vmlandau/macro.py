@@ -2,10 +2,14 @@
 
 The fluid (macro) part of a two-species field lives in the six-dimensional
 span of [1,0] sqrt(mu), [0,1] sqrt(mu), [1,1] xi_i sqrt(mu) and
-[1,1](|xi|^2 - 3) sqrt(mu).  The continuum basis is orthogonal only in exact
-integrals, so the projection is built through the Gram matrix of the sampled
-basis under the quadrature inner product; this keeps idempotence and the
-coefficient round trip at roundoff level.
+[1,1](|xi|^2 - 3) sqrt(mu), the null space of L.  The continuum basis is
+orthogonal only in exact integrals, so the projection is built through the
+Gram matrix of the sampled basis under the quadrature inner product; this
+keeps idempotence and the coefficient round trip at roundoff level.
+
+This module owns that basis and every velocity moment of the program: one
+_Projector per grid builds them, and L's null space, the initial data, the
+charge and the current read them from it.
 
 Moment functionals here are linear in the field (no conjugation): for one
 spatial Fourier mode they are the transforms of real-space moments and must
@@ -15,6 +19,7 @@ commute with d/dt.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,47 +47,36 @@ class MacroState:
 
 
 class _Projector:
-    """Gram-orthogonalized projector onto the discrete macro subspace."""
+    """The macro ``basis`` (6, 2, n^3) of one grid, its quadrature ``gram`` matrix
+    and the 17 weighted balance-law test functions ``rows`` (see _moment_rows)."""
 
     def __init__(self, grid: VelocityGrid):
         smu = grid.sqrt_mu
         zero = np.zeros_like(smu)
         xi = grid.xi
-        basis = [
-            np.stack([smu, zero]),
-            np.stack([zero, smu]),
-        ]
-        for i in range(3):
-            v = xi[i] * smu
-            basis.append(np.stack([v, v]))
-        v = (np.sum(xi ** 2, axis=0) - 3.0) * smu
-        basis.append(np.stack([v, v]))
-        self.basis = np.array(basis)            # (6, 2, n^3) real
+        r2 = np.sum(xi ** 2, axis=0)
+        shared = [xi[i] * smu for i in range(3)] + [(r2 - 3.0) * smu]
+        self.basis = np.array([np.stack([smu, zero]), np.stack([zero, smu])]
+                              + [np.stack([v, v]) for v in shared])
         w = grid.weights
-        B = self.basis
-        self.gram = np.einsum("akl,bkl,l->ab", B, B, w)
+        self.gram = np.einsum("akl,bkl,l->ab", self.basis, self.basis, w)
         self.gram_inv = np.linalg.inv(self.gram)
+        phis = [smu] + shared[:3] + [shared[3] / 6.0]
+        phis += [(xi[i] * xi[j] - 1.0) * smu for i in range(3) for j in range(3)]
+        phis += [0.1 * (r2 - 5.0) * xi[i] * smu for i in range(3)]
+        self.rows = np.array(phis) * w
         self.grid = grid
 
-    def moments(self, values: np.ndarray) -> np.ndarray:
-        return np.einsum("akl,kl,l->a", self.basis, values, self.grid.weights)
-
     def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self.gram_inv @ self.moments(values)
+        return self.gram_inv @ np.einsum("akl,kl,l->a", self.basis, values, self.grid.weights)
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("a,akl->kl", coeffs, self.basis)
 
 
-_PROJECTORS: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _projector(grid: VelocityGrid) -> _Projector:
-    proj = _PROJECTORS.get(grid)
-    if proj is None:
-        proj = _Projector(grid)
-        _PROJECTORS[grid] = proj
-    return proj
+    return _Projector(grid)
 
 
 def project_P(f: TwoSpeciesField):
@@ -108,8 +102,6 @@ _FAMILIES = {
     "lambda": slice(14, 17),
 }
 
-_MOMENT_ROWS: dict = {}
-
 
 def _moment_rows(grid: VelocityGrid) -> np.ndarray:
     """Quadrature-weighted test functions of the five balance-law families.
@@ -126,19 +118,7 @@ def _moment_rows(grid: VelocityGrid) -> np.ndarray:
     i k.b + i k.<xi sqrt(mu), {I-P} f_pm>; the second of these is the
     i k.<xi sqrt(mu), m_pm> term of that law.
     """
-    rows = _MOMENT_ROWS.get(grid)
-    if rows is None:
-        xi = grid.xi
-        smu = grid.sqrt_mu
-        r2 = np.sum(xi ** 2, axis=0)
-        phis = [smu]
-        phis += [xi[i] * smu for i in range(3)]
-        phis.append((r2 - 3.0) * smu / 6.0)
-        phis += [(xi[i] * xi[j] - 1.0) * smu for i in range(3) for j in range(3)]
-        phis += [0.1 * (r2 - 5.0) * xi[i] * smu for i in range(3)]
-        rows = np.array(phis) * grid.weights
-        _MOMENT_ROWS[grid] = rows
-    return rows
+    return _projector(grid).rows
 
 
 @dataclass

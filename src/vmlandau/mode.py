@@ -39,6 +39,10 @@ bitwise.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,8 +53,8 @@ import scipy.sparse.linalg as spla
 
 from .collision import LinearizedOperator
 from .grid import TwoSpeciesField
-from .macro import project_P
-from .weights import WeightSpec, dissipation_norm
+from .macro import _moment_rows, project_P
+from .weights import WeightSpec, dissipation_norm, weight_eval
 
 __all__ = [
     "ModeState",
@@ -62,7 +66,6 @@ __all__ = [
     "energy_identity_check",
     "mode_energy_report",
     "rho_frequency",
-    "report_weight",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -75,12 +78,6 @@ def rho_frequency(k) -> float:
     """Frequency function rho(k) = |k|^2 / (1 + |k|^2)^2."""
     ksq = float(np.dot(k, k))
     return ksq / (1.0 + ksq) ** 2
-
-
-def report_weight(grid, gamma: float) -> np.ndarray:
-    """Velocity weight w(xi) = <xi>^(-(gamma+2)/2) used in mode energy reports."""
-    br2 = 1.0 + np.sum(grid.xi ** 2, axis=0)
-    return br2 ** (-(gamma + 2.0) / 4.0)
 
 
 @dataclass
@@ -134,6 +131,13 @@ class StepperConfig:
         """Weight a of the implicit solves (I - a M): dt/2 for imex-midpoint, dt for imex-euler."""
         return 0.5 * self.dt if self.scheme == "imex-midpoint" else self.dt
 
+    def steps(self, T: float) -> int:
+        """T / dt, which must be a whole number (to 1e-9 relative), else ValueError."""
+        nsteps = int(round(T / self.dt))
+        if abs(nsteps * self.dt - T) > 1e-9 * max(T, self.dt):
+            raise ValueError(f"T = {T!r} is not a whole number of steps of dt = {self.dt!r}")
+        return nsteps
+
 
 def _xi_dot(g, v) -> np.ndarray:
     """xi.v at every velocity node."""
@@ -142,12 +146,12 @@ def _xi_dot(g, v) -> np.ndarray:
 
 def _charge(g, f: np.ndarray) -> complex:
     """Charge <sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
-    return complex(np.sum(g.weights * g.sqrt_mu * (f[0] - f[1])))
+    return complex(_moment_rows(g)[0] @ (f[0] - f[1]))
 
 
 def _current(g, d: np.ndarray) -> np.ndarray:
     """<xi sqrt(mu), d> of one n^3 block; the current is sqrt2 times it at d = (f_+ - f_-)/sqrt2."""
-    return (g.weights * g.sqrt_mu * g.xi * d).sum(axis=1)
+    return _moment_rows(g)[1:4] @ d
 
 
 def _sum_diff(u: np.ndarray, n3: int) -> np.ndarray:
@@ -349,6 +353,59 @@ class _BlockSolver:
         return x, iters, beta / bnorm
 
 
+# thread-count (setter, getter) symbols of the OpenBLAS builds numpy and scipy
+# bundle (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS, tried in order
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(set_threads, get_threads) of every OpenBLAS copy mapped into this process.
+
+    numpy and scipy each bundle their own copy, so there can be several; both
+    are loaded by this module's imports, so the first answer is kept.
+    Empty where no OpenBLAS is loaded or /proc/self/maps cannot be read.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.rstrip("\n").split(maxsplit=5)[-1] for line in fh}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of every loaded OpenBLAS; restore the counts after."""
+    controls = _openblas_controls()
+    saved = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, saved):
+            set_threads(count)
+
+
+@_one_blas_thread()
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                    op: LinearizedOperator, *, sample_interval: float = 1.0,
                    checkpoint=None, checkpoint_interval: Optional[float] = None,
@@ -366,6 +423,10 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     terms (E.xi sqrt(mu) q1 and the current), leaving the decoupled Maxwell
     rotation plus collisional transport; that subsystem has closed-form
     oscillatory solutions used by conservation tests.
+
+    The run holds every loaded OpenBLAS at one thread, restoring the caller's
+    counts on return: OpenBLAS threads dot products and norms above 10^4
+    entries, which would make the bits at n >= 23 depend on the caller.
     """
     op.grid.check_same(state0.fhat.grid)
     if not (sample_interval > 0 and (checkpoint_interval or 0.0) >= 0):
@@ -380,9 +441,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     if np.all(k == 0.0) and abs(state0.charge_moment()) > cfg.constraint_tol:
         raise ValueError("k = 0 modes require charge-neutral initial data")
 
-    nsteps = int(round(T / cfg.dt))
-    if abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
-        raise ValueError(f"T = {T!r} is not a whole number of steps of dt = {cfg.dt!r}")
+    nsteps = cfg.steps(T)
     if nsteps > cfg.max_steps:
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
     midpoint = cfg.scheme == "imex-midpoint"
@@ -530,7 +589,7 @@ def mode_energy_report(history: ModeHistory, ell: float,
     k = history.k
     ksq = float(k @ k)
     rho = rho_frequency(k)
-    wl = report_weight(g, op.params.gamma) ** ell
+    wl = weight_eval(WeightSpec(tau=-ell / 2.0), 0.0, g.xi, op.params)
     spec0 = WeightSpec(tau=0.0, lam=0.0)
     nts = len(history.frames)
     cols = {name: np.empty(nts) for name in

@@ -78,6 +78,8 @@ class TestSigmaField:
             S = sig.matrix_at(node)
             np.testing.assert_allclose(S, S.T, atol=1e-14)
             assert np.linalg.eigvalsh(S)[0] > -1e-12
+            # both read the one packed-index map
+            assert all(S[i, j] == sig.component(i, j)[node] for i in range(3) for j in range(3))
 
     def test_rotation_covariance(self, grid11, params):
         # 90-degree axis rotation: permuting lattice axes must conjugate sigma
@@ -188,6 +190,8 @@ class TestLinearizedOperator:
             r = op11.apply(v)
             rel = np.sqrt(abs(inner_product(r, r)) / abs(inner_product(v, v)))
             assert rel < 1e-12
+            # the null space is the macro subspace of project_P
+            assert project_P(v)[2].norm() <= 1e-14 * v.norm()
 
     def test_symmetric_in_weighted_product(self, op11, grid11):
         rng = np.random.default_rng(12)

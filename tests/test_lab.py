@@ -2,14 +2,15 @@ import contextlib
 import csv
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
 
-from vmlandau import cli, lab
+from vmlandau import cli, lab, mode
 from vmlandau.collision import CollisionParams, assemble_L, sigma_field
 from vmlandau.grid import build_grid
-from vmlandau.mode import ModeEnergyReport
+from vmlandau.mode import ModeEnergyReport, _openblas_controls
 
 
 def _tiny_cfg(outdir) -> lab.ExperimentConfig:
@@ -25,7 +26,7 @@ def _blas_counts(controls) -> list:
 @contextlib.contextmanager
 def _blas_threads(count):
     """Set every loaded OpenBLAS to ``count`` threads; restore the old counts after."""
-    controls = lab._openblas_controls()
+    controls = _openblas_controls()
     saved = _blas_counts(controls)
     for set_threads, _ in controls:
         set_threads(count)
@@ -44,7 +45,7 @@ def _same_mode_files(dir_a, dir_b, names):
 
 
 needs_openblas = pytest.mark.skipif(
-    not lab._openblas_controls(),
+    not _openblas_controls(),
     reason="no OpenBLAS is loaded, so there is no BLAS thread count to hold")
 
 
@@ -94,16 +95,17 @@ class TestRunSweep:
         monkeypatch.setenv("VML_THREADS", workers)
         log = tmp_path / "threads"
         log.mkdir()
-        integrate = lab.integrate_mode
+        ilu = mode._DiagonalILU
 
-        def recording(state0, *args, **kwargs):
-            # forked workers inherit this wrapper, so each mode writes its own record
-            counts = _blas_counts(lab._openblas_controls())
-            name = "_".join(f"{x:g}" for x in state0.k)
-            (log / name).write_text(",".join(map(str, counts)))
-            return integrate(state0, *args, **kwargs)
+        def recording(*args):
+            # built once inside each integrate_mode; forked workers inherit this
+            # wrapper, so each mode writes its own record
+            fd, _ = tempfile.mkstemp(dir=log)
+            os.write(fd, ",".join(map(str, _blas_counts(_openblas_controls()))).encode())
+            os.close(fd)
+            return ilu(*args)
 
-        monkeypatch.setattr(lab, "integrate_mode", recording)
+        monkeypatch.setattr(mode, "_DiagonalILU", recording)
         with _blas_threads(2) as controls:
             archive = lab.run_sweep(_tiny_cfg(tmp_path / "run"), op9)
             after = _blas_counts(controls)
@@ -113,6 +115,38 @@ class TestRunSweep:
         for counts in records.values():
             assert counts == [1] * len(controls)
         assert after == [2] * len(controls)
+
+    @needs_openblas
+    def test_mode_bits_do_not_depend_on_caller_blas_threads(self, params):
+        # OpenBLAS threads vdot and norm above 10^4 entries; a block at n = 23 has 23^3
+        grid = build_grid(7.0, 23)
+        op = assemble_L(grid, params)
+        cfg = lab.ExperimentConfig(n=23, T=0.5, dt=0.25)
+        state0 = lab.init_data(cfg, [0.0, 0.0, 0.5], grid)
+        final = {}
+        for count in (1, 2):
+            with _blas_threads(count):
+                final[count] = mode._flatten(
+                    mode.integrate_mode(state0, cfg.stepper(), cfg.T, op).frames[-1])
+        assert np.array_equal(final[1], final[2])
+
+    def test_failed_mode_checkpoint_is_in_the_manifest(self, op9, tmp_path, monkeypatch):
+        monkeypatch.setenv("VML_THREADS", "1")
+        integrate = lab.integrate_mode
+
+        def failing(state0, *args, **kwargs):
+            if state0.k[2] < 0.0:
+                raise RuntimeError("solve failed")
+            return integrate(state0, *args, **kwargs)
+
+        monkeypatch.setattr(lab, "integrate_mode", failing)
+        outdir = tmp_path / "run"
+        manifest = lab.report(lab.run_sweep(_tiny_cfg(outdir), op9))
+        assert manifest["failures"] == [{"mode": 1, "error": "RuntimeError: solve failed",
+                                         "checkpoint": "mode_0001.ckpt"}]
+        assert manifest["n_modes"] == 1
+        on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
+        assert sorted(manifest["files"]) == on_disk
 
 
     def test_foreign_operator_is_refused(self, op11_soft, tmp_path):
@@ -253,6 +287,7 @@ class TestConfigText:
         ("scheme", "imex-bogus", "unknown scheme 'imex-bogus'"),
         ("dt", -1.0, "dt must be positive"),
         ("lin_tol", 0.0, "tolerances must be positive"),
+        ("dt", 0.3, r"T = \S+ is not a whole number of steps of dt = 0\.3"),
     ])
     def test_invalid_stepper_field_names_its_line(self, tmp_path, key, value, message):
         self._assert_names_line_3(tmp_path, key, value, message)

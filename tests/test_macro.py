@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
+from vmlandau.lab import ExperimentConfig, init_data
 from vmlandau.macro import _FAMILIES, _moment_rows, macro_residuals, project_P
 from vmlandau.mode import ModeState
 
@@ -72,6 +73,15 @@ class TestProjectP:
         got = macro.as_vector()
         np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
         assert micro.norm() < 1e-12 * f.norm()
+
+    def test_init_data_macro_coefficients(self, grid11):
+        k = np.array([0.3, -0.2, 0.5])
+        state = init_data(ExperimentConfig(family="macro-gaussian"), k, grid11)
+        macro, _, micro = project_P(state.fhat)
+        amp = np.exp(-0.5 * float(k @ k))
+        want = amp * np.array([1.0, 1.0, 0.6, 0.25, 0.8, 0.45])
+        np.testing.assert_allclose(macro.as_vector(), want, rtol=1e-13, atol=0)
+        assert micro.norm() <= 1e-13 * state.fhat.norm()
 
 
 def _theta_lambda(f):
