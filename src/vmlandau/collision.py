@@ -75,8 +75,6 @@ class CollisionFrequencyField:
     packed: np.ndarray = field(repr=False)   # (6, n^3): 11, 12, 13, 22, 23, 33
     params: CollisionParams = CollisionParams()
 
-    _PACK = _PACK
-
     def component(self, i: int, j: int) -> np.ndarray:
         """sigma^ij over all nodes, 0-based indices."""
         return self.packed[_PACK[i, j]]

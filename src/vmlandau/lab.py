@@ -13,10 +13,10 @@ Fit summary schema:
 
 Parallelism: modes are farmed to forked worker processes (the assembled
 operator is shared copy-on-write); VML_THREADS caps the worker count.  Each
-mode runs on one OpenBLAS thread, a rule that ``mode.integrate_mode`` holds
-for every caller, so workers x BLAS threads never exceeds the worker count
-while modes run, and archive bytes depend neither on scheduling order, nor on
-the worker count, nor on the caller's BLAS thread count.
+mode runs on one OpenBLAS thread (``mode._one_blas_thread``, held by
+``run_mode`` and by ``mode.integrate_mode``), so workers x BLAS threads never
+exceeds the worker count, and archive bytes depend neither on scheduling
+order, nor on the worker count, nor on the caller's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .checkpoint import CheckpointWriter
 from .collision import CollisionParams, LinearizedOperator, assemble_L
 from .grid import TwoSpeciesField, VelocityGrid, build_grid
 from .macro import _projector, project_P
-from .mode import (ModeEnergyReport, ModeState, StepperConfig, integrate_mode,
-                   mode_energy_report)
+from .mode import (ModeEnergyReport, ModeState, StepperConfig, _one_blas_thread,
+                   integrate_mode, mode_energy_report)
 
 __all__ = [
     "ExperimentConfig",
@@ -334,11 +334,14 @@ def _worker_init(cfg, op):
     _WORKER_CTX["op"] = op
 
 
+@_one_blas_thread()
 def run_mode(cfg: ExperimentConfig, idx: int, kvec, op: LinearizedOperator):
     """Integrate the configured data at wavevector ``kvec`` to cfg.T.
 
     Writes ``mode_<idx>.ckpt`` and ``mode_<idx>.csv`` (4-digit idx) into the
     existing directory cfg.outdir; returns their paths and the energy report.
+    Runs on one BLAS thread.  An exception raised once the checkpoint is open
+    carries its path as ``exc.checkpoint``.
     """
     outdir = Path(cfg.outdir)
     state0 = init_data(cfg, kvec, op.grid)
@@ -346,26 +349,26 @@ def run_mode(cfg: ExperimentConfig, idx: int, kvec, op: LinearizedOperator):
     writer = CheckpointWriter(ckpt_path, op.grid, cfg.gamma, cfg.c_phi)
     interval = cfg.checkpoint_interval if cfg.checkpoint_interval > 0 else None
     try:
-        hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
-                              sample_interval=cfg.save_interval,
-                              checkpoint=writer, checkpoint_interval=interval)
-    finally:
-        writer.close()
-    rep = mode_energy_report(hist, cfg.ell, op)
-    csv_path = outdir / f"mode_{idx:04d}.csv"
-    csv_path.write_text(_mode_csv_text(rep))
+        with writer:
+            hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
+                                  sample_interval=cfg.save_interval,
+                                  checkpoint=writer, checkpoint_interval=interval)
+        rep = mode_energy_report(hist, cfg.ell, op)
+        csv_path = outdir / f"mode_{idx:04d}.csv"
+        csv_path.write_text(_mode_csv_text(rep))
+    except Exception as exc:
+        exc.checkpoint = str(ckpt_path)
+        raise
     return str(csv_path), str(ckpt_path), rep
 
 
 def _run_one_mode(args):
     idx, kvec = args
-    cfg = _WORKER_CTX["cfg"]
     try:
-        return idx, *run_mode(cfg, idx, kvec, _WORKER_CTX["op"]), None
+        return idx, *run_mode(_WORKER_CTX["cfg"], idx, kvec, _WORKER_CTX["op"]), None
     except Exception as exc:  # per-mode failures are recorded, not fatal
-        ckpt = Path(cfg.outdir) / f"mode_{idx:04d}.ckpt"   # run_mode may have opened it
         err = f"{type(exc).__name__}: {exc}"
-        return idx, None, str(ckpt) if ckpt.exists() else None, None, err
+        return idx, None, getattr(exc, "checkpoint", None), None, err
 
 
 def max_workers() -> int:
@@ -384,7 +387,7 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
 
     Deterministic: identical configs on the same build produce byte-identical
     archives regardless of worker scheduling and count and of the caller's
-    BLAS thread count: each mode's ``integrate_mode`` runs on one BLAS thread.
+    BLAS thread count: each mode's ``run_mode`` runs on one BLAS thread.
     Per-mode failures are recorded in the archive (and manifest), with the
     partial checkpoint a failed mode leaves, without aborting the sweep.  A
     given ``op`` must match the config's grid (R, n) and collision parameters.
@@ -402,20 +405,16 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     config_path.write_text(config_to_text(cfg))
     jobs = [(idx, kvec) for idx, (kvec, _w) in enumerate(k_set)]
     nproc = min(workers, len(jobs))
-    results = {}
     if op is None:
         op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
     if nproc > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
-            for idx, csv, ckpt, rep, err in pool.imap_unordered(_run_one_mode, jobs):
-                results[idx] = (csv, ckpt, rep, err)
+            results = {r[0]: r[1:] for r in pool.imap_unordered(_run_one_mode, jobs)}
     else:
         _worker_init(cfg, op)
-        for job in jobs:
-            idx, csv, ckpt, rep, err = _run_one_mode(job)
-            results[idx] = (csv, ckpt, rep, err)
+        results = {r[0]: r[1:] for r in map(_run_one_mode, jobs)}
     mode_csvs, checkpoints, reports, failures = [], [], [], []
     for idx in range(len(jobs)):
         csv, ckpt, rep, err = results[idx]

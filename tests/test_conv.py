@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vmlandau._conv import LatticeConvolver, cube_average_power, kernel_tables
-from vmlandau.collision import CollisionFrequencyField
+from vmlandau._conv import _PACK, LatticeConvolver, cube_average_power, kernel_tables
 from vmlandau.grid import build_grid
-
-_PACK = CollisionFrequencyField._PACK
 
 
 @pytest.fixture(scope="module")

@@ -55,6 +55,12 @@ def op9(params):
 
 
 @pytest.fixture(scope="module")
+def op23(params):
+    # OpenBLAS threads vdot and norm above 10^4 entries; a block at n = 23 has 23^3
+    return assemble_L(build_grid(7.0, 23), params)
+
+
+@pytest.fixture(scope="module")
 def sweeps(op9, tmp_path_factory):
     """The tiny sweep run serially and on two forked workers, keyed by VML_THREADS."""
     out = {}
@@ -95,40 +101,54 @@ class TestRunSweep:
         monkeypatch.setenv("VML_THREADS", workers)
         log = tmp_path / "threads"
         log.mkdir()
-        ilu = mode._DiagonalILU
 
-        def recording(*args):
-            # built once inside each integrate_mode; forked workers inherit this
-            # wrapper, so each mode writes its own record
-            fd, _ = tempfile.mkstemp(dir=log)
-            os.write(fd, ",".join(map(str, _blas_counts(_openblas_controls()))).encode())
-            os.close(fd)
-            return ilu(*args)
+        def recording(fn):
+            # forked workers inherit these wrappers, so each call writes its own record
+            def wrapper(*args, **kwargs):
+                fd, _ = tempfile.mkstemp(dir=log, prefix=fn.__name__)
+                os.write(fd, ",".join(map(str, _blas_counts(_openblas_controls()))).encode())
+                os.close(fd)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(mode, "_DiagonalILU", recording)
+        # the initial data, the preconditioner built inside integrate_mode, the report
+        monkeypatch.setattr(lab, "init_data", recording(lab.init_data))
+        monkeypatch.setattr(mode, "_DiagonalILU", recording(mode._DiagonalILU))
+        monkeypatch.setattr(lab, "mode_energy_report", recording(lab.mode_energy_report))
         with _blas_threads(2) as controls:
             archive = lab.run_sweep(_tiny_cfg(tmp_path / "run"), op9)
             after = _blas_counts(controls)
         assert not archive.failures
         records = {p.name: [int(c) for c in p.read_text().split(",")] for p in log.iterdir()}
-        assert len(records) == 2
+        assert len(records) == 6
         for counts in records.values():
             assert counts == [1] * len(controls)
         assert after == [2] * len(controls)
 
     @needs_openblas
-    def test_mode_bits_do_not_depend_on_caller_blas_threads(self, params):
-        # OpenBLAS threads vdot and norm above 10^4 entries; a block at n = 23 has 23^3
-        grid = build_grid(7.0, 23)
-        op = assemble_L(grid, params)
+    def test_mode_bits_do_not_depend_on_caller_blas_threads(self, op23):
         cfg = lab.ExperimentConfig(n=23, T=0.5, dt=0.25)
-        state0 = lab.init_data(cfg, [0.0, 0.0, 0.5], grid)
+        state0 = lab.init_data(cfg, [0.0, 0.0, 0.5], op23.grid)
         final = {}
         for count in (1, 2):
             with _blas_threads(count):
                 final[count] = mode._flatten(
-                    mode.integrate_mode(state0, cfg.stepper(), cfg.T, op).frames[-1])
+                    mode.integrate_mode(state0, cfg.stepper(), cfg.T, op23).frames[-1])
         assert np.array_equal(final[1], final[2])
+
+    @needs_openblas
+    def test_mode_files_do_not_depend_on_caller_blas_threads(self, op23, tmp_path):
+        # run_mode also builds the initial data and the report (its gauss_E
+        # charge is a dot product over n^3 entries) outside integrate_mode
+        names = ("mode_0000.csv", "mode_0000.ckpt")
+        for count in (1, 2):
+            outdir = tmp_path / f"blas{count}"
+            outdir.mkdir()
+            cfg = lab.ExperimentConfig(n=23, T=0.5, dt=0.25, save_interval=0.25,
+                                       outdir=str(outdir))
+            with _blas_threads(count):
+                lab.run_mode(cfg, 0, [0.0, 0.0, 0.5], op23)
+        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", names)
 
     def test_failed_mode_checkpoint_is_in_the_manifest(self, op9, tmp_path, monkeypatch):
         monkeypatch.setenv("VML_THREADS", "1")
@@ -147,6 +167,25 @@ class TestRunSweep:
         assert manifest["n_modes"] == 1
         on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
         assert sorted(manifest["files"]) == on_disk
+
+    def test_stale_checkpoint_of_a_mode_that_never_opened_one_is_not_claimed(
+            self, op9, tmp_path, monkeypatch):
+        monkeypatch.setenv("VML_THREADS", "1")
+        init_data = lab.init_data
+
+        def failing(cfg, kvec, grid):
+            if kvec[2] < 0.0:
+                raise RuntimeError("bad data")
+            return init_data(cfg, kvec, grid)
+
+        monkeypatch.setattr(lab, "init_data", failing)
+        outdir = tmp_path / "run"
+        outdir.mkdir()
+        (outdir / "mode_0001.ckpt").write_bytes(b"from an earlier run")
+        manifest = lab.report(lab.run_sweep(_tiny_cfg(outdir), op9))
+        assert manifest["failures"] == [{"mode": 1, "error": "RuntimeError: bad data",
+                                         "checkpoint": None}]
+        assert "mode_0001.ckpt" not in manifest["files"]
 
 
     def test_foreign_operator_is_refused(self, op11_soft, tmp_path):
