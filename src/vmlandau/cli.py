@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import CollisionParams, assemble_L
-from .grid import build_grid, inner_product
-from .lab import (ExperimentConfig, RunArchive, _fmt, decay_fit, load_archive,
-                  parse_config, report, run_mode, run_sweep, synthesize_norms)
+from .collision import CollisionParams, assemble_L, sigma_field
+from .grid import TwoSpeciesField, build_grid, inner_product
+from .lab import (ExperimentConfig, _fmt, decay_fit, load_archive, parse_config, report,
+                  run_mode, run_sweep, synthesize_norms)
+from .macro import project_P
 from .weights import WeightSpec, characterization_norm, dissipation_norm
 
 SIGMA_CSV_HEADER = "r,xi1,xi2,xi3,s11,s12,s13,s22,s23,s33"
@@ -38,7 +39,6 @@ def _parse_vec(text: str) -> np.ndarray:
 def cmd_sigma_table(args) -> int:
     grid = build_grid(args.rmax, args.n)
     params = CollisionParams(gamma=args.gamma, c_phi=args.c_phi)
-    from .collision import sigma_field
     sigma = sigma_field(grid, params)
     ray = args.ray
     step = np.round(ray).astype(int)
@@ -68,9 +68,6 @@ def cmd_sigma_table(args) -> int:
 def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = 1.0,
                    n_random: int = 200, seed: int = 7):
     """Null residuals, symmetry defect, Rayleigh minimum and coercivity stats."""
-    from .grid import TwoSpeciesField
-    from .macro import project_P
-
     grid = build_grid(R, n)
     params = CollisionParams(gamma=gamma, c_phi=c_phi)
     op = assemble_L(grid, params)
@@ -152,16 +149,26 @@ def cmd_decay_sweep(args) -> int:
     return 0 if not archive.failures else 1
 
 
-def _shell_count(archive: RunArchive) -> int:
-    """Number of distinct shell radii |k| in the archive's k-set."""
-    return len({round(float(np.linalg.norm(k)), 12) for k, _ in archive.k_set})
+def _decay_fits(args, ms):
+    """(archive, decay fit per m), or (archive, None) after printing to stderr why not."""
+    archive = load_archive(args.archive)
+    try:
+        norms = [synthesize_norms(archive, m) for m in ms]
+    except ValueError as exc:
+        print(f"cannot synthesize the norms of {archive.outdir}: {exc}", file=sys.stderr)
+        for f in archive.failures:
+            print(f"  mode {f['mode']} failed: {f['error']}", file=sys.stderr)
+        return archive, None
+    shells = len({round(float(np.linalg.norm(k)), 12) for k, _ in archive.k_set})
+    return archive, [decay_fit(times, series, tuple(args.window), m=m, shells_used=shells)
+                     for m, (times, series) in zip(ms, norms)]
 
 
 def cmd_fit(args) -> int:
-    archive = load_archive(args.archive)
-    times, series = synthesize_norms(archive, args.m)
-    fit = decay_fit(times, series, tuple(args.window), m=args.m,
-                    shells_used=_shell_count(archive))
+    _, fits = _decay_fits(args, [args.m])
+    if fits is None:
+        return 1
+    fit = fits[0]
     if not fit.conclusive:
         print("inconclusive: insufficient decay inside the window")
         return 1
@@ -172,12 +179,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_report(args) -> int:
-    archive = load_archive(args.archive)
-    fits = []
-    for m in args.m:
-        times, series = synthesize_norms(archive, m)
-        fits.append(decay_fit(times, series, tuple(args.window), m=m,
-                              shells_used=_shell_count(archive)))
+    archive, fits = _decay_fits(args, args.m)
+    if fits is None:
+        return 1
     manifest = report(archive, fits)
     print(f"summary: {archive.summary_path()}")
     print(f"manifest: {archive.manifest_path()} ({len(manifest['files'])} files)")

@@ -21,6 +21,7 @@ __all__ = [
     "VelocityGrid",
     "TwoSpeciesField",
     "build_grid",
+    "check_grid_parameters",
     "maxwellian",
     "inner_product",
     "velocity_gradient",
@@ -122,16 +123,21 @@ class VelocityGrid:
             )
 
 
+def check_grid_parameters(R: float, n: int) -> None:
+    """Raise GridParameterError unless R > 0 and n is an odd integer >= 3."""
+    if not (isinstance(n, (int, np.integer)) and n % 2 == 1 and n >= 3):
+        raise GridParameterError(f"points_per_axis must be an odd integer >= 3, got {n}")
+    if not R > 0:
+        raise GridParameterError(f"half_width must be positive, got {R}")
+
+
 def build_grid(R: float, n: int) -> VelocityGrid:
     """Build the truncated velocity lattice.
 
     R must be positive and n odd with n >= 3 so that xi = 0 is a node.  n >= 9
     is the supported production range; smaller odd n is allowed for unit tests.
     """
-    if not (isinstance(n, (int, np.integer)) and n % 2 == 1 and n >= 3):
-        raise GridParameterError(f"points_per_axis must be an odd integer >= 3, got {n}")
-    if not R > 0:
-        raise GridParameterError(f"half_width must be positive, got {R}")
+    check_grid_parameters(R, n)
     n = int(n)
     axis = np.linspace(-R, R, n)
     h = 2.0 * R / (n - 1)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .checkpoint import CheckpointWriter
 from .collision import CollisionParams, LinearizedOperator, assemble_L
-from .grid import TwoSpeciesField, VelocityGrid, build_grid
+from .grid import TwoSpeciesField, VelocityGrid, build_grid, check_grid_parameters
 from .macro import _projector, project_P
 from .mode import (ModeEnergyReport, ModeState, StepperConfig, _one_blas_thread,
                    integrate_mode, mode_energy_report)
@@ -103,6 +103,8 @@ class ExperimentConfig:
         if not (self.save_interval > 0 and self.checkpoint_interval >= 0):
             raise ConfigError("save_interval must be positive and checkpoint_interval not negative")
         try:
+            self.collision_params()
+            check_grid_parameters(self.R, self.n)
             self.stepper().steps(self.T)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -441,12 +443,13 @@ def load_archive(outdir) -> RunArchive:
     k_set = build_k_set(cfg)
     csvs = sorted(str(p) for p in outdir.glob("mode_*.csv"))
     ckpts = sorted(str(p) for p in outdir.glob("mode_*.ckpt"))
-    run_id = uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex
+    run_id, failures = uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex, []
     if manifest.exists():
-        run_id = json.loads(manifest.read_text())["run_id"]
+        saved = json.loads(manifest.read_text())
+        run_id, failures = saved["run_id"], saved["failures"]
     return RunArchive(run_id=run_id, outdir=str(outdir),
                       config_path=str(outdir / "config.cfg"),
-                      mode_csvs=csvs, checkpoints=ckpts, k_set=k_set)
+                      mode_csvs=csvs, checkpoints=ckpts, k_set=k_set, failures=failures)
 
 
 def synthesize_norms(archive: RunArchive, m: int, ell: float = 0.0):

@@ -24,12 +24,14 @@ couples to (E, B) through sqrt2 (E.xi) sqrt(mu) and the current
 sqrt2 <xi sqrt(mu), d>.  The sqrt2 makes the map orthogonal and its own
 inverse, so it keeps the energy norm: the blocks' tests on the true residual
 |r_b| <= lin_tol |rhs_b| add up to lin_tol |rhs| on the whole state.  Between
-steps the state stays in species form.  Each block runs restarted GMRES from
-the current state, right-preconditioned on its kinetic entries by the mode's
-one diagonal ILU (D-ILU) of I + a (A + i xi.k); right preconditioning leaves
-the residual unpreconditioned, so the Givens recurrence gives the true
-residual and each iteration costs one block application and two sparse
-triangular solves.  The per-step ledger applies K once to s^n for the
+steps the state stays in species form.  One _ModeSolve per (mode, a) holds
+both blocks' generators, which mode_rhs applies too, and their solves.  Each
+block runs restarted GMRES from the current state, right-preconditioned on its
+kinetic entries by the mode's one diagonal ILU (D-ILU) of I + a (A + i xi.k),
+built on the first solve so that evaluating M builds none.  Right
+preconditioning leaves the residual unpreconditioned, so the Givens recurrence
+gives the true residual and each iteration costs one block application and two
+sparse triangular solves.  The per-step ledger applies K once to s^n for the
 dissipation <L f, f> = <(A + 2K) s, s> + <A d, d>, and the same K s^n gives
 the sum block's initial residual a (G s^n), so a step applies K once per
 sum-block iteration plus once.  Every value carried across a step is a
@@ -160,42 +162,6 @@ def _sum_diff(u: np.ndarray, n3: int) -> np.ndarray:
     return np.concatenate([(f0 + f1) / _SQRT2, (f0 - f1) / _SQRT2, u[2 * n3:]])
 
 
-def _sparse_block(x: np.ndarray, op: LinearizedOperator, xik: np.ndarray) -> np.ndarray:
-    """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L."""
-    return -1j * xik * x - op.A_sparse @ x
-
-
-def _sum_block(s: np.ndarray, op: LinearizedOperator, xik: np.ndarray) -> np.ndarray:
-    """The sum block's generator -(i xi.k + A + 2K) s."""
-    return _sparse_block(s, op, xik) - 2.0 * op.k_part(s)
-
-
-def _diff_block(v: np.ndarray, op: LinearizedOperator, k: np.ndarray, xik: np.ndarray,
-                couple_kinetic: bool = True) -> np.ndarray:
-    """The difference block's generator on v = (d, E, B).
-
-    ``couple_kinetic=False`` drops the sqrt2 (E.xi) sqrt(mu) and current terms.
-    """
-    g = op.grid
-    n3 = g.size
-    d, E, B = v[:n3], v[n3:n3 + 3], v[n3 + 3:]
-    out = np.empty_like(v)
-    out[:n3] = _sparse_block(d, op, xik)
-    out[n3:n3 + 3] = 1j * np.cross(k, B)
-    out[n3 + 3:] = -1j * np.cross(k, E)
-    if couple_kinetic:
-        out[:n3] += _SQRT2 * _xi_dot(g, E) * g.sqrt_mu
-        out[n3:n3 + 3] -= _SQRT2 * _current(g, d)
-    return out
-
-
-def _generator(u: np.ndarray, op: LinearizedOperator, k: np.ndarray) -> np.ndarray:
-    """M u for the flattened state u = (s, d, E, B): the sum and difference blocks."""
-    n3 = op.grid.size
-    xik = _xi_dot(op.grid, k)
-    return np.concatenate([_sum_block(u[:n3], op, xik), _diff_block(u[n3:], op, k, xik)])
-
-
 def _flatten(state: ModeState) -> np.ndarray:
     return np.concatenate([state.fhat.values.reshape(-1), state.Ehat, state.Bhat])
 
@@ -211,7 +177,9 @@ def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
     n3 = op.grid.size
-    du = _generator(_sum_diff(_flatten(state), n3), op, state.k)
+    ms = _ModeSolve(op, state.k, 0.0, 0.0, "mode_rhs", _SQRT2)   # never solves: builds no D-ILU
+    u = _sum_diff(_flatten(state), n3)
+    du = np.concatenate([ms.sum_block(u[:n3]), ms.diff_block(u[n3:])])
     d = _unflatten(_sum_diff(du, n3), state, state.t)
     return d.fhat, d.Ehat, d.Bhat
 
@@ -264,49 +232,76 @@ class _DiagonalILU:
         return self._upper.solve(self.d * self._lower.solve(x))
 
 
-class _BlockSolver:
-    """Right-preconditioned restarted GMRES for (I - a G) x = rhs on one block.
+class _ModeSolve:
+    """The generator blocks of one mode and the solves of (I - a G) x = rhs on them.
 
-    A block is x = (n^3 kinetic entries, fields).  G is the block's part of
-    the generator.  The preconditioner M^-1 is the _DiagonalILU of
-    I + a (A + i xi.k) that both blocks of a mode share, on the leading n^3
-    entries; field entries, if the block has any, pass through.  GMRES runs on
-    (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with
-    modified Gram-Schmidt and Givens rotations, and keeps z_j = M^-1 v_j so
-    that x = x0 + Z y costs no further preconditioner solve.  With M^-1 on the
-    residual is the true one, so the recurrence's |g_{m+1}| <= lin_tol |rhs|
-    is the block's stopping test; the residual is recomputed from x only at
-    a restart and on failure.
+    Holds xi.k, the weight a and the coupling coefficient ``couple`` (sqrt2,
+    or 0 to drop the field-kinetic terms).  A block is x = (n^3 kinetic
+    entries, fields) and G is the block's part of the generator.  The
+    preconditioner M^-1 is the mode's one _DiagonalILU of I + a (A + i xi.k),
+    built on the first solve, on the leading n^3 entries; field entries, if
+    the block has any, pass through.  GMRES runs on (I - a G) M^-1 (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with modified Gram-Schmidt
+    and Givens rotations, and keeps z_j = M^-1 v_j so that x = x0 + Z y costs
+    no further preconditioner solve.  With M^-1 on the right the residual is
+    the true one, so the recurrence's |g_{m+1}| <= lin_tol |rhs| is the
+    block's stopping test; the residual is recomputed from x only at a
+    restart and on failure.
     """
 
-    def __init__(self, gen, a: float, ilu, n3: int, lin_tol: float, what: str):
-        self.gen = gen
+    def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float,
+                 what: str, couple: float):
+        self.op = op
+        self.k = k
         self.a = a
-        self.ilu = ilu
-        self.n3 = n3
         self.lin_tol = lin_tol
         self.what = what
+        self.couple = couple
+        self.xik = _xi_dot(op.grid, k)
 
-    def shifted(self, x: np.ndarray) -> np.ndarray:
-        return x - self.a * self.gen(x)
+    @functools.cached_property
+    def ilu(self) -> _DiagonalILU:
+        return _DiagonalILU(self.op.A_sparse, self.a, self.xik)
+
+    def sparse_block(self, x: np.ndarray) -> np.ndarray:
+        """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L."""
+        return -1j * self.xik * x - self.op.A_sparse @ x
+
+    def sum_block(self, s: np.ndarray) -> np.ndarray:
+        """The sum block's generator -(i xi.k + A + 2K) s."""
+        return self.sparse_block(s) - 2.0 * self.op.k_part(s)
+
+    def diff_block(self, v: np.ndarray) -> np.ndarray:
+        """The difference block's generator on v = (d, E, B)."""
+        g, k = self.op.grid, self.k
+        n3 = g.size
+        d, E, B = v[:n3], v[n3:n3 + 3], v[n3 + 3:]
+        out = np.empty_like(v)
+        out[:n3] = self.sparse_block(d)
+        out[n3:n3 + 3] = 1j * np.cross(k, B)
+        out[n3 + 3:] = -1j * np.cross(k, E)
+        out[:n3] += self.couple * _xi_dot(g, E) * g.sqrt_mu
+        out[n3:n3 + 3] -= self.couple * _current(g, d)
+        return out
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.ilu.solve(x[:self.n3]), x[self.n3:]])
+        n3 = self.op.grid.size
+        return np.concatenate([self.ilu.solve(x[:n3]), x[n3:]])
 
-    def solve(self, rhs: np.ndarray, guess: np.ndarray, gen_guess: Optional[np.ndarray] = None,
-              restart: int = 50):
-        """GMRES from ``guess``; returns (x, iterations, final relative residual).
+    def solve(self, gen, rhs: np.ndarray, guess: np.ndarray,
+              gen_guess: Optional[np.ndarray] = None, restart: int = 50):
+        """GMRES for (I - a gen) x = rhs from ``guess``; returns (x, iterations, relative residual).
 
-        ``gen_guess``, if given, is G guess, so the initial residual
-        rhs - guess + a G guess costs no application of G.  It raises
+        ``gen_guess``, if given, is gen(guess), so the initial residual
+        rhs - guess + a gen(guess) costs no application of gen.  It raises
         RuntimeError, with the residual, after _MAX_CYCLES cycles of ``restart``.
         """
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        target = self.lin_tol * bnorm
+        a, target = self.a, self.lin_tol * bnorm
         x = guess
-        r = rhs - self.shifted(x) if gen_guess is None else rhs - x + self.a * gen_guess
+        r = rhs - (x - a * gen(x)) if gen_guess is None else rhs - x + a * gen_guess
         beta = np.linalg.norm(r)
         iters = cycles = 0
         while beta > target:
@@ -322,7 +317,7 @@ class _BlockSolver:
             m = 0
             for j in range(restart):
                 z = self.precondition(V[j])
-                w = self.shifted(z)
+                w = z - a * gen(z)
                 iters += 1
                 for i, vi in enumerate(V):
                     H[i, j] = np.vdot(vi, w)
@@ -348,7 +343,7 @@ class _BlockSolver:
                 x = x + sum(yi * zi for yi, zi in zip(y, Z))
             if abs(g[m]) <= target:
                 return x, iters, abs(g[m]) / bnorm
-            r = rhs - self.shifted(x)
+            r = rhs - (x - a * gen(x))
             beta = np.linalg.norm(r)
         return x, iters, beta / bnorm
 
@@ -446,22 +441,12 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
     midpoint = cfg.scheme == "imex-midpoint"
     n3 = g.size
-    a = cfg.implicit_weight()
-    xik = _xi_dot(g, k)
-    ilu = _DiagonalILU(op.A_sparse, a, xik)
-    what = "implicit solve" if midpoint else "kinetic solve"
-    sum_solver = _BlockSolver(lambda s: _sum_block(s, op, xik), a, ilu, n3, cfg.lin_tol, what)
-    # imex-euler solves d alone and updates (E, B) explicitly after the solve
-    diff_gen = ((lambda v: _diff_block(v, op, k, xik, couple_kinetic)) if midpoint
-                else (lambda d: _sparse_block(d, op, xik)))
-    diff_solver = _BlockSolver(diff_gen, a, ilu, n3, cfg.lin_tol, what)
+    ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol,
+                    "implicit solve" if midpoint else "kinetic solve",
+                    _SQRT2 if couple_kinetic else 0.0)
 
     u = _flatten(state0)
-    times = np.empty(nsteps + 1)
-    energy = np.empty(nsteps + 1)
-    diss = np.empty(nsteps + 1)
-    gauss_e = np.empty(nsteps + 1)
-    gauss_b = np.empty(nsteps + 1)
+    times, energy, diss, gauss_e, gauss_b = (np.empty(nsteps + 1) for _ in range(5))
     iters = np.zeros((nsteps, 2), dtype=int)
     resid = np.zeros((nsteps, 2))
 
@@ -471,8 +456,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         s, d = v[:n3], v[n3:2 * n3]
         Ls = op.A_sparse @ s + 2.0 * op.k_part(s)
         f = uvec[:2 * n3].reshape(2, n3)
-        E = uvec[2 * n3:2 * n3 + 3]
-        B = uvec[2 * n3 + 3:]
+        E, B = uvec[2 * n3:2 * n3 + 3], uvec[2 * n3 + 3:]
         times[idx] = t
         energy[idx] = float(np.sum(g.weights * (np.abs(f) ** 2).sum(axis=0))
                             + np.sum(np.abs(uvec[2 * n3:]) ** 2))
@@ -481,7 +465,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                                               + (op.A_sparse @ d) * np.conj(d))).real)
         gauss_e[idx] = abs(1j * (k @ E) - _charge(g, f))
         gauss_b[idx] = abs(1j * (k @ B))
-        return v, -1j * xik * s - Ls
+        return v, -1j * ms.xik * s - Ls
 
     v, gen_s = scalars(0, u, state0.t)
     frames = [state0.copy()]
@@ -491,17 +475,17 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         checkpoint.append(state0)
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
-        s, iters[step - 1, 0], resid[step - 1, 0] = sum_solver.solve(v[:n3], v[:n3], gen_s)
+        s, iters[step - 1, 0], resid[step - 1, 0] = ms.solve(ms.sum_block, v[:n3], v[:n3], gen_s)
         if midpoint:
-            dEB, iters[step - 1, 1], resid[step - 1, 1] = diff_solver.solve(v[n3:], v[n3:])
+            dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, v[n3:], v[n3:])
             v = 2.0 * np.concatenate([s, dEB]) - v
         else:
-            # implicit Euler in L + transport; E-coupling frozen at t_n; Maxwell
-            # update uses j(f^{n+1}) so the charge moment telescopes exactly
+            # implicit Euler in L + transport on d alone; E-coupling frozen at t_n;
+            # Maxwell update uses j(f^{n+1}) so the charge moment telescopes exactly
             d, E, B = v[n3:2 * n3], v[2 * n3:2 * n3 + 3], v[2 * n3 + 3:]
-            rhs = d + _SQRT2 * cfg.dt * _xi_dot(g, E) * g.sqrt_mu if couple_kinetic else d
-            d_new, iters[step - 1, 1], resid[step - 1, 1] = diff_solver.solve(rhs, d)
-            j = _SQRT2 * _current(g, d_new) if couple_kinetic else 0.0
+            rhs = d + ms.couple * cfg.dt * _xi_dot(g, E) * g.sqrt_mu
+            d_new, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.sparse_block, rhs, d)
+            j = ms.couple * _current(g, d_new)
             v = np.concatenate([s, d_new, E + cfg.dt * (1j * np.cross(k, B) - j),
                                 B + cfg.dt * (-1j * np.cross(k, E))])
         u = _sum_diff(v, n3)

@@ -168,6 +168,29 @@ class TestRunSweep:
         on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
         assert sorted(manifest["files"]) == on_disk
 
+    def test_failed_mode_is_reported_by_fit_and_report(self, op9, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("VML_THREADS", "1")
+        integrate = lab.integrate_mode
+
+        def failing(state0, *args, **kwargs):
+            if state0.k[2] < 0.0:
+                raise RuntimeError("solve failed")
+            return integrate(state0, *args, **kwargs)
+
+        monkeypatch.setattr(lab, "integrate_mode", failing)
+        outdir = tmp_path / "run"
+        manifest = lab.report(lab.run_sweep(_tiny_cfg(outdir), op9))
+        saved = (outdir / "manifest.json").read_bytes()
+        assert lab.load_archive(outdir).failures == manifest["failures"] != []
+        capsys.readouterr()
+        for argv in (["fit"], ["report"]):
+            assert cli.main(argv + ["--archive", str(outdir)]) == 1
+            err = capsys.readouterr().err
+            assert "modes [1] have no series; they carry 0.5 " in err
+            assert "mode 1 failed: RuntimeError: solve failed" in err
+        assert (outdir / "manifest.json").read_bytes() == saved
+
     def test_stale_checkpoint_of_a_mode_that_never_opened_one_is_not_claimed(
             self, op9, tmp_path, monkeypatch):
         monkeypatch.setenv("VML_THREADS", "1")
@@ -337,6 +360,21 @@ class TestConfigText:
         # integrate_mode would loop forever on either interval
         self._assert_names_line_3(tmp_path, key, value, "save_interval must be positive and "
                                                         "checkpoint_interval not negative")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 12, "points_per_axis must be an odd integer >= 3, got 12"),
+        ("R", -7.0, "half_width must be positive"),
+        ("gamma", -1.5, "gamma must satisfy -3 <= gamma < -2"),
+        ("c_phi", 0.0, "c_phi must be positive"),
+    ])
+    def test_grid_or_kernel_that_cannot_be_built_names_its_line(self, tmp_path, key, value,
+                                                               message):
+        self._assert_names_line_3(tmp_path, key, value, message)
+        run = tmp_path / "run"
+        (tmp_path / "bad.cfg").write_text(f"n = 9\n{key} = {value}\noutdir = {run}\n")
+        with pytest.raises(lab.ConfigError, match=f"bad.cfg:2: {message}"):
+            cli.main(["decay-sweep", "--config", str(tmp_path / "bad.cfg")])
+        assert not run.exists()
 
     @staticmethod
     def _assert_names_line_3(tmp_path, key, value, message):

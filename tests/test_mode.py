@@ -113,6 +113,24 @@ class TestModeRhs:
                      + np.sum(np.abs(st.Bhat) ** 2))
             assert abs(pairing.real) < 1e-12 * scale
 
+    def test_builds_no_preconditioner(self, op11, grid11, monkeypatch):
+        # a D-ILU costs tens of ms at n = 17; the diagnostics evaluate M many times
+        from vmlandau.lab import ExperimentConfig, init_data
+        cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
+                               outdir="/tmp/unused")
+        k = np.array([0.0, 0.3, 0.4])
+        frames = integrate_mode(init_data(cfg, k, grid11), StepperConfig(dt=0.1), 0.3, op11,
+                                sample_interval=0.1).frames
+
+        def refuse(*args):
+            raise AssertionError("D-ILU built")
+
+        monkeypatch.setattr(mode, "_DiagonalILU", refuse)
+        with pytest.raises(AssertionError, match="D-ILU built"):   # the patch is live
+            integrate_mode(frames[0], StepperConfig(dt=0.1), 0.1, op11)
+        mode_rhs(frames[-1], op11)
+        macro_residuals(frames, k, op11)
+
 
 class TestIntegrateMode:
     def test_zero_state_stays_zero(self, op11, grid11):
@@ -164,6 +182,32 @@ class TestIntegrateMode:
             assert rep.max_step_increase <= 1e-8 * rep.initial_energy
         # imex-midpoint is second order: halving dt cuts the residual ~4x
         assert residuals[0.04] < residuals[0.08] / 3.0
+
+    @pytest.mark.parametrize("dt, lin_tol", [(0.25, 1e-8), (2.0, 1e-11)])
+    def test_midpoint_steps_solve_the_midpoint_equation(self, op11, grid11, dt, lin_tol):
+        # u* = (u^n + u^{n+1})/2 solves u* - (dt/2) M u* = u^n, with M from
+        # mode_rhs, which test_matches_species_form_equations ties to the
+        # species equations
+        from vmlandau.lab import ExperimentConfig, init_data
+        cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
+                               outdir="/tmp/unused")
+        st = init_data(cfg, [0.0, 0.3, 0.4], grid11)
+        h = integrate_mode(st, StepperConfig(dt=dt, lin_tol=lin_tol), 4 * dt, op11,
+                           sample_interval=dt)
+        assert len(h.frames) == 5
+        eps = np.finfo(float).eps
+        for s0, s1 in zip(h.frames, h.frames[1:]):
+            star = ModeState(s0.k, TwoSpeciesField(0.5 * (s0.fhat.values + s1.fhat.values),
+                                                   grid11),
+                             0.5 * (s0.Ehat + s1.Ehat), 0.5 * (s0.Bhat + s1.Bhat), s0.t)
+            df, dE, dB = mode_rhs(star, op11)
+            a_m = 0.5 * dt * np.concatenate([df.values.reshape(-1), dE, dB])
+            u0, u_star = mode._flatten(s0), mode._flatten(star)
+            residual = np.linalg.norm(u_star - a_m - u0)
+            # GMRES stops at lin_tol |u^n| on the true residual; forming u^{n+1}
+            # and u* back from the solution and evaluating M add roundoff
+            roundoff = 1e3 * eps * (np.linalg.norm(u_star) + np.linalg.norm(a_m))
+            assert residual <= lin_tol * np.linalg.norm(u0) + roundoff
 
     def test_imex_euler_first_order(self, op11, grid11):
         from vmlandau.lab import ExperimentConfig, init_data
@@ -246,7 +290,7 @@ class TestSolverGuards:
     def test_gmres_failure_reports_residual_and_iterations(self, op11, grid11, monkeypatch,
                                                             scheme, what):
         # a zero preconditioner gives GMRES no direction, so no iterate lowers the residual
-        monkeypatch.setattr(mode._BlockSolver, "precondition",
+        monkeypatch.setattr(mode._ModeSolve, "precondition",
                             lambda self, x: np.zeros_like(x))
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
         cfg = StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8)
@@ -268,16 +312,16 @@ class TestSolverGuards:
     def test_every_K_application_is_an_iteration_or_the_state_one(self, op11, grid11,
                                                                   monkeypatch, scheme):
         from vmlandau._conv import LatticeConvolver
-        pre_calls = {}          # solver -> precondition calls, in first-call order
+        pre_calls = [0]
         last_z = [None]
         on_z = [0]
         conv_calls = [0]
-        precondition = mode._BlockSolver.precondition
+        precondition = mode._ModeSolve.precondition
         k_part = type(op11).k_part
         apply_vector = LatticeConvolver.apply_vector
 
         def counted_precondition(self, x):
-            pre_calls[self] = pre_calls.get(self, 0) + 1
+            pre_calls[0] += 1
             last_z[0] = precondition(self, x)
             return last_z[0]
 
@@ -289,14 +333,14 @@ class TestSolverGuards:
             conv_calls[0] += 1
             return apply_vector(self, v3)
 
-        monkeypatch.setattr(mode._BlockSolver, "precondition", counted_precondition)
+        monkeypatch.setattr(mode._ModeSolve, "precondition", counted_precondition)
         monkeypatch.setattr(type(op11), "k_part", counted_k_part)
         monkeypatch.setattr(LatticeConvolver, "apply_vector", counted_apply_vector)
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
         h = integrate_mode(st, StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8), 0.3, op11)
         steps = len(h.times) - 1
-        assert len(pre_calls) == 2
-        s_calls = next(iter(pre_calls.values()))   # the sum block is solved first
+        assert pre_calls[0] == h.solve_iters.sum()
+        s_calls = h.solve_iters[:, 0].sum()
         assert s_calls >= steps
         assert conv_calls[0] == s_calls + steps + 1
         # each K inside a solve acts on the vector its ILU solve just returned
@@ -309,11 +353,9 @@ class TestBlockSolver:
         return assemble_L(build_grid(6.0, 9), params)
 
     def _sum_solver(self, op, a, lin_tol=1e-8):
-        g = op.grid
-        xik = mode._xi_dot(g, np.array([0.0, 0.3, 0.4]))
-        gen = lambda s: mode._sum_block(s, op, xik)
-        return mode._BlockSolver(gen, a, mode._DiagonalILU(op.A_sparse, a, xik), g.size,
-                                 lin_tol, "implicit solve"), gen
+        solver = mode._ModeSolve(op, np.array([0.0, 0.3, 0.4]), a, lin_tol,
+                                 "implicit solve", mode._SQRT2)
+        return solver, solver.sum_block
 
     def _counted(self, monkeypatch, solver):
         calls = [0]
@@ -337,7 +379,7 @@ class TestBlockSolver:
         for restart in (50, 3):
             for gen_guess in (None, gen(guess)):
                 calls[0] = 0
-                x, iters, relres = solver.solve(rhs, guess, gen_guess, restart=restart)
+                x, iters, relres = solver.solve(gen, rhs, guess, gen_guess, restart=restart)
                 res = np.linalg.norm(rhs - (x - a * gen(x)))
                 assert res <= 1e-8 * np.linalg.norm(rhs)
                 assert iters == calls[0]
@@ -348,9 +390,8 @@ class TestBlockSolver:
     def test_zero_rhs_returns_zeros_without_iterating(self, op9, monkeypatch):
         solver, _ = self._sum_solver(op9, 0.5)
         calls = self._counted(monkeypatch, solver)
-        monkeypatch.setattr(solver, "gen", None)   # any application would raise
         zero = np.zeros(op9.grid.size, dtype=complex)
-        x, iters, relres = solver.solve(zero, zero)
+        x, iters, relres = solver.solve(None, zero, zero)   # any application would raise
         assert calls[0] == 0
         assert np.array_equal(x, zero) and (iters, relres) == (0, 0.0)
 
@@ -409,13 +450,13 @@ class TestPreconditionerQuality:
         from vmlandau.lab import ExperimentConfig, init_data
         op = request.getfixturevalue("op13" if n == 13 else "op17")
         calls = [0]
-        precondition = mode._BlockSolver.precondition
+        precondition = mode._ModeSolve.precondition
 
         def counted(self, x):
             calls[0] += 1
             return precondition(self, x)
 
-        monkeypatch.setattr(mode._BlockSolver, "precondition", counted)
+        monkeypatch.setattr(mode._ModeSolve, "precondition", counted)
         cfg = ExperimentConfig(R=op.grid.R, n=n, family="mixed", shells=(kz,), outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.0, kz], op.grid)
         h = integrate_mode(st, StepperConfig(dt=dt, scheme=scheme, lin_tol=1e-8), T, op)
