@@ -3,8 +3,8 @@
 File layout (little-endian):
     magic     8 bytes   b"VMLCK001"
     header    R float64, n int32, gamma float64, c_phi float64
-    records   repeated: k (3 float64), t (float64), fhat (2*n^3 complex128),
-              Ehat (3 complex128), Bhat (3 complex128)
+    records   repeated: k (3 float64), t (float64), the state's flat() vector
+              (f_+, f_-, E, B: 2*n^3 + 6 complex128)
 
 Raw array bytes are written verbatim, so a write/read cycle reproduces every
 float bit-for-bit and a restart from any record continues the run exactly.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TwoSpeciesField, VelocityGrid, build_grid
+from .grid import VelocityGrid, build_grid
 from .mode import ModeState
 
 __all__ = ["CheckpointWriter", "read_checkpoint", "CheckpointFile"]
@@ -26,23 +26,25 @@ MAGIC = b"VMLCK001"
 _HEADER = struct.Struct("<dIdd")
 
 
+def _record(n: int) -> np.dtype:
+    """One record of a grid with n points per axis."""
+    return np.dtype([("k", "<f8", 3), ("t", "<f8"), ("u", "<c16", 2 * n ** 3 + 6)])
+
+
 class CheckpointWriter:
     """Appends mode-state records to one checkpoint file."""
 
     def __init__(self, path, grid: VelocityGrid, gamma: float, c_phi: float):
         self.path = path
-        self.grid = grid
+        self._dtype = _record(grid.n)
         self._fh = open(path, "wb")
         self._fh.write(MAGIC)
         self._fh.write(_HEADER.pack(grid.R, grid.n, gamma, c_phi))
 
     def append(self, state: ModeState) -> None:
-        fh = self._fh
-        fh.write(np.asarray(state.k, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", state.t))
-        fh.write(np.ascontiguousarray(state.fhat.values, dtype="<c16").tobytes())
-        fh.write(np.asarray(state.Ehat, dtype="<c16").tobytes())
-        fh.write(np.asarray(state.Bhat, dtype="<c16").tobytes())
+        rec = np.empty((), self._dtype)
+        rec["k"], rec["t"], rec["u"] = state.k, state.t, state.flat()
+        self._fh.write(rec)
 
     def close(self) -> None:
         self._fh.close()
@@ -77,21 +79,11 @@ def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
             grid = build_grid(R, n)
         elif grid.n != n or grid.R != R:
             raise ValueError(f"{path}: grid mismatch (file has R={R}, n={n})")
-        n3 = n ** 3
-        rec_bytes = 3 * 8 + 8 + (2 * n3 + 6) * 16
+        rec = _record(n)
         states = []
-        while True:
-            blob = fh.read(rec_bytes)
-            if not blob:
-                break
-            if len(blob) != rec_bytes:
+        while blob := fh.read(rec.itemsize):
+            if len(blob) != rec.itemsize:
                 raise ValueError(f"{path}: truncated record")
-            k = np.frombuffer(blob, dtype="<f8", count=3, offset=0).copy()
-            (t,) = struct.unpack_from("<d", blob, 24)
-            fvals = np.frombuffer(blob, dtype="<c16", count=2 * n3, offset=32)
-            off = 32 + 2 * n3 * 16
-            E = np.frombuffer(blob, dtype="<c16", count=3, offset=off).copy()
-            B = np.frombuffer(blob, dtype="<c16", count=3, offset=off + 48).copy()
-            f = TwoSpeciesField(fvals.reshape(2, n3).copy(), grid)
-            states.append(ModeState(k, f, E, B, t))
+            r = np.frombuffer(blob, dtype=rec)[0]
+            states.append(ModeState.from_flat(r["k"], r["u"], grid, float(r["t"])))
     return CheckpointFile(R=R, n=n, gamma=gamma, c_phi=c_phi, states=states)

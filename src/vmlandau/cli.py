@@ -21,8 +21,8 @@ import numpy as np
 
 from .collision import CollisionParams, assemble_L, sigma_field
 from .grid import TwoSpeciesField, build_grid, inner_product
-from .lab import (ExperimentConfig, _fmt, decay_fit, load_archive, parse_config, report,
-                  run_mode, run_sweep, synthesize_norms)
+from .lab import (ConfigError, ExperimentConfig, _fmt, decay_fit, load_archive, parse_config,
+                  report, run_mode, run_sweep, synthesize_norms)
 from .macro import project_P
 from .weights import WeightSpec, characterization_norm, dissipation_norm
 
@@ -34,6 +34,14 @@ def _parse_vec(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
     return np.array(parts)
+
+
+def _parse_window(text: str) -> tuple:
+    """A fit window "t1,t2" with t2 > t1."""
+    window = tuple(float(x) for x in text.split(","))
+    if len(window) != 2 or not window[1] > window[0]:
+        raise argparse.ArgumentTypeError(f"expected a window t1,t2 with t2 > t1, got {text!r}")
+    return window
 
 
 def cmd_sigma_table(args) -> int:
@@ -160,7 +168,7 @@ def _decay_fits(args, ms):
             print(f"  mode {f['mode']} failed: {f['error']}", file=sys.stderr)
         return archive, None
     shells = len({round(float(np.linalg.norm(k)), 12) for k, _ in archive.k_set})
-    return archive, [decay_fit(times, series, tuple(args.window), m=m, shells_used=shells)
+    return archive, [decay_fit(times, series, args.window, m=m, shells_used=shells)
                      for m, (times, series) in zip(ms, norms)]
 
 
@@ -229,22 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fit", help="fit a decay exponent from an archive")
     s.add_argument("--archive", required=True)
     s.add_argument("--m", type=int, default=0)
-    s.add_argument("--window", type=lambda s_: tuple(float(x) for x in s_.split(",")),
-                   default=(20.0, 200.0))
+    s.add_argument("--window", type=_parse_window, default=(20.0, 200.0))
     s.set_defaults(func=cmd_fit)
 
     s = sub.add_parser("report", help="write fit summary and manifest")
     s.add_argument("--archive", required=True)
     s.add_argument("--m", type=int, nargs="+", default=[0, 1])
-    s.add_argument("--window", type=lambda s_: tuple(float(x) for x in s_.split(",")),
-                   default=(20.0, 200.0))
+    s.add_argument("--window", type=_parse_window, default=(20.0, 200.0))
     s.set_defaults(func=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"vml: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

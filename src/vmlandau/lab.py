@@ -105,7 +105,9 @@ class ExperimentConfig:
         try:
             self.collision_params()
             check_grid_parameters(self.R, self.n)
-            self.stepper().steps(self.T)
+            stepper = self.stepper()
+            for name in ("T", "save_interval", "checkpoint_interval"):
+                stepper.steps(getattr(self, name), name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -349,12 +351,11 @@ def run_mode(cfg: ExperimentConfig, idx: int, kvec, op: LinearizedOperator):
     state0 = init_data(cfg, kvec, op.grid)
     ckpt_path = outdir / f"mode_{idx:04d}.ckpt"
     writer = CheckpointWriter(ckpt_path, op.grid, cfg.gamma, cfg.c_phi)
-    interval = cfg.checkpoint_interval if cfg.checkpoint_interval > 0 else None
     try:
         with writer:
             hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
-                                  sample_interval=cfg.save_interval,
-                                  checkpoint=writer, checkpoint_interval=interval)
+                                  sample_interval=cfg.save_interval, checkpoint=writer,
+                                  checkpoint_interval=cfg.checkpoint_interval)
         rep = mode_energy_report(hist, cfg.ell, op)
         csv_path = outdir / f"mode_{idx:04d}.csv"
         csv_path.write_text(_mode_csv_text(rep))

@@ -37,6 +37,10 @@ the sum block's initial residual a (G s^n), so a step applies K once per
 sum-block iteration plus once.  Every value carried across a step is a
 function of u^n alone, so a restarted run reproduces an uninterrupted one
 bitwise.
+
+A run records by step index, StepperConfig.steps being the one time-to-steps
+rule, and its solver vector, frames and checkpoint records share one layout,
+ModeState.flat() = (f_+, f_-, E, B).
 """
 
 from __future__ import annotations
@@ -97,18 +101,24 @@ class ModeState:
         self.Ehat = np.asarray(self.Ehat, dtype=complex).reshape(3)
         self.Bhat = np.asarray(self.Bhat, dtype=complex).reshape(3)
 
-    def charge_moment(self) -> complex:
-        return _charge(self.fhat.grid, self.fhat.values)
-
     def gauss_residuals(self):
         """|i k.E - charge| and |i k.B|."""
-        res_e = abs(1j * (self.k @ self.Ehat) - self.charge_moment())
-        res_b = abs(1j * (self.k @ self.Bhat))
-        return res_e, res_b
+        return _gauss(self.fhat.grid, self.k, self.fhat.values, self.Ehat, self.Bhat)
 
     def copy(self) -> "ModeState":
-        return ModeState(self.k.copy(), self.fhat.copy(),
-                         self.Ehat.copy(), self.Bhat.copy(), self.t)
+        return ModeState.from_flat(self.k, self.flat(), self.fhat.grid, self.t)
+
+    def flat(self) -> np.ndarray:
+        """(f_+, f_-, E, B) as one 2 n^3 + 6 vector: the solver's and the checkpoint's layout."""
+        return np.concatenate([self.fhat.values.reshape(-1), self.Ehat, self.Bhat])
+
+    @classmethod
+    def from_flat(cls, k, u: np.ndarray, grid, t: float) -> "ModeState":
+        """The state at k and t whose flat() is a copy of u."""
+        n3 = grid.size
+        f = TwoSpeciesField(u[:2 * n3].reshape(2, n3).copy(), grid)
+        return cls(np.array(k, dtype=float), f, u[2 * n3:2 * n3 + 3].copy(),
+                   u[2 * n3 + 3:].copy(), t)
 
 
 @dataclass(frozen=True)
@@ -133,11 +143,13 @@ class StepperConfig:
         """Weight a of the implicit solves (I - a M): dt/2 for imex-midpoint, dt for imex-euler."""
         return 0.5 * self.dt if self.scheme == "imex-midpoint" else self.dt
 
-    def steps(self, T: float) -> int:
-        """T / dt, which must be a whole number (to 1e-9 relative), else ValueError."""
-        nsteps = int(round(T / self.dt))
-        if abs(nsteps * self.dt - T) > 1e-9 * max(T, self.dt):
-            raise ValueError(f"T = {T!r} is not a whole number of steps of dt = {self.dt!r}")
+    def steps(self, x: float, name: str = "T") -> int:
+        """x / dt, which must be a whole (to 1e-9 relative), non-negative count, else ValueError."""
+        if x < 0:
+            raise ValueError(f"{name} = {x!r} must not be negative")
+        nsteps = int(round(x / self.dt))
+        if abs(nsteps * self.dt - x) > 1e-9 * max(x, self.dt):
+            raise ValueError(f"{name} = {x!r} is not a whole number of steps of dt = {self.dt!r}")
         return nsteps
 
 
@@ -151,6 +163,11 @@ def _charge(g, f: np.ndarray) -> complex:
     return complex(_moment_rows(g)[0] @ (f[0] - f[1]))
 
 
+def _gauss(g, k: np.ndarray, f: np.ndarray, E: np.ndarray, B: np.ndarray):
+    """Gauss residuals |i k.E - charge| and |i k.B| of a (2, n^3) block f and fields E, B."""
+    return abs(1j * (k @ E) - _charge(g, f)), abs(1j * (k @ B))
+
+
 def _current(g, d: np.ndarray) -> np.ndarray:
     """<xi sqrt(mu), d> of one n^3 block; the current is sqrt2 times it at d = (f_+ - f_-)/sqrt2."""
     return _moment_rows(g)[1:4] @ d
@@ -162,25 +179,14 @@ def _sum_diff(u: np.ndarray, n3: int) -> np.ndarray:
     return np.concatenate([(f0 + f1) / _SQRT2, (f0 - f1) / _SQRT2, u[2 * n3:]])
 
 
-def _flatten(state: ModeState) -> np.ndarray:
-    return np.concatenate([state.fhat.values.reshape(-1), state.Ehat, state.Bhat])
-
-
-def _unflatten(u: np.ndarray, template: ModeState, t: float) -> ModeState:
-    n3 = template.fhat.grid.size
-    f = TwoSpeciesField(u[:2 * n3].reshape(2, n3).copy(), template.fhat.grid)
-    return ModeState(template.k.copy(), f, u[2 * n3:2 * n3 + 3].copy(),
-                     u[2 * n3 + 3:].copy(), t)
-
-
 def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
     n3 = op.grid.size
     ms = _ModeSolve(op, state.k, 0.0, 0.0, "mode_rhs", _SQRT2)   # never solves: builds no D-ILU
-    u = _sum_diff(_flatten(state), n3)
+    u = _sum_diff(state.flat(), n3)
     du = np.concatenate([ms.sum_block(u[:n3]), ms.diff_block(u[n3:])])
-    d = _unflatten(_sum_diff(du, n3), state, state.t)
+    d = ModeState.from_flat(state.k, _sum_diff(du, n3), state.fhat.grid, state.t)
     return d.fhat, d.Ehat, d.Bhat
 
 
@@ -402,50 +408,47 @@ def _one_blas_thread():
 
 @_one_blas_thread()
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
-                   op: LinearizedOperator, *, sample_interval: float = 1.0,
-                   checkpoint=None, checkpoint_interval: Optional[float] = None,
+                   op: LinearizedOperator, *, sample_interval: float = 0.0,
+                   checkpoint=None, checkpoint_interval: float = 0.0,
                    couple_kinetic: bool = True) -> ModeHistory:
     """Evolve a mode to time T at uniform dt; returns per-step scalars and frames.
 
-    T must be a whole number of steps dt (to 1e-9 relative), else ValueError.
+    T and the intervals must be whole numbers of steps (cfg.steps).  Frames
+    fall on the multiples of the sample interval's steps, and, given a
+    ``checkpoint`` (a CheckpointWriter), records on the checkpoint interval's;
+    both hold the first and the last state, and a 0 interval only those.
     Initial data must satisfy the Gauss constraints to within
-    cfg.constraint_tol; k = 0 additionally requires charge-neutral data.
+    cfg.constraint_tol, which at k = 0 asks for charge-neutral data.
     Constraint drift during the run is recorded in the gauss_E and gauss_B
-    series without aborting.  If ``checkpoint`` (a CheckpointWriter) is
-    given, full states are appended every ``checkpoint_interval`` time units
-    and at the end; a sample_interval <= 0 or checkpoint_interval < 0 raises
-    ValueError.  ``couple_kinetic=False`` drops the field-kinetic coupling
-    terms (E.xi sqrt(mu) q1 and the current), leaving the decoupled Maxwell
-    rotation plus collisional transport; that subsystem has closed-form
-    oscillatory solutions used by conservation tests.
+    series without aborting.  ``couple_kinetic=False`` drops the
+    field-kinetic coupling terms (E.xi sqrt(mu) q1 and the current), leaving
+    the decoupled Maxwell rotation plus collisional transport; that subsystem
+    has closed-form oscillatory solutions used by conservation tests.
 
     The run holds every loaded OpenBLAS at one thread, restoring the caller's
     counts on return: OpenBLAS threads dot products and norms above 10^4
     entries, which would make the bits at n >= 23 depend on the caller.
     """
     op.grid.check_same(state0.fhat.grid)
-    if not (sample_interval > 0 and (checkpoint_interval or 0.0) >= 0):
-        raise ValueError(f"sample_interval {sample_interval!r} must be positive and "
-                         f"checkpoint_interval {checkpoint_interval!r} not negative")
     g = op.grid
     k = state0.k
     res_e, res_b = state0.gauss_residuals()
     if res_e > cfg.constraint_tol or res_b > cfg.constraint_tol:
         raise ValueError(f"initial Gauss residuals ({res_e:.2e}, {res_b:.2e}) "
                          f"exceed constraint tolerance {cfg.constraint_tol:.2e}")
-    if np.all(k == 0.0) and abs(state0.charge_moment()) > cfg.constraint_tol:
-        raise ValueError("k = 0 modes require charge-neutral initial data")
 
     nsteps = cfg.steps(T)
     if nsteps > cfg.max_steps:
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
+    sample_every = cfg.steps(sample_interval, "sample_interval") or nsteps
+    ckpt_every = cfg.steps(checkpoint_interval, "checkpoint_interval") or nsteps
     midpoint = cfg.scheme == "imex-midpoint"
     n3 = g.size
     ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol,
                     "implicit solve" if midpoint else "kinetic solve",
                     _SQRT2 if couple_kinetic else 0.0)
 
-    u = _flatten(state0)
+    u = state0.flat()
     times, energy, diss, gauss_e, gauss_b = (np.empty(nsteps + 1) for _ in range(5))
     iters = np.zeros((nsteps, 2), dtype=int)
     resid = np.zeros((nsteps, 2))
@@ -456,21 +459,17 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         s, d = v[:n3], v[n3:2 * n3]
         Ls = op.A_sparse @ s + 2.0 * op.k_part(s)
         f = uvec[:2 * n3].reshape(2, n3)
-        E, B = uvec[2 * n3:2 * n3 + 3], uvec[2 * n3 + 3:]
         times[idx] = t
         energy[idx] = float(np.sum(g.weights * (np.abs(f) ** 2).sum(axis=0))
                             + np.sum(np.abs(uvec[2 * n3:]) ** 2))
         # <L f, f> in (s, d) form: the map is orthogonal
         diss[idx] = float(np.sum(g.weights * (Ls * np.conj(s)
                                               + (op.A_sparse @ d) * np.conj(d))).real)
-        gauss_e[idx] = abs(1j * (k @ E) - _charge(g, f))
-        gauss_b[idx] = abs(1j * (k @ B))
+        gauss_e[idx], gauss_b[idx] = _gauss(g, k, f, uvec[2 * n3:2 * n3 + 3], uvec[2 * n3 + 3:])
         return v, -1j * ms.xik * s - Ls
 
     v, gen_s = scalars(0, u, state0.t)
     frames = [state0.copy()]
-    next_sample = state0.t + sample_interval
-    next_ckpt = state0.t + checkpoint_interval if (checkpoint and checkpoint_interval) else None
     if checkpoint is not None:
         checkpoint.append(state0)
     for step in range(1, nsteps + 1):
@@ -490,17 +489,14 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                                 B + cfg.dt * (-1j * np.cross(k, E))])
         u = _sum_diff(v, n3)
         v, gen_s = scalars(step, u, t_new)
-        at_end = step == nsteps
-        if at_end or t_new >= next_sample - 1e-9 * cfg.dt:
-            frames.append(_unflatten(u, state0, t_new))
-            while next_sample <= t_new + 1e-9 * cfg.dt:
-                next_sample += sample_interval
-        if checkpoint is not None and (at_end or (next_ckpt is not None and
-                                                  t_new >= next_ckpt - 1e-9 * cfg.dt)):
-            checkpoint.append(_unflatten(u, state0, t_new))
-            if next_ckpt is not None:
-                while next_ckpt <= t_new + 1e-9 * cfg.dt:
-                    next_ckpt += checkpoint_interval
+        sample = step % sample_every == 0 or step == nsteps
+        record = checkpoint is not None and (step % ckpt_every == 0 or step == nsteps)
+        if sample or record:
+            state = ModeState.from_flat(k, u, state0.fhat.grid, t_new)
+            if sample:
+                frames.append(state)
+            if record:
+                checkpoint.append(state)
     return ModeHistory(k=k.copy(), times=times, energy=energy, dissipation=diss,
                        gauss_E=gauss_e, gauss_B=gauss_b, frames=frames,
                        solve_iters=iters, solve_residual=resid)

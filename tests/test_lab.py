@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import os
+import re
 import shutil
 import tempfile
 
@@ -132,8 +133,8 @@ class TestRunSweep:
         final = {}
         for count in (1, 2):
             with _blas_threads(count):
-                final[count] = mode._flatten(
-                    mode.integrate_mode(state0, cfg.stepper(), cfg.T, op23).frames[-1])
+                final[count] = mode.integrate_mode(state0, cfg.stepper(), cfg.T,
+                                                   op23).frames[-1].flat()
         assert np.array_equal(final[1], final[2])
 
     @needs_openblas
@@ -270,6 +271,14 @@ class TestCli:
         assert len(res["null_residuals"]) == 6
         assert max(res["null_residuals"]) <= 1e-12
 
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    @pytest.mark.parametrize("window", ["200,20", "1,2,3"])
+    def test_bad_window_is_a_usage_error(self, tmp_path, capsys, command, window):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--archive", str(tmp_path), "--window", window])
+        assert exc.value.code == 2
+        assert f"expected a window t1,t2 with t2 > t1, got '{window}'" in capsys.readouterr().err
+
     def test_fit_exits_1_when_inconclusive(self, sweeps, capsys):
         # T = 0.5 puts no sample inside the default window (20, 200)
         assert cli.main(["fit", "--archive", sweeps["1"].outdir]) == 1
@@ -350,6 +359,8 @@ class TestConfigText:
         ("dt", -1.0, "dt must be positive"),
         ("lin_tol", 0.0, "tolerances must be positive"),
         ("dt", 0.3, r"T = \S+ is not a whole number of steps of dt = 0\.3"),
+        ("save_interval", 0.3, r"save_interval = 0\.3 is not a whole number of steps of dt"),
+        ("checkpoint_interval", 0.1, r"checkpoint_interval = 0\.1 is not a whole number of steps"),
     ])
     def test_invalid_stepper_field_names_its_line(self, tmp_path, key, value, message):
         self._assert_names_line_3(tmp_path, key, value, message)
@@ -367,14 +378,30 @@ class TestConfigText:
         ("gamma", -1.5, "gamma must satisfy -3 <= gamma < -2"),
         ("c_phi", 0.0, "c_phi must be positive"),
     ])
-    def test_grid_or_kernel_that_cannot_be_built_names_its_line(self, tmp_path, key, value,
-                                                               message):
+    def test_grid_or_kernel_that_cannot_be_built_names_its_line(self, tmp_path, capsys, key,
+                                                               value, message):
         self._assert_names_line_3(tmp_path, key, value, message)
         run = tmp_path / "run"
         (tmp_path / "bad.cfg").write_text(f"n = 9\n{key} = {value}\noutdir = {run}\n")
-        with pytest.raises(lab.ConfigError, match=f"bad.cfg:2: {message}"):
-            cli.main(["decay-sweep", "--config", str(tmp_path / "bad.cfg")])
+        assert cli.main(["decay-sweep", "--config", str(tmp_path / "bad.cfg")]) == 2
+        assert re.match(f"vml: \\S*bad.cfg:2: {message}", capsys.readouterr().err)
         assert not run.exists()
+
+    def test_negative_T_names_its_line(self, tmp_path):
+        with pytest.raises(lab.ConfigError, match=r"T = -1\.0 must not be negative"):
+            lab.ExperimentConfig(T=-1.0)
+        path = tmp_path / "bad.cfg"
+        path.write_text("# a comment\nn = 9\nT = -1.0\n")
+        with pytest.raises(lab.ConfigError, match=r"bad.cfg:3: T = -1\.0 must not be negative"):
+            lab.parse_config(path)
+
+    def test_mode_run_whose_save_interval_does_not_fit_dt_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mode"
+        assert cli.main(["mode-run", "--k", "0,0,0.5", "--n", "9", "--T", "0.5", "--dt", "0.25",
+                         "--save-interval", "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("vml: save_interval = 0.3 is not a whole number of "
+                                           "steps of dt = 0.25\n")
+        assert not out.exists()
 
     @staticmethod
     def _assert_names_line_3(tmp_path, key, value, message):

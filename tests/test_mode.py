@@ -202,7 +202,7 @@ class TestIntegrateMode:
                              0.5 * (s0.Ehat + s1.Ehat), 0.5 * (s0.Bhat + s1.Bhat), s0.t)
             df, dE, dB = mode_rhs(star, op11)
             a_m = 0.5 * dt * np.concatenate([df.values.reshape(-1), dE, dB])
-            u0, u_star = mode._flatten(s0), mode._flatten(star)
+            u0, u_star = s0.flat(), star.flat()
             residual = np.linalg.norm(u_star - a_m - u0)
             # GMRES stops at lin_tol |u^n| on the true residual; forming u^{n+1}
             # and u* back from the solution and evaluating M add roundoff
@@ -254,16 +254,18 @@ class TestSolverGuards:
             integrate_mode(st, StepperConfig(dt=0.3), 1.0, op11)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ("sample_interval=0.0", "sample_interval 0.0 must be positive"),
-        ("sample_interval=-0.5", "sample_interval -0.5 must be positive"),
-        ("checkpoint_interval=-0.5", "checkpoint_interval -0.5 not negative"),
+        ("sample_interval=0.0", "frames [0.0, 0.2] records [0.0, 0.2]"),
+        ("checkpoint_interval=0.0", "frames [0.0, 0.2] records [0.0, 0.2]"),
+        ("sample_interval=-0.5", "sample_interval = -0.5 must not be negative"),
+        ("checkpoint_interval=-0.5", "checkpoint_interval = -0.5 must not be negative"),
     ])
     def test_interval_that_cannot_advance_is_rejected(self, tmp_path, kwargs, message):
         # a child process, so that an interval loop that never ends fails the
-        # test on its timeout instead of hanging the suite
+        # test on its timeout instead of hanging the suite; 0 keeps the first
+        # and the last state
         code = textwrap.dedent(f"""
             import numpy as np
-            from vmlandau.checkpoint import CheckpointWriter
+            from vmlandau.checkpoint import CheckpointWriter, read_checkpoint
             from vmlandau.collision import CollisionParams, assemble_L
             from vmlandau.grid import TwoSpeciesField, build_grid
             from vmlandau.mode import ModeState, StepperConfig, integrate_mode
@@ -271,11 +273,15 @@ class TestSolverGuards:
             op = assemble_L(g, CollisionParams(gamma=-3.0, c_phi=1.0))
             st = ModeState(np.array([0.0, 0.0, 1.0]), TwoSpeciesField.zero(g),
                            np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), 0.0)
-            with CheckpointWriter({str(tmp_path / "m.ckpt")!r}, g, -3.0, 1.0) as w:
+            path = {str(tmp_path / "m.ckpt")!r}
+            with CheckpointWriter(path, g, -3.0, 1.0) as w:
                 try:
-                    integrate_mode(st, StepperConfig(dt=0.1), 0.2, op, checkpoint=w, {kwargs})
+                    h = integrate_mode(st, StepperConfig(dt=0.1), 0.2, op, checkpoint=w, {kwargs})
                 except ValueError as exc:
                     print(exc)
+                    raise SystemExit
+            print("frames", [s.t for s in h.frames],
+                  "records", [s.t for s in read_checkpoint(path, g).states])
             """)
         try:
             out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -284,6 +290,24 @@ class TestSolverGuards:
             pytest.fail(f"integrate_mode(..., {kwargs}) did not return within 60 s")
         assert out.returncode == 0, out.stderr
         assert message in out.stdout
+
+    def test_negative_T_raises_the_steps_message(self, op11, grid11):
+        with pytest.raises(ValueError, match=r"T = -1\.0 must not be negative"):
+            integrate_mode(_zero_state(grid11, [0.0, 0.0, 1.0]), StepperConfig(dt=0.1), -1.0,
+                           op11)
+
+    def test_long_run_keeps_every_sample_and_record(self, params, tmp_path):
+        # 7,430 steps of dt = 0.1: sample times summed in floating point drift
+        # and drop one; step indices cannot
+        g = build_grid(6.0, 3)
+        op = assemble_L(g, params)
+        path = tmp_path / "m.ckpt"
+        with CheckpointWriter(path, g, -3.0, 1.0) as w:
+            h = integrate_mode(_zero_state(g, [0.0, 0.0, 1.0]), StepperConfig(dt=0.1), 743.0,
+                               op, sample_interval=0.1, checkpoint=w, checkpoint_interval=0.1)
+        want = [step * 0.1 for step in range(7431)]
+        assert [s.t for s in h.frames] == want
+        assert [s.t for s in read_checkpoint(path, g).states] == want
 
     @pytest.mark.parametrize("scheme, what", [("imex-midpoint", "implicit solve"),
                                               ("imex-euler", "kinetic solve")])
@@ -527,6 +551,30 @@ class TestCheckpoint:
             assert np.array_equal(back.fhat.values, orig.fhat.values)
             assert np.array_equal(back.Ehat, orig.Ehat)
             assert np.array_equal(back.Bhat, orig.Bhat)
+
+    def test_record_is_k_t_and_the_flat_state(self, grid11, tmp_path):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "mode.ckpt"
+        states = [ModeState(np.array([0.0, 0.5, 0.25]), random_field(grid11, rng),
+                            rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                            rng.standard_normal(3) + 1j * rng.standard_normal(3), t)
+                  for t in (0.0, 0.75)]
+        with CheckpointWriter(path, grid11, -3.0, 1.0) as w:
+            for st in states:
+                w.append(st)
+        header = 8 + 8 + 4 + 8 + 8   # magic, then R, n, gamma, c_phi
+        want = b"".join(st.k.astype("<f8").tobytes() + np.array(st.t, "<f8").tobytes()
+                        + st.flat().astype("<c16").tobytes() for st in states)
+        assert path.read_bytes()[header:] == want
+
+    def test_truncated_record_rejected(self, grid11, tmp_path):
+        path = tmp_path / "mode.ckpt"
+        with CheckpointWriter(path, grid11, -3.0, 1.0) as w:
+            for _ in range(2):
+                w.append(_zero_state(grid11, [0.0, 0.0, 1.0]))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated record"):
+            read_checkpoint(path, grid11)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"

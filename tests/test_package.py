@@ -42,3 +42,12 @@ def test_import_loads_neither_optimize_nor_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_benchmark_selfcheck_passes():
+    # the benchmark calls the program by name; a change that breaks one of
+    # those names fails here rather than only when the benchmark runs
+    root = Path(vmlandau.__file__).resolve().parents[2]
+    out = subprocess.run([sys.executable, str(root / "perfbench" / "selfcheck.py")],
+                         capture_output=True, text=True, cwd=root)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
