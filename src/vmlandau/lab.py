@@ -158,14 +158,16 @@ def parse_config(path) -> ExperimentConfig:
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:
-        # the first key, in file order, whose value makes the config invalid
+        # the first key, in file order, whose prefix fails as the whole file does;
+        # an earlier prefix may fail only against a default the file overrides
         prefix = {}
         for key, val in values.items():
             prefix[key] = val
             try:
                 ExperimentConfig(**prefix)
-            except ConfigError:
-                raise ConfigError(f"{path}:{lines[key]}: {exc}") from exc
+            except ConfigError as early:
+                if str(early) == str(exc):
+                    raise ConfigError(f"{path}:{lines[key]}: {exc}") from exc
         raise
 
 

@@ -9,13 +9,13 @@ State per mode: (k, fhat, Ehat, Bhat, t) with
 and the Gauss constraints i k.Ehat = <sqrt(mu), fhat_+ - fhat_-> and
 i k.Bhat = 0 monitored (never enforced) along the run.
 
-Two IMEX schemes are provided.  imex-midpoint solves (I - dt/2 M) u* = u^n to
-the configured tolerance and sets u^{n+1} = 2u* - u^n, which conserves the
-energy of the skew (transport/Maxwell/coupling) part exactly and dissipates
-2 dt <L f*, f*>, so mode energy is monotone up to solver tolerance at any dt.
-imex-euler treats L and the transport implicitly and the Maxwell coupling
-explicitly, with the current j evaluated at the new f so the discrete charge
-moment telescopes exactly.
+Both schemes take one implicit step: solve (I - a M) x = u^n to the configured
+tolerance, a = StepperConfig.implicit_weight(), and set u^{n+1} = 2x - u^n
+(imex-midpoint, a = dt/2: second order, conserving the skew part's energy and
+dissipating 2 dt <L x, x>) or x (imex-euler, a = dt: backward Euler, first
+order, dissipating a further |u^{n+1} - u^n|^2 and so damping light waves at a
+rate of about |k|^2 dt).  Either way mode energy is monotone up to solver
+tolerance at any dt, and i k.E - charge and i k.B are linear invariants.
 
 Since L f_pm = A f_pm + K (f_+ + f_-), both schemes solve in s, d =
 (f_+ +- f_-)/sqrt2.  The sum block -(i xi.k + A + 2K) s holds all of the
@@ -140,7 +140,9 @@ class StepperConfig:
             raise ValueError("tolerances must be positive")
 
     def implicit_weight(self) -> float:
-        """Weight a of the implicit solves (I - a M): dt/2 for imex-midpoint, dt for imex-euler."""
+        """Weight a of the step's solve (I - a M) x = u^n: dt/2 for imex-midpoint, dt
+        for imex-euler (backward Euler: first order, energy-monotone at any dt,
+        damping light waves at a rate of about |k|^2 dt)."""
         return 0.5 * self.dt if self.scheme == "imex-midpoint" else self.dt
 
     def steps(self, x: float, name: str = "T") -> int:
@@ -183,7 +185,7 @@ def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
     n3 = op.grid.size
-    ms = _ModeSolve(op, state.k, 0.0, 0.0, "mode_rhs", _SQRT2)   # never solves: builds no D-ILU
+    ms = _ModeSolve(op, state.k, 0.0, 0.0, _SQRT2)   # never solves: builds no D-ILU
     u = _sum_diff(state.flat(), n3)
     du = np.concatenate([ms.sum_block(u[:n3]), ms.diff_block(u[n3:])])
     d = ModeState.from_flat(state.k, _sum_diff(du, n3), state.fhat.grid, state.t)
@@ -256,12 +258,11 @@ class _ModeSolve:
     """
 
     def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float,
-                 what: str, couple: float):
+                 couple: float):
         self.op = op
         self.k = k
         self.a = a
         self.lin_tol = lin_tol
-        self.what = what
         self.couple = couple
         self.xik = _xi_dot(op.grid, k)
 
@@ -312,7 +313,7 @@ class _ModeSolve:
         iters = cycles = 0
         while beta > target:
             if cycles == _MAX_CYCLES:
-                raise RuntimeError(f"{self.what} failed to converge: relative residual "
+                raise RuntimeError(f"implicit solve failed to converge: relative residual "
                                    f"{beta / bnorm:.3e} against rtol {self.lin_tol:.1e} after "
                                    f"{iters} iterations")
             cycles += 1
@@ -413,6 +414,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                    couple_kinetic: bool = True) -> ModeHistory:
     """Evolve a mode to time T at uniform dt; returns per-step scalars and frames.
 
+    Each step solves (I - a M) x = u^n, a = cfg.implicit_weight(), sum block then
+    difference block, and sets u^{n+1} = 2x - u^n (imex-midpoint) or x (imex-euler).
     T and the intervals must be whole numbers of steps (cfg.steps).  Frames
     fall on the multiples of the sample interval's steps, and, given a
     ``checkpoint`` (a CheckpointWriter), records on the checkpoint interval's;
@@ -442,11 +445,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
     sample_every = cfg.steps(sample_interval, "sample_interval") or nsteps
     ckpt_every = cfg.steps(checkpoint_interval, "checkpoint_interval") or nsteps
-    midpoint = cfg.scheme == "imex-midpoint"
     n3 = g.size
-    ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol,
-                    "implicit solve" if midpoint else "kinetic solve",
-                    _SQRT2 if couple_kinetic else 0.0)
+    ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol, _SQRT2 if couple_kinetic else 0.0)
 
     u = state0.flat()
     times, energy, diss, gauss_e, gauss_b = (np.empty(nsteps + 1) for _ in range(5))
@@ -475,18 +475,9 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
         s, iters[step - 1, 0], resid[step - 1, 0] = ms.solve(ms.sum_block, v[:n3], v[:n3], gen_s)
-        if midpoint:
-            dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, v[n3:], v[n3:])
-            v = 2.0 * np.concatenate([s, dEB]) - v
-        else:
-            # implicit Euler in L + transport on d alone; E-coupling frozen at t_n;
-            # Maxwell update uses j(f^{n+1}) so the charge moment telescopes exactly
-            d, E, B = v[n3:2 * n3], v[2 * n3:2 * n3 + 3], v[2 * n3 + 3:]
-            rhs = d + ms.couple * cfg.dt * _xi_dot(g, E) * g.sqrt_mu
-            d_new, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.sparse_block, rhs, d)
-            j = ms.couple * _current(g, d_new)
-            v = np.concatenate([s, d_new, E + cfg.dt * (1j * np.cross(k, B) - j),
-                                B + cfg.dt * (-1j * np.cross(k, E))])
+        dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, v[n3:], v[n3:])
+        x = np.concatenate([s, dEB])
+        v = 2.0 * x - v if cfg.scheme == "imex-midpoint" else x
         u = _sum_diff(v, n3)
         v, gen_s = scalars(step, u, t_new)
         sample = step % sample_every == 0 or step == nsteps

@@ -28,6 +28,11 @@ def params_soft():
 
 
 @pytest.fixture(scope="session")
+def op9(params):
+    return assemble_L(build_grid(6.0, 9), params)
+
+
+@pytest.fixture(scope="session")
 def op11(grid11, params):
     return assemble_L(grid11, params)
 

@@ -358,12 +358,29 @@ class TestConfigText:
         ("scheme", "imex-bogus", "unknown scheme 'imex-bogus'"),
         ("dt", -1.0, "dt must be positive"),
         ("lin_tol", 0.0, "tolerances must be positive"),
-        ("dt", 0.3, r"T = \S+ is not a whole number of steps of dt = 0\.3"),
         ("save_interval", 0.3, r"save_interval = 0\.3 is not a whole number of steps of dt"),
         ("checkpoint_interval", 0.1, r"checkpoint_interval = 0\.1 is not a whole number of steps"),
     ])
     def test_invalid_stepper_field_names_its_line(self, tmp_path, key, value, message):
         self._assert_names_line_3(tmp_path, key, value, message)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("# a comment\nn = 9\ndt = 0.3\nT = 0.5\n", 4,
+         r"T = 0\.5 is not a whole number of steps of dt = 0\.3"),
+        ("dt = 0.3\nT = 0.9\nsave_interval = 0.5\n", 3,
+         r"save_interval = 0\.5 is not a whole number of steps of dt = 0\.3"),
+    ], ids=["T-after-dt", "save_interval-after-dt-and-T"])
+    def test_error_names_the_line_that_fails_as_the_file_does(self, tmp_path, text, line,
+                                                              message):
+        # the dt line's prefix fails too, but only against the default T = 100
+        # (and the T line's against the default save_interval = 1), with
+        # another message
+        with pytest.raises(lab.ConfigError, match=r"T = 100\.0 is not a whole number of steps"):
+            lab.ExperimentConfig(dt=0.3)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(lab.ConfigError, match=f"bad.cfg:{line}: {message}"):
+            lab.parse_config(path)
 
     @pytest.mark.parametrize("key, value", [("save_interval", 0.0), ("save_interval", -1.0),
                                             ("checkpoint_interval", -0.5)])
