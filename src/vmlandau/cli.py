@@ -22,7 +22,7 @@ import numpy as np
 from .collision import CollisionParams, assemble_L, sigma_field
 from .grid import TwoSpeciesField, build_grid, inner_product
 from .lab import (ConfigError, ExperimentConfig, _fmt, decay_fit, load_archive, parse_config,
-                  report, run_mode, run_sweep, synthesize_norms)
+                  report, run_orbit, run_sweep, shell_radius, synthesize_norms)
 from .macro import project_P
 from .weights import WeightSpec, characterization_norm, dissipation_norm
 
@@ -139,7 +139,7 @@ def cmd_mode_run(args) -> int:
                            shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
     Path(args.out).mkdir(parents=True, exist_ok=True)
     op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
-    csv_path, _, rep = run_mode(cfg, 0, args.k, op)
+    csv_path, _, rep = run_orbit(cfg, args.k, [(0, args.k)], op)[0]   # an orbit of one
     energy = rep.f_l2sq + rep.em_sq
     print(f"mode k={args.k} integrated to T={args.T}; "
           f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {csv_path}")
@@ -151,14 +151,19 @@ def cmd_decay_sweep(args) -> int:
     t0 = time.perf_counter()
     archive = run_sweep(cfg)
     report(archive)
-    print(f"sweep complete: {len(archive.mode_csvs)} modes, "
+    solves = len({shell_radius(k) for k, _ in archive.k_set})
+    print(f"sweep complete: {len(archive.mode_csvs)} modes from {solves} solves, "
           f"{len(archive.failures)} failures, {time.perf_counter() - t0:.0f}s; "
           f"archive at {archive.outdir}")
     return 0 if not archive.failures else 1
 
 
 def _decay_fits(args, ms):
-    """(archive, decay fit per m), or (archive, None) after printing to stderr why not."""
+    """(archive, decay fit per m), or (archive, None) after printing to stderr why not.
+
+    None when the norms cannot be synthesized or when the window's t2 lies
+    past the archive's last sample.
+    """
     archive = load_archive(args.archive)
     try:
         norms = [synthesize_norms(archive, m) for m in ms]
@@ -167,7 +172,12 @@ def _decay_fits(args, ms):
         for f in archive.failures:
             print(f"  mode {f['mode']} failed: {f['error']}", file=sys.stderr)
         return archive, None
-    shells = len({round(float(np.linalg.norm(k)), 12) for k, _ in archive.k_set})
+    last = float(norms[0][0][-1])
+    if args.window[1] > last:
+        print(f"the fit window ({args.window[0]:g}, {args.window[1]:g}) ends past the last "
+              f"sample of {archive.outdir}, at t = {last:g}", file=sys.stderr)
+        return archive, None
+    shells = len({shell_radius(k) for k, _ in archive.k_set})
     return archive, [decay_fit(times, series, args.window, m=m, shells_used=shells)
                      for m, (times, series) in zip(ms, norms)]
 

@@ -1,30 +1,39 @@
 """Experiment orchestration: k-shell sweeps, norm synthesis, decay fits, CSV.
 
-A sweep integrates one mode per (shell radius, direction) pair, streams the
-per-mode energy report to CSV (schema below), checkpoints raw states, and
-archives everything under a run directory.  Whole-space norms are synthesized
-by k-quadrature of the per-mode series; algebraic decay exponents come from
-log-log fits over a configured window.
+A sweep's k-set is (shell radius) x (axis direction).  The initial data is
+covariant (``init_data``): the data at k is the profile at |k| e3 carried to k
+by one proper rotation R(k-hat), which on an axis direction is a signed
+permutation of the velocity lattice.  L commutes with those permutations, so
+the directions of a shell form an orbit that shares one solve: the sweep
+integrates r e3 once per shell and writes every member's checkpoint records
+(node permutation, and rotation of E and B) and CSV (only k changes; every
+other column is rotation-invariant) from it.  A member's records satisfy its
+own implicit-step equation at its own k to the solver tolerance, and the
+members of an orbit succeed or fail together.  Per-mode series go to CSV
+(schema below), raw states to checkpoints, everything under one run directory.
+Whole-space norms are synthesized by k-quadrature of the per-mode series;
+algebraic decay exponents come from log-log fits over a configured window.
 
 Mode CSV schema (exact header):
     t,k1,k2,k3,f_l2sq,em_sq,micro_D,macro_abc,a_diff,E_term,B_term,rho_k,gauss_E,gauss_B
 Fit summary schema:
     m,sigma_hat,sigma_target,resid,t1,t2,n_shells
 
-Parallelism: modes are farmed to forked worker processes (the assembled
-operator is shared copy-on-write); VML_THREADS caps the worker count.  Each
-mode runs on one OpenBLAS thread (``mode._one_blas_thread``, held by
-``run_mode`` and by ``mode.integrate_mode``), so workers x BLAS threads never
+Parallelism: orbits, not modes, are farmed to forked worker processes (the
+assembled operator is shared copy-on-write); VML_THREADS caps the worker count.
+Each orbit runs on one OpenBLAS thread (``mode._one_blas_thread``, held by
+``run_orbit`` and by ``mode.integrate_mode``), so workers x BLAS threads never
 exceeds the worker count, and archive bytes depend neither on scheduling
 order, nor on the worker count, nor on the caller's BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +53,8 @@ __all__ = [
     "parse_config",
     "build_k_set",
     "init_data",
-    "run_mode",
+    "shell_radius",
+    "run_orbit",
     "run_sweep",
     "load_archive",
     "synthesize_norms",
@@ -96,8 +106,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("shell radii must be strictly increasing")
         object.__setattr__(self, "shells", radii)
-        if self.directions_per_shell not in (2, 6):
-            raise ConfigError("directions_per_shell must be 2 or 6 (axis directions)")
+        if self.directions_per_shell not in _DIRECTIONS:
+            raise ConfigError("directions_per_shell must be 1, 2 or 6 (axis directions)")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
         if not (self.save_interval > 0 and self.checkpoint_interval >= 0):
@@ -187,13 +197,15 @@ def _fmt(x: float) -> str:
 
 _AXES = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
                   [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+_DIRECTIONS = {1: _AXES[4:5], 2: _AXES[4:6], 6: _AXES}   # directions_per_shell -> axes
 
 
 def build_k_set(cfg: ExperimentConfig):
     """Radial-shell x axis-direction product set with k-quadrature weights.
 
     Weights approximate the full k-integral as (shell trapezoid in r) x
-    (4 pi r^2) x (uniform direction average).
+    (4 pi r^2) x (uniform direction average).  One direction per shell is
+    [r e3] with weight 4 pi r^2 dr.
     """
     radii = np.asarray(cfg.shells)
     if radii.size == 1:
@@ -203,7 +215,7 @@ def build_k_set(cfg: ExperimentConfig):
         dr[0] = (radii[1] - radii[0]) / 2.0
         dr[-1] = (radii[-1] - radii[-2]) / 2.0
         dr[1:-1] = (radii[2:] - radii[:-2]) / 2.0
-    dirs = _AXES if cfg.directions_per_shell == 6 else _AXES[4:6]
+    dirs = _DIRECTIONS[cfg.directions_per_shell]
     out = []
     for r, w_r in zip(radii, dr):
         shell_weight = 4.0 * np.pi * r * r * w_r / len(dirs)
@@ -212,17 +224,30 @@ def build_k_set(cfg: ExperimentConfig):
     return out
 
 
+def shell_radius(k) -> float:
+    """|k| rounded to 12 decimals: the key that groups a k-set into shells."""
+    return round(float(np.linalg.norm(k)), 12)
+
+
 def _envelope(k: np.ndarray) -> float:
     return float(np.exp(-0.5 * float(k @ k)))
 
 
-def _transverse_frame(k: np.ndarray):
-    khat = k / np.linalg.norm(k)
-    probe = np.eye(3)[int(np.argmin(np.abs(khat)))]
-    t1 = np.cross(khat, probe)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(khat, t1)
-    return khat, t1, t2
+def _frame(k: np.ndarray) -> np.ndarray:
+    """The proper rotation R(k-hat) that carries the profile at |k| e3 to k.
+
+    R e3 = k-hat; R e1 is the unit part of e_(a+1) orthogonal to k-hat, with a
+    the index of k-hat's largest component; R e2 = R e3 x R e1.  R = I at
+    k = 0 and on +e3, and on every axis direction R is a signed permutation.
+    """
+    knorm = float(np.linalg.norm(k))
+    if knorm == 0.0:
+        return np.eye(3)
+    khat = k / knorm
+    e = np.eye(3)[(int(np.argmax(np.abs(khat))) + 1) % 3]
+    c1 = e - (e @ khat) * khat
+    c1 /= np.linalg.norm(c1)
+    return np.column_stack([c1, np.cross(khat, c1), khat])
 
 
 def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
@@ -231,18 +256,26 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     Every family satisfies the per-mode compatibility conditions
     i k.E = <sqrt(mu), f_+ - f_-> and i k.B = 0 exactly; amplitudes carry the
     fixed Gaussian envelope exp(-|k|^2 / 2) standing in for smooth integrable
-    whole-space data.
+    whole-space data.  The data is covariant: it is the profile at |k| e3
+    carried to k by R = ``_frame(k)``, which acts on xi (the micro polynomial
+    is evaluated at R^T xi, the macro b goes to R b) and on E and B as
+    vectors.  On an axis direction R is a lattice symmetry, so there the data
+    equals the node-permuted, vector-rotated data at |k| e3 to roundoff; on
+    +e3, R = I.
     """
     k = np.asarray(k, dtype=float).reshape(3)
     amp = cfg.amplitude * _envelope(k)
-    xi = grid.xi
+    R = _frame(k)
+    xi = R.T @ grid.xi
     smu = grid.sqrt_mu
     proj = _projector(grid)
     zero3 = np.zeros(3, dtype=complex)
     knorm = float(np.linalg.norm(k))
+    # the profile's frame at e3 is (e3, e2, -e1): its image under R
+    khat, t1, t2 = R[:, 2], R[:, 1], -R[:, 0]
 
     def macro_field(a_plus, a_minus, b, c):
-        return TwoSpeciesField(proj.reconstruct(np.array([a_plus, a_minus, *b, c])), grid)
+        return TwoSpeciesField(proj.reconstruct(np.array([a_plus, a_minus, *(R @ b), c])), grid)
 
     def micro_field(scale):
         raw = TwoSpeciesField.from_species(
@@ -255,7 +288,6 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     if cfg.family == "maxwell-vacuum":
         if knorm == 0.0:
             raise ConfigError("maxwell-vacuum family requires k != 0")
-        _, t1, t2 = _transverse_frame(k)
         E = amp * (t1 + 0.5j * t2)
         B = np.cross(k, E) / knorm
         return ModeState(k, TwoSpeciesField.zero(grid), E, B, 0.0)
@@ -272,7 +304,6 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
         f = macro_field(amp, amp, amp * np.array([0.4, 0.2, 0.5]), 0.3 * amp)
         f = f + micro_field(0.7 * amp)
         return ModeState(k, f, zero3.copy(), zero3.copy(), 0.0)
-    khat, t1, t2 = _transverse_frame(k)
     delta = 0.5 * amp
     f = macro_field(amp + delta, amp - delta, amp * np.array([0.4, 0.2, 0.5]), 0.3 * amp)
     f = f + micro_field(0.7 * amp)
@@ -332,6 +363,95 @@ def _mode_csv_text(rep: ModeEnergyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _LatticeRotation:
+    """A rotation Q of k-space that maps the velocity lattice onto itself.
+
+    Q must be a signed permutation (to 1e-12), else ValueError.  ``state``
+    carries a mode state to Q k: f(xi) -> f(Q^T xi), a permutation of the
+    nodes, and E, B -> Q E, Q B.  Entries are moved and negated, never
+    rounded, so the identity map reproduces a state bit for bit.
+    """
+
+    def __init__(self, Q: np.ndarray, grid: VelocityGrid):
+        Qi = np.rint(Q).astype(int)
+        if not (np.abs(Q - Qi).max() <= 1e-12 and np.all(np.abs(Qi).sum(axis=0) == 1)
+                and np.all(np.abs(Qi).sum(axis=1) == 1)):
+            raise ValueError(f"rotation {Q.tolist()} does not map the velocity lattice onto itself")
+        self.perm = np.abs(Qi).argmax(axis=1)              # (Q v)_i = +-v_perm[i]
+        self.flip = Qi[np.arange(3), self.perm] < 0
+        n, mid = grid.n, (grid.n - 1) // 2
+        offsets = np.indices((n, n, n)).reshape(3, -1) - mid
+        self.nodes = np.ravel_multi_index(Qi.T @ offsets + mid, (n, n, n))
+        self.grid = grid
+
+    def vector(self, v: np.ndarray) -> np.ndarray:
+        out = v[self.perm]
+        out[self.flip] = -out[self.flip]
+        return out
+
+    def state(self, st: ModeState, k: np.ndarray) -> ModeState:
+        f = TwoSpeciesField(st.fhat.values[:, self.nodes], self.grid)
+        return ModeState(k, f, self.vector(st.Ehat), self.vector(st.Bhat), st.t)
+
+
+class _OrbitCheckpoint:
+    """Appends each record of an orbit's run, carried to each member, to the member's checkpoint."""
+
+    def __init__(self, members):
+        self.members = members    # (CheckpointWriter, _LatticeRotation, member k)
+
+    def append(self, state: ModeState) -> None:
+        for writer, rotation, k in self.members:
+            writer.append(rotation.state(state, k))
+
+
+@_one_blas_thread()
+def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
+    """Integrate the configured data at ``k`` to cfg.T once; write every member's files from it.
+
+    ``members`` are (idx, kvec) pairs, each kvec = Q k for a lattice symmetry
+    Q = R(kvec) R(k)^T, R = ``_frame`` (k itself is the member with Q = I).
+    Since the data is covariant and L commutes with Q, Q carries the run at k
+    to the run at kvec.  Into the existing directory cfg.outdir it writes,
+    per member (4-digit idx), ``mode_<idx>.ckpt``, the run's records carried
+    by Q as the run goes, and ``mode_<idx>.csv``, the run's report with only
+    k changed, every other column being rotation-invariant.  Returns
+    (csv path, checkpoint path, report) per member.  Runs on one BLAS thread.
+    The members fail together: an exception carries ``exc.checkpoints``, the
+    checkpoint paths opened before it, keyed by idx.
+    """
+    outdir = Path(cfg.outdir)
+    k = np.asarray(k, dtype=float).reshape(3)
+    opened = {}
+    try:
+        frame = _frame(k)
+        targets = [(idx, np.asarray(kvec, dtype=float).reshape(3)) for idx, kvec in members]
+        rotations = [_LatticeRotation(_frame(kvec) @ frame.T, op.grid) for _, kvec in targets]
+        state0 = init_data(cfg, k, op.grid)
+        with contextlib.ExitStack() as stack:
+            writers = []
+            for (idx, kvec), rotation in zip(targets, rotations):
+                path = outdir / f"mode_{idx:04d}.ckpt"
+                writer = stack.enter_context(CheckpointWriter(path, op.grid, cfg.gamma, cfg.c_phi))
+                opened[idx] = str(path)
+                writers.append((writer, rotation, kvec))
+            hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
+                                  sample_interval=cfg.save_interval,
+                                  checkpoint=_OrbitCheckpoint(writers),
+                                  checkpoint_interval=cfg.checkpoint_interval)
+        rep = mode_energy_report(hist, cfg.ell, op)
+        out = []
+        for idx, kvec in targets:
+            member = replace(rep, k=kvec)
+            csv_path = outdir / f"mode_{idx:04d}.csv"
+            csv_path.write_text(_mode_csv_text(member))
+            out.append((str(csv_path), opened[idx], member))
+    except Exception as exc:
+        exc.checkpoints = opened
+        raise
+    return out
+
+
 _WORKER_CTX: dict = {}
 
 
@@ -340,40 +460,15 @@ def _worker_init(cfg, op):
     _WORKER_CTX["op"] = op
 
 
-@_one_blas_thread()
-def run_mode(cfg: ExperimentConfig, idx: int, kvec, op: LinearizedOperator):
-    """Integrate the configured data at wavevector ``kvec`` to cfg.T.
-
-    Writes ``mode_<idx>.ckpt`` and ``mode_<idx>.csv`` (4-digit idx) into the
-    existing directory cfg.outdir; returns their paths and the energy report.
-    Runs on one BLAS thread.  An exception raised once the checkpoint is open
-    carries its path as ``exc.checkpoint``.
-    """
-    outdir = Path(cfg.outdir)
-    state0 = init_data(cfg, kvec, op.grid)
-    ckpt_path = outdir / f"mode_{idx:04d}.ckpt"
-    writer = CheckpointWriter(ckpt_path, op.grid, cfg.gamma, cfg.c_phi)
+def _run_one_orbit(job):
+    k, members = job
     try:
-        with writer:
-            hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
-                                  sample_interval=cfg.save_interval, checkpoint=writer,
-                                  checkpoint_interval=cfg.checkpoint_interval)
-        rep = mode_energy_report(hist, cfg.ell, op)
-        csv_path = outdir / f"mode_{idx:04d}.csv"
-        csv_path.write_text(_mode_csv_text(rep))
-    except Exception as exc:
-        exc.checkpoint = str(ckpt_path)
-        raise
-    return str(csv_path), str(ckpt_path), rep
-
-
-def _run_one_mode(args):
-    idx, kvec = args
-    try:
-        return idx, *run_mode(_WORKER_CTX["cfg"], idx, kvec, _WORKER_CTX["op"]), None
-    except Exception as exc:  # per-mode failures are recorded, not fatal
+        done = run_orbit(_WORKER_CTX["cfg"], k, members, _WORKER_CTX["op"])
+    except Exception as exc:  # a failed orbit is recorded for each member, not fatal
         err = f"{type(exc).__name__}: {exc}"
-        return idx, None, getattr(exc, "checkpoint", None), None, err
+        opened = getattr(exc, "checkpoints", {})
+        return [(idx, None, opened.get(idx), None, err) for idx, _ in members]
+    return [(idx, *files, None) for (idx, _), files in zip(members, done)]
 
 
 def max_workers() -> int:
@@ -387,15 +482,27 @@ def max_workers() -> int:
         raise ValueError(f"VML_THREADS must be an integer, got {env!r}") from None
 
 
+def _orbits(k_set) -> list:
+    """The k-set's shells as (r e3, [(idx, kvec), ...]): the solves of a sweep."""
+    shells = {}
+    for idx, (kvec, _w) in enumerate(k_set):
+        shells.setdefault(shell_radius(kvec), []).append((idx, kvec))
+    return [(np.array([0.0, 0.0, np.linalg.norm(members[0][1])]), members)
+            for members in shells.values()]
+
+
 def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> RunArchive:
     """Integrate every configured mode, archiving CSV series and checkpoints.
 
-    Deterministic: identical configs on the same build produce byte-identical
-    archives regardless of worker scheduling and count and of the caller's
-    BLAS thread count: each mode's ``run_mode`` runs on one BLAS thread.
-    Per-mode failures are recorded in the archive (and manifest), with the
-    partial checkpoint a failed mode leaves, without aborting the sweep.  A
-    given ``op`` must match the config's grid (R, n) and collision parameters.
+    The workers get one job per shell, not per mode: ``run_orbit`` integrates
+    r e3 once and writes every direction of the shell from it, so the members
+    of a shell share one solve and succeed or fail together.  Deterministic:
+    identical configs on the same build produce byte-identical archives
+    regardless of worker scheduling and count and of the caller's BLAS thread
+    count: each ``run_orbit`` runs on one BLAS thread.  Per-mode failures
+    are recorded in the archive (and manifest), with the partial checkpoint a
+    failed mode leaves, without aborting the sweep.  A given ``op`` must match
+    the config's grid (R, n) and collision parameters.
     """
     if op is not None and ((op.grid.R, op.grid.n) != (cfg.R, cfg.n)
                            or op.params != cfg.collision_params()):
@@ -408,7 +515,7 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     k_set = build_k_set(cfg)
     config_path = outdir / "config.cfg"
     config_path.write_text(config_to_text(cfg))
-    jobs = [(idx, kvec) for idx, (kvec, _w) in enumerate(k_set)]
+    jobs = _orbits(k_set)
     nproc = min(workers, len(jobs))
     if op is None:
         op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
@@ -416,12 +523,13 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
-            results = {r[0]: r[1:] for r in pool.imap_unordered(_run_one_mode, jobs)}
+            batches = list(pool.imap_unordered(_run_one_orbit, jobs))
     else:
         _worker_init(cfg, op)
-        results = {r[0]: r[1:] for r in map(_run_one_mode, jobs)}
+        batches = list(map(_run_one_orbit, jobs))
+    results = {r[0]: r[1:] for batch in batches for r in batch}
     mode_csvs, checkpoints, reports, failures = [], [], [], []
-    for idx in range(len(jobs)):
+    for idx in range(len(k_set)):
         csv, ckpt, rep, err = results[idx]
         if ckpt is not None:
             checkpoints.append(ckpt)

@@ -73,3 +73,31 @@ def smooth_random_field(grid, rng, max_degree=3, decay=0.5):
                     acc += coef * xi[0] ** a * xi[1] ** b * xi[2] ** c
         vals[s] = acc * envelope
     return TwoSpeciesField(vals, grid)
+
+
+def profile_frame(k):
+    """The rotation R with R e3 = k-hat that initial data at k is built with.
+
+    R e1 is the unit part of e_(a+1) orthogonal to k-hat, a the index of
+    k-hat's largest component, and R e2 = R e3 x R e1.
+    """
+    k = np.asarray(k, dtype=float)
+    khat = k / np.linalg.norm(k)
+    e = np.eye(3)[(int(np.argmax(np.abs(khat))) + 1) % 3]
+    c1 = e - (e @ khat) * khat
+    c1 /= np.linalg.norm(c1)
+    return np.column_stack([c1, np.cross(khat, c1), khat])
+
+
+def lattice_image(state, Q, k):
+    """The mode state carried to k by a signed axis permutation Q of the lattice.
+
+    f(xi) -> f(Q^T xi), located by node coordinates, and E, B -> Q E, Q B.
+    """
+    from vmlandau.mode import ModeState
+
+    g = state.fhat.grid
+    src = np.rint((Q.T @ g.xi + g.R) / g.h).astype(int)
+    nodes = np.ravel_multi_index(src, (g.n,) * 3)
+    return ModeState(k, TwoSpeciesField(state.fhat.values[:, nodes], g),
+                     Q @ state.Ehat, Q @ state.Bhat, state.t)

@@ -9,15 +9,26 @@ import numpy as np
 import pytest
 
 from vmlandau import cli, lab, mode
+from vmlandau.checkpoint import read_checkpoint
 from vmlandau.collision import CollisionParams, assemble_L, sigma_field
 from vmlandau.grid import build_grid
-from vmlandau.mode import ModeEnergyReport, _openblas_controls
+from vmlandau.mode import ModeEnergyReport, ModeState, _openblas_controls, mode_rhs
+
+from conftest import lattice_image, profile_frame
+
+AXES = [np.array(v, dtype=float) for v in
+        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
 
 
 def _tiny_cfg(outdir) -> lab.ExperimentConfig:
     """One shell, two directions, two midpoint steps on a 9^3 lattice."""
     return lab.ExperimentConfig(n=9, shells=(0.5,), directions_per_shell=2, T=0.5, dt=0.25,
                                 save_interval=0.25, outdir=str(outdir))
+
+
+def _two_shell_cfg(outdir, **changes) -> lab.ExperimentConfig:
+    """_tiny_cfg on the shells 0.5 and 1.0: two orbits, so two solves."""
+    return lab.ExperimentConfig(**{**vars(_tiny_cfg(outdir)), "shells": (0.5, 1.0), **changes})
 
 
 def _blas_counts(controls) -> list:
@@ -74,11 +85,16 @@ def sweeps(op9, tmp_path_factory):
 
 
 class TestRunSweep:
-    def test_archive_bytes_do_not_depend_on_worker_count(self, sweeps):
-        serial, forked = sweeps["1"], sweeps["2"]
+    def test_archive_bytes_do_not_depend_on_worker_count(self, op9, tmp_path, monkeypatch):
+        # two shells, so that two workers each get an orbit
+        archives = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("VML_THREADS", workers)
+            archives[workers] = lab.run_sweep(_two_shell_cfg(tmp_path / f"w{workers}"), op9)
+        serial, forked = archives["1"], archives["2"]
         assert not serial.failures and not forked.failures
         names = sorted(os.path.basename(p) for p in serial.mode_csvs + serial.checkpoints)
-        assert names == ["mode_0000.ckpt", "mode_0000.csv", "mode_0001.ckpt", "mode_0001.csv"]
+        assert names == [f"mode_{i:04d}.{ext}" for i in range(4) for ext in ("ckpt", "csv")]
         assert names == sorted(os.path.basename(p) for p in forked.mode_csvs + forked.checkpoints)
         _same_mode_files(serial.outdir, forked.outdir, names)
 
@@ -112,16 +128,17 @@ class TestRunSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the initial data, the preconditioner built inside integrate_mode, the report
+        # the initial data, the preconditioner built inside integrate_mode, the
+        # report: once per solve, and two shells make two solves (on two workers)
         monkeypatch.setattr(lab, "init_data", recording(lab.init_data))
         monkeypatch.setattr(mode, "_DiagonalILU", recording(mode._DiagonalILU))
         monkeypatch.setattr(lab, "mode_energy_report", recording(lab.mode_energy_report))
         with _blas_threads(2) as controls:
-            archive = lab.run_sweep(_tiny_cfg(tmp_path / "run"), op9)
+            archive = lab.run_sweep(_two_shell_cfg(tmp_path / "run"), op9)
             after = _blas_counts(controls)
-        assert not archive.failures
+        assert not archive.failures and len(archive.mode_csvs) == 4
         records = {p.name: [int(c) for c in p.read_text().split(",")] for p in log.iterdir()}
-        assert len(records) == 6
+        assert len(records) == 3 * 2
         for counts in records.values():
             assert counts == [1] * len(controls)
         assert after == [2] * len(controls)
@@ -139,7 +156,7 @@ class TestRunSweep:
 
     @needs_openblas
     def test_mode_files_do_not_depend_on_caller_blas_threads(self, op23, tmp_path):
-        # run_mode also builds the initial data and the report (its gauss_E
+        # run_orbit also builds the initial data and the report (its gauss_E
         # charge is a dot product over n^3 entries) outside integrate_mode
         names = ("mode_0000.csv", "mode_0000.ckpt")
         for count in (1, 2):
@@ -148,7 +165,7 @@ class TestRunSweep:
             cfg = lab.ExperimentConfig(n=23, T=0.5, dt=0.25, save_interval=0.25,
                                        outdir=str(outdir))
             with _blas_threads(count):
-                lab.run_mode(cfg, 0, [0.0, 0.0, 0.5], op23)
+                lab.run_orbit(cfg, [0.0, 0.0, 0.5], [(0, [0.0, 0.0, 0.5])], op23)
         _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", names)
 
     def test_failed_mode_checkpoint_is_in_the_manifest(self, op9, tmp_path, monkeypatch):
@@ -156,18 +173,21 @@ class TestRunSweep:
         integrate = lab.integrate_mode
 
         def failing(state0, *args, **kwargs):
-            if state0.k[2] < 0.0:
+            if np.linalg.norm(state0.k) > 0.75:   # the solve of the shell 1.0
                 raise RuntimeError("solve failed")
             return integrate(state0, *args, **kwargs)
 
         monkeypatch.setattr(lab, "integrate_mode", failing)
         outdir = tmp_path / "run"
-        manifest = lab.report(lab.run_sweep(_tiny_cfg(outdir), op9))
-        assert manifest["failures"] == [{"mode": 1, "error": "RuntimeError: solve failed",
-                                         "checkpoint": "mode_0001.ckpt"}]
-        assert manifest["n_modes"] == 1
+        manifest = lab.report(lab.run_sweep(_two_shell_cfg(outdir), op9))
+        # both members of the failed orbit, each with the checkpoint it opened
+        assert manifest["failures"] == [
+            {"mode": idx, "error": "RuntimeError: solve failed", "checkpoint": f"mode_{idx:04d}.ckpt"}
+            for idx in (2, 3)]
+        assert manifest["n_modes"] == 2
         on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
         assert sorted(manifest["files"]) == on_disk
+        assert {"mode_0002.ckpt", "mode_0003.ckpt"} <= set(on_disk)
 
     def test_failed_mode_is_reported_by_fit_and_report(self, op9, tmp_path, monkeypatch,
                                                         capsys):
@@ -175,21 +195,23 @@ class TestRunSweep:
         integrate = lab.integrate_mode
 
         def failing(state0, *args, **kwargs):
-            if state0.k[2] < 0.0:
+            if np.linalg.norm(state0.k) > 0.75:   # the solve of the shell 1.0
                 raise RuntimeError("solve failed")
             return integrate(state0, *args, **kwargs)
 
         monkeypatch.setattr(lab, "integrate_mode", failing)
         outdir = tmp_path / "run"
-        manifest = lab.report(lab.run_sweep(_tiny_cfg(outdir), op9))
+        manifest = lab.report(lab.run_sweep(_two_shell_cfg(outdir), op9))
         saved = (outdir / "manifest.json").read_bytes()
         assert lab.load_archive(outdir).failures == manifest["failures"] != []
         capsys.readouterr()
         for argv in (["fit"], ["report"]):
             assert cli.main(argv + ["--archive", str(outdir)]) == 1
             err = capsys.readouterr().err
-            assert "modes [1] have no series; they carry 0.5 " in err
-            assert "mode 1 failed: RuntimeError: solve failed" in err
+            # the shell 1.0 carries 1^2 / (0.5^2 + 1^2) of the weight
+            assert "modes [2, 3] have no series; they carry 0.8 " in err
+            assert "mode 2 failed: RuntimeError: solve failed" in err
+            assert "mode 3 failed: RuntimeError: solve failed" in err
         assert (outdir / "manifest.json").read_bytes() == saved
 
     def test_stale_checkpoint_of_a_mode_that_never_opened_one_is_not_claimed(
@@ -198,19 +220,20 @@ class TestRunSweep:
         init_data = lab.init_data
 
         def failing(cfg, kvec, grid):
-            if kvec[2] < 0.0:
+            if np.linalg.norm(kvec) > 0.75:   # the data of the shell 1.0
                 raise RuntimeError("bad data")
             return init_data(cfg, kvec, grid)
 
         monkeypatch.setattr(lab, "init_data", failing)
         outdir = tmp_path / "run"
         outdir.mkdir()
-        (outdir / "mode_0001.ckpt").write_bytes(b"from an earlier run")
-        manifest = lab.report(lab.run_sweep(_tiny_cfg(outdir), op9))
-        assert manifest["failures"] == [{"mode": 1, "error": "RuntimeError: bad data",
-                                         "checkpoint": None}]
-        assert "mode_0001.ckpt" not in manifest["files"]
-
+        (outdir / "mode_0003.ckpt").write_bytes(b"from an earlier run")
+        manifest = lab.report(lab.run_sweep(_two_shell_cfg(outdir), op9))
+        assert manifest["failures"] == [{"mode": idx, "error": "RuntimeError: bad data",
+                                         "checkpoint": None} for idx in (2, 3)]
+        assert "mode_0003.ckpt" not in manifest["files"]
+        assert not (outdir / "mode_0002.ckpt").exists()
+        assert manifest["n_modes"] == 2
 
     def test_foreign_operator_is_refused(self, op11_soft, tmp_path):
         cfg = lab.ExperimentConfig(n=9, R=7.0, gamma=-3.0, shells=(0.5,), directions_per_shell=2,
@@ -233,7 +256,7 @@ class TestRunSweep:
 class TestCli:
     def test_report_counts_shells_not_k_vectors(self, sweeps):
         outdir = sweeps["1"].outdir
-        assert cli.main(["report", "--archive", outdir]) == 0
+        assert cli.main(["report", "--archive", outdir, "--window", "0,0.5"]) == 0
         with open(os.path.join(outdir, "fit_summary.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert [row["m"] for row in rows] == ["0", "1"]
@@ -280,9 +303,119 @@ class TestCli:
         assert f"expected a window t1,t2 with t2 > t1, got '{window}'" in capsys.readouterr().err
 
     def test_fit_exits_1_when_inconclusive(self, sweeps, capsys):
-        # T = 0.5 puts no sample inside the default window (20, 200)
-        assert cli.main(["fit", "--archive", sweeps["1"].outdir]) == 1
+        # three samples (t = 0, 0.25, 0.5) are too few to fit
+        assert cli.main(["fit", "--archive", sweeps["1"].outdir, "--window", "0,0.5"]) == 1
         assert "inconclusive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_window_past_the_last_sample_is_refused(self, sweeps, tmp_path, capsys, command):
+        outdir = tmp_path / "run"
+        shutil.copytree(sweeps["1"].outdir, outdir)
+        before = sorted(p.name for p in outdir.iterdir())
+        # the default window (20, 200) on an archive that ends at T = 0.5
+        assert cli.main([command, "--archive", str(outdir)]) == 1
+        out, err = capsys.readouterr()
+        assert f"the fit window (20, 200) ends past the last sample of {outdir}, at t = 0.5" in err
+        assert "sigma_hat" not in out and "summary:" not in out
+        assert sorted(p.name for p in outdir.iterdir()) == before
+
+
+@pytest.fixture(scope="module")
+def orbit_sweeps(op9, tmp_path_factory):
+    """Two-shell sweeps with every step checkpointed, keyed by (scheme, directions per shell)."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("VML_THREADS", "2")
+        for scheme, dirs in (("imex-midpoint", 6), ("imex-euler", 6), ("imex-midpoint", 2),
+                             ("imex-midpoint", 1)):
+            outdir = tmp_path_factory.mktemp(f"orbits_{scheme}_{dirs}")
+            cfg = _two_shell_cfg(outdir, scheme=scheme, directions_per_shell=dirs,
+                                 checkpoint_interval=0.25)
+            out[scheme, dirs] = lab.run_sweep(cfg, op9)
+    return out
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("family", ["macro-gaussian", "micro-only", "mixed", "maxwell-vacuum"])
+    def test_init_data_is_covariant_under_the_lattice_rotations(self, op9, family):
+        cfg = lab.ExperimentConfig(n=9, family=family)
+        r = 0.5
+        base = lab.init_data(cfg, r * AXES[4], op9.grid)
+        for d in AXES:
+            got = lab.init_data(cfg, r * d, op9.grid)
+            want = lattice_image(base, np.rint(profile_frame(d)), r * d)
+            scale = np.abs(want.flat()).max()
+            assert np.abs(got.flat() - want.flat()).max() <= 1e-14 * scale, d
+
+    @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
+    def test_every_member_record_solves_its_own_step(self, orbit_sweeps, op9, scheme):
+        archive = orbit_sweeps[scheme, 6]
+        cfg = lab.parse_config(archive.config_path)
+        assert not archive.failures and len(archive.checkpoints) == 12
+        a = cfg.stepper().implicit_weight()
+        worst = 0.0
+        for (kvec, _w), path in zip(archive.k_set, sorted(archive.checkpoints)):
+            states = read_checkpoint(path, op9.grid).states
+            assert [s.t for s in states] == [0.0, 0.25, 0.5]
+            for s0, s1 in zip(states, states[1:]):
+                assert np.array_equal(s1.k, kvec)
+                u0 = s0.flat()
+                x = 0.5 * (u0 + s1.flat()) if scheme == "imex-midpoint" else s1.flat()
+                df, dE, dB = mode_rhs(ModeState.from_flat(kvec, x, op9.grid, s0.t), op9)
+                r = x - a * np.concatenate([df.values.reshape(-1), dE, dB]) - u0
+                worst = max(worst, np.linalg.norm(r) / np.linalg.norm(u0))
+        assert worst <= cfg.lin_tol
+
+    def test_members_are_the_lattice_images_of_the_e3_run(self, orbit_sweeps, op9):
+        archive = orbit_sweeps["imex-midpoint", 6]
+        ckpts, csvs = sorted(archive.checkpoints), sorted(archive.mode_csvs)
+        for shell in range(2):
+            base = 6 * shell + 4                      # the +e3 member of the shell
+            rep = read_checkpoint(ckpts[base], op9.grid).states
+            rep_rows = open(csvs[base]).read().splitlines()
+            for d, idx in zip(AXES, range(6 * shell, 6 * shell + 6)):
+                kvec = archive.k_set[idx][0]
+                Q = np.rint(profile_frame(d))
+                for s, want in zip(read_checkpoint(ckpts[idx], op9.grid).states, rep):
+                    image = lattice_image(want, Q, kvec)
+                    assert np.array_equal(s.flat(), image.flat()) and s.t == want.t
+                rows = open(csvs[idx]).read().splitlines()
+                assert [r.split(",")[4:] for r in rows] == [r.split(",")[4:] for r in rep_rows]
+                assert [r.split(",")[:1] for r in rows] == [r.split(",")[:1] for r in rep_rows]
+
+    def test_a_member_matches_its_direct_integration(self, orbit_sweeps, op9):
+        archive = orbit_sweeps["imex-midpoint", 6]
+        cfg = lab.parse_config(archive.config_path)
+        idx = 7                                       # -e1 on the shell 1.0
+        kvec = archive.k_set[idx][0]
+        assert np.array_equal(kvec, -AXES[0])
+        hist = mode.integrate_mode(lab.init_data(cfg, kvec, op9.grid), cfg.stepper(), cfg.T, op9,
+                                   sample_interval=cfg.save_interval)
+        with open(sorted(archive.mode_csvs)[idx]) as fh:
+            rows = list(csv.DictReader(fh))
+        energy = np.array([float(r["f_l2sq"]) + float(r["em_sq"]) for r in rows])
+        direct = np.array([s.fhat.norm() ** 2 + np.sum(np.abs(s.Ehat) ** 2)
+                           + np.sum(np.abs(s.Bhat) ** 2) for s in hist.frames])
+        assert np.abs(energy - direct).max() <= 1e-8 * direct.max()
+
+    def test_one_two_and_six_directions_synthesize_the_same_norms(self, orbit_sweeps):
+        for m in (0, 1):
+            want_t, want = lab.synthesize_norms(lab.load_archive(
+                orbit_sweeps["imex-midpoint", 6].outdir), m)
+            for dirs in (1, 2):
+                got_t, got = lab.synthesize_norms(lab.load_archive(
+                    orbit_sweeps["imex-midpoint", dirs].outdir), m)
+                assert np.array_equal(got_t, want_t)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_direction_per_shell_is_r_e3_with_the_shell_weight(self, tmp_path):
+        cfg = lab.ExperimentConfig(shells=(0.25, 0.5, 1.0), directions_per_shell=1,
+                                   outdir=str(tmp_path))
+        k_set = lab.build_k_set(cfg)
+        for (k, w), r, dr in zip(k_set, (0.25, 0.5, 1.0), (0.125, 0.375, 0.25)):
+            assert np.array_equal(k, r * AXES[4])
+            assert w == pytest.approx(4.0 * np.pi * r * r * dr, rel=1e-15)
+        assert len(k_set) == 3
 
 
 class TestSynthesis:

@@ -7,7 +7,7 @@ from vmlandau.lab import ExperimentConfig, init_data
 from vmlandau.macro import _FAMILIES, _moment_rows, macro_residuals, project_P
 from vmlandau.mode import ModeState
 
-from conftest import random_field, smooth_random_field
+from conftest import profile_frame, random_field, smooth_random_field
 
 
 def gh_moment_1d(power, order=80):
@@ -80,6 +80,8 @@ class TestProjectP:
         macro, _, micro = project_P(state.fhat)
         amp = np.exp(-0.5 * float(k @ k))
         want = amp * np.array([1.0, 1.0, 0.6, 0.25, 0.8, 0.45])
+        # the data is the profile at |k| e3, carried to k: b rotates as a vector
+        want[2:5] = profile_frame(k) @ want[2:5]
         np.testing.assert_allclose(macro.as_vector(), want, rtol=1e-13, atol=0)
         assert micro.norm() <= 1e-13 * state.fhat.norm()
 
