@@ -17,8 +17,7 @@ from .macro import MacroState, macro_residuals, project_P
 from .mode import (ModeEnergyReport, ModeHistory, ModeState, StepperConfig,
                    energy_identity_check, integrate_mode, mode_energy_report,
                    mode_rhs, rho_frequency)
-from .weights import (EnergyLedger, EnergyRequest, WeightSpec,
-                      characterization_norm, dissipation_norm, energy_ledger,
-                      temporal_norm_x, weight_eval)
+from .weights import (EnergyLedger, EnergyRequest, WeightSpec, dissipation_norm,
+                      energy_ledger, temporal_norm_x, weight_eval)
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ roundoff rather than to truncation order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -217,6 +218,17 @@ class LinearizedOperator:
         """The six null vectors, macro's basis: [1,0] and [0,1] sqrt(mu) (mass),
         [1,1] xi_i sqrt(mu) (momentum) and [1,1](|xi|^2 - 3) sqrt(mu) (energy)."""
         return [TwoSpeciesField(v, self.grid) for v in _projector(self.grid).basis]
+
+    def odd_even_basis(self):
+        """The 14 odd-even fields sqrt(mu) (-1)^(p.(i,j,l)), p in {0,1}^3 minus 0, on the
+        sum block [1, 1] and the difference block [1, -1].  The centred stencil
+        annihilates (-1)^j, so G_i sees them only in its one-sided boundary rows,
+        where sqrt(mu) is tiny: a spurious near-null space of the lattice L."""
+        ijl = np.indices((self.grid.n,) * 3).reshape(3, -1)
+        fields = [self.grid.sqrt_mu * (-1.0) ** (np.array(p) @ ijl)
+                  for p in itertools.product((0, 1), repeat=3) if any(p)]
+        return [TwoSpeciesField.from_species(self.grid, s, sign * s)
+                for s in fields for sign in (1.0, -1.0)]
 
     def deflation_basis(self, rank: int = 48, iters: int = 3, seed: int = 1234):
         """Dominant eigenpairs of the symmetrized nonlocal part.

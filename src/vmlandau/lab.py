@@ -82,7 +82,7 @@ class ExperimentConfig:
     c_phi: float = 1.0
     R: float = 7.0
     n: int = 25
-    shells: tuple = (0.25, 0.5, 1.0)
+    shells: tuple = tuple(float(r) for r in np.geomspace(0.02, 1.5, 12))
     directions_per_shell: int = 6
     family: str = "mixed"
     amplitude: float = 1.0
@@ -92,7 +92,7 @@ class ExperimentConfig:
     lin_tol: float = 1e-8
     constraint_tol: float = 1e-5
     max_steps: int = 10_000_000
-    T: float = 100.0
+    T: float = 200.0
     outdir: str = "runs/out"
     save_interval: float = 1.0
     checkpoint_interval: float = 0.0   # 0: first/last state only
@@ -539,28 +539,42 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
             continue
         mode_csvs.append(csv)
         reports.append(rep)
-    run_id = uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex
-    archive = RunArchive(run_id=run_id, outdir=str(outdir), config_path=str(config_path),
+    archive = RunArchive(run_id=_run_id(cfg), outdir=str(outdir), config_path=str(config_path),
                          mode_csvs=mode_csvs, checkpoints=checkpoints,
                          k_set=k_set, reports=reports, failures=failures)
     return archive
 
 
+def _run_id(cfg: ExperimentConfig) -> str:   # a name-based UUID of the config text
+    return uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex
+
+
 def load_archive(outdir) -> RunArchive:
-    """Reconstruct an archive handle from a run directory on disk."""
+    """Reconstruct an archive handle from a run directory on disk.
+
+    Files are named from the k-set index, as ``run_orbit`` writes them, so no
+    file an earlier run left is claimed; a failed mode's checkpoint is the one
+    its manifest record names.  A manifest of another config is not read.
+    """
     outdir = Path(outdir)
     manifest = outdir / "manifest.json"
     cfg = parse_config(outdir / "config.cfg")
     k_set = build_k_set(cfg)
-    csvs = sorted(str(p) for p in outdir.glob("mode_*.csv"))
-    ckpts = sorted(str(p) for p in outdir.glob("mode_*.ckpt"))
-    run_id, failures = uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex, []
+    run_id, failures = _run_id(cfg), []
     if manifest.exists():
         saved = json.loads(manifest.read_text())
-        run_id, failures = saved["run_id"], saved["failures"]
+        if saved["run_id"] == run_id:   # else it is an earlier config's manifest
+            failures = saved["failures"]
+    failed = {f["mode"]: f["checkpoint"] for f in failures}   # idx -> checkpoint or None
+    idxs = range(len(k_set))
+    csvs = [outdir / f"mode_{idx:04d}.csv" for idx in idxs if idx not in failed]
+    ckpts = [outdir / failed.get(idx, f"mode_{idx:04d}.ckpt") for idx in idxs
+             if failed.get(idx, True)]
     return RunArchive(run_id=run_id, outdir=str(outdir),
                       config_path=str(outdir / "config.cfg"),
-                      mode_csvs=csvs, checkpoints=ckpts, k_set=k_set, failures=failures)
+                      mode_csvs=[str(p) for p in csvs if p.exists()],
+                      checkpoints=[str(p) for p in ckpts if p.exists()],
+                      k_set=k_set, failures=failures)
 
 
 def synthesize_norms(archive: RunArchive, m: int, ell: float = 0.0):

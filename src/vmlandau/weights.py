@@ -2,9 +2,7 @@
 
 The weight family is w_{tau,lambda}(t, xi) = <xi>^((gamma+2) tau) *
 exp(lambda <xi>^2 / (1+t)^theta) with <xi>^2 = 1 + |xi|^2.  The dissipation
-norm is the sigma-weighted H^1-type velocity norm; its equivalent
-characterization splits the gradient into the radial (xi-aligned) and
-tangential parts with different velocity weights.  Ledgers evaluate every
+norm is the sigma-weighted H^1-type velocity norm.  Ledgers evaluate every
 component of the energy functional and dissipation rate for one Fourier mode
 (spatial derivatives realized as powers of ik).
 """
@@ -25,7 +23,6 @@ __all__ = [
     "EnergyLedger",
     "weight_eval",
     "dissipation_norm",
-    "characterization_norm",
     "energy_ledger",
     "temporal_norm_x",
 ]
@@ -81,32 +78,6 @@ def dissipation_norm(f: TwoSpeciesField, spec: WeightSpec, t: float,
             total += float(np.sum(quad * sij * gg))
             total += float(np.sum(quad * sij * 0.25 * xi[i] * xi[j] * fsq.sum(axis=0)))
     return total
-
-
-def characterization_norm(f: TwoSpeciesField, spec: WeightSpec, t: float,
-                          params: CollisionParams) -> float:
-    """Equivalent dissipation norm: radial/tangential-split gradient plus mass term.
-
-    |(1+|xi|)^(gamma/2) P_xi grad f|^2 + |(1+|xi|)^((gamma+2)/2) (I-P_xi) grad f|^2
-    + |(1+|xi|)^((gamma+2)/2) f|^2, all under w_{tau,lambda}^2.
-    """
-    g = f.grid
-    w2 = _weight_sq(spec, t, g, params)
-    quad = g.weights * w2
-    xi = g.xi
-    r = np.sqrt(np.sum(xi ** 2, axis=0))
-    rsafe = np.where(r == 0.0, 1.0, r)
-    xhat = xi / rsafe
-    grads = np.stack([velocity_gradient(f, i + 1).values for i in range(3)])
-    radial = xhat[0] * grads[0] + xhat[1] * grads[1] + xhat[2] * grads[2]
-    radial = np.where(r == 0.0, 0.0, radial)
-    rad_sq = (radial * np.conj(radial)).real.sum(axis=0)
-    grad_sq = (grads * np.conj(grads)).real.sum(axis=(0, 1))
-    tan_sq = np.maximum(grad_sq - rad_sq, 0.0)
-    fsq = (f.values * np.conj(f.values)).real.sum(axis=0)
-    soft = (1.0 + r) ** params.gamma
-    soft2 = (1.0 + r) ** (params.gamma + 2.0)
-    return float(np.sum(quad * (soft * rad_sq + soft2 * tan_sq + soft2 * fsq)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from vmlandau.collision import (CollisionParams, ResourceBudgetError, apply_Q,
                                 assemble_L, sigma_field)
 from vmlandau.grid import build_grid, inner_product
 from vmlandau.macro import project_P
-from vmlandau.weights import WeightSpec, characterization_norm, dissipation_norm
+from vmlandau.weights import WeightSpec, dissipation_norm
 
 from conftest import random_field, smooth_random_field
 
@@ -246,24 +246,3 @@ class TestLinearizedOperator:
         h_ratio_1 = (19 - 1) / (15 - 1)   # h ~ 1/(n-1) at fixed R
         assert gaps[1] < gaps[0] / 1.3
         assert gaps[2] < gaps[1] / (h_ratio_1 / 1.2)
-
-
-class TestCharacterizationBand:
-    def test_band_positive_and_stable(self, params):
-        spec = WeightSpec(tau=0.0, lam=0.0)
-        bands = []
-        for (R, n) in ((6.0, 11), (6.0, 15)):
-            g = build_grid(R, n)
-            op = assemble_L(g, params)
-            rng = np.random.default_rng(16)
-            ratios = []
-            for _ in range(25):
-                f = smooth_random_field(g, rng, decay=0.25)
-                _, _, micro = project_P(f)
-                d = dissipation_norm(micro, spec, 0.0, op.sigma)
-                c = characterization_norm(micro, spec, 0.0, params)
-                ratios.append(d / c)
-            bands.append((min(ratios), max(ratios)))
-        for lo, hi in bands:
-            assert lo > 0.0
-            assert hi / lo < 50.0

@@ -10,7 +10,7 @@ import pytest
 
 from vmlandau import cli, lab, mode
 from vmlandau.checkpoint import read_checkpoint
-from vmlandau.collision import CollisionParams, assemble_L, sigma_field
+from vmlandau.collision import CollisionParams, LinearizedOperator, assemble_L, sigma_field
 from vmlandau.grid import build_grid
 from vmlandau.mode import ModeEnergyReport, ModeState, _openblas_controls, mode_rhs
 
@@ -288,11 +288,25 @@ class TestCli:
             assert [float(row[f"xi{i + 1}"]) for i in range(3)] == list(grid.xi[:, node])
             assert [float(row[f"s{a + 1}{b + 1}"]) for a, b in pairs] == [S[a, b] for a, b in pairs]
 
-    def test_spectrum_check_runs_and_annihilates_the_null_space(self):
-        assert cli.main(["spectrum-check", "--n", "9", "--samples", "3"]) == 0
-        res = cli.spectrum_suite(9, 7.0, -3.0, n_random=3)
-        assert len(res["null_residuals"]) == 6
-        assert max(res["null_residuals"]) <= 1e-12
+    def test_spectrum_check_runs_and_annihilates_the_null_space(self, capsys):
+        assert cli.main(["spectrum-check", "--n", "9"]) == 0
+        out = capsys.readouterr().out
+        nulls = re.search(r"null residuals: (.*)", out).group(1).split(", ")
+        assert len(nulls) == 6
+        assert max(float(r) for r in nulls) <= 1e-12
+        # the 14 odd-even fields: L nearly annihilates their micro parts at n = 9
+        lo, hi = re.search(r"odd-even micro <Lm, m>/\|m\|_D\^2: \[(\S+), (\S+)\]", out).groups()
+        assert 0.0 < float(lo) <= float(hi) < 1e-9
+
+    def test_spectrum_check_exits_1_when_an_identity_breaks(self, monkeypatch, capsys):
+        apply_raw = LinearizedOperator.apply_raw
+        # L plus 1e-9 of the constant field: no longer annihilates the null space
+        monkeypatch.setattr(LinearizedOperator, "apply_raw",
+                            lambda self, values: apply_raw(self, values) + 1e-9)
+        assert cli.main(["spectrum-check", "--n", "9"]) == 1
+        err = capsys.readouterr().err
+        assert "spectrum-check failed: n=9: null residual" in err
+        assert "exceeds 1e-12" in err
 
     @pytest.mark.parametrize("command", ["fit", "report"])
     @pytest.mark.parametrize("window", ["200,20", "1,2,3"])
@@ -430,6 +444,48 @@ class TestSynthesis:
 
 class TestSynthesizeNorms:
     @pytest.mark.parametrize("m", [0, 1])
+    def test_heat_kernel_on_the_default_k_set_fits_the_target(self, tmp_path, m):
+        # |u(k, t)|^2 = exp(-|k|^2) exp(-2 |k|^2 t) decays like t^-(3/2 + m) in the
+        # m-th derivative's squared norm as t grows: the exponent 3/4 + m/2
+        cfg = lab.ExperimentConfig(outdir=str(tmp_path))
+        (tmp_path / "config.cfg").write_text(lab.config_to_text(cfg))
+        times = np.arange(0.0, cfg.T + 0.5 * cfg.save_interval, cfg.save_interval)
+        z = np.zeros_like(times)
+        for idx, (k, _w) in enumerate(lab.build_k_set(cfg)):
+            ksq = float(k @ k)
+            rep = ModeEnergyReport(k=k, rho=0.0, times=times,
+                                   f_l2sq=np.exp(-ksq - 2.0 * ksq * times), em_sq=z,
+                                   micro_D=z, f_weighted_l2sq=z, macro_abc=z, a_diff=z,
+                                   E_term=z, B_term=z, gauss_E=z, gauss_B=z)
+            (tmp_path / f"mode_{idx:04d}.csv").write_text(lab._mode_csv_text(rep))
+        window = cli.build_parser().parse_args(["fit", "--archive", str(tmp_path)]).window
+        got_t, got = lab.synthesize_norms(lab.load_archive(tmp_path), m)
+        fit = lab.decay_fit(got_t, got, window, m=m)
+        assert fit.conclusive
+        assert abs(fit.sigma_hat - (0.75 + 0.5 * m)) <= 0.02
+
+    def test_a_rerun_with_fewer_modes_claims_no_stale_file(self, op9, tmp_path, monkeypatch):
+        # the first run leaves mode_0001 (the shell 0.5); the rerun's mode_0000 is that shell
+        monkeypatch.setenv("VML_THREADS", "1")
+        outdir = tmp_path / "run"
+        lab.report(lab.run_sweep(_two_shell_cfg(outdir, shells=(0.25, 0.5),
+                                                directions_per_shell=1), op9))
+        rerun = lab.run_sweep(_two_shell_cfg(outdir, shells=(0.5,), directions_per_shell=1), op9)
+        assert (outdir / "mode_0001.csv").exists()
+        fresh = lab.run_sweep(_two_shell_cfg(tmp_path / "fresh", shells=(0.5,),
+                                             directions_per_shell=1), op9)
+        # what `vml report` writes: the earlier run's manifest names neither file nor run id
+        manifest = lab.report(lab.load_archive(outdir))
+        assert sorted(manifest["files"]) == ["config.cfg", "fit_summary.csv",
+                                             "mode_0000.ckpt", "mode_0000.csv"]
+        assert manifest["run_id"] == rerun.run_id
+        for m in (0, 1):
+            got_t, got = lab.synthesize_norms(lab.load_archive(outdir), m)
+            want_t, want = lab.synthesize_norms(lab.load_archive(fresh.outdir), m)
+            assert np.array_equal(got_t, want_t)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [0, 1])
     def test_matches_shell_quadrature(self, tmp_path, m):
         cfg = lab.ExperimentConfig(shells=(0.25, 0.5, 1.0), directions_per_shell=6,
                                    outdir=str(tmp_path))
@@ -505,10 +561,10 @@ class TestConfigText:
     ], ids=["T-after-dt", "save_interval-after-dt-and-T"])
     def test_error_names_the_line_that_fails_as_the_file_does(self, tmp_path, text, line,
                                                               message):
-        # the dt line's prefix fails too, but only against the default T = 100
+        # the dt line's prefix fails too, but only against the default T = 200
         # (and the T line's against the default save_interval = 1), with
         # another message
-        with pytest.raises(lab.ConfigError, match=r"T = 100\.0 is not a whole number of steps"):
+        with pytest.raises(lab.ConfigError, match=r"T = 200\.0 is not a whole number of steps"):
             lab.ExperimentConfig(dt=0.3)
         path = tmp_path / "bad.cfg"
         path.write_text(text)

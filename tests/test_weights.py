@@ -4,9 +4,8 @@ import pytest
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.macro import project_P
 from vmlandau.mode import ModeState
-from vmlandau.weights import (EnergyRequest, WeightSpec, XNormConfig, characterization_norm,
-                              dissipation_norm, energy_ledger,
-                              temporal_norm_x, weight_eval)
+from vmlandau.weights import (EnergyRequest, WeightSpec, XNormConfig, dissipation_norm,
+                              energy_ledger, temporal_norm_x, weight_eval)
 
 from conftest import random_field
 
@@ -96,33 +95,6 @@ class TestDissipationNorm:
                                      * 0.25 * g.xi[i] * g.xi[j] * ff)[::-1]))
         oracle = float(np.sum(sorted(terms)))
         assert got == pytest.approx(oracle, rel=1e-12)
-
-
-class TestCharacterizationNorm:
-    def test_zero_field(self, grid11, params):
-        assert characterization_norm(TwoSpeciesField.zero(grid11), WeightSpec(),
-                                     0.0, params) == 0.0
-
-    def test_radial_gradient_field_has_no_tangential_part(self, grid11, params):
-        # f = |xi|^2 has an exactly radial discrete gradient (differences are
-        # exact on quadratics), so the tangential term contributes nothing
-        from vmlandau.grid import velocity_gradient
-        r2 = np.sum(grid11.xi ** 2, axis=0)
-        f = TwoSpeciesField.from_species(grid11, r2, 0.5 * r2)
-        spec = WeightSpec()
-        total = characterization_norm(f, spec, 0.0, params)
-        # tangential residue: subtract the radial and mass contributions computed directly
-        g = grid11
-        w2 = weight_eval(spec, 0.0, g.xi, params) ** 2
-        quad = g.weights * w2
-        r = np.sqrt(r2)
-        soft = (1.0 + r) ** params.gamma
-        soft2 = (1.0 + r) ** (params.gamma + 2.0)
-        grads = np.stack([velocity_gradient(f, i + 1).values for i in range(3)])
-        grad_sq = (grads * np.conj(grads)).real.sum(axis=(0, 1))
-        fsq = (f.values * np.conj(f.values)).real.sum(axis=0)
-        radial_all = float(np.sum(quad * (soft * grad_sq + soft2 * fsq)))
-        assert abs(total - radial_all) < 1e-8 * total
 
 
 class TestEnergyLedger:
