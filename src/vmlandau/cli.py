@@ -23,8 +23,8 @@ import numpy as np
 
 from .collision import CollisionParams, assemble_L, sigma_field
 from .grid import TwoSpeciesField, build_grid, inner_product
-from .lab import (ConfigError, ExperimentConfig, _fmt, decay_fit, load_archive, parse_config,
-                  report, run_orbit, run_sweep, shell_radius, synthesize_norms)
+from .lab import (ConfigError, ExperimentConfig, _fmt, _mode_file, decay_fit, load_archive,
+                  parse_config, report, run_orbit, run_sweep, synthesize_norms)
 from .macro import project_P
 from .weights import WeightSpec, dissipation_norm
 
@@ -134,10 +134,10 @@ def cmd_mode_run(args) -> int:
                            shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
     Path(args.out).mkdir(parents=True, exist_ok=True)
     op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
-    csv_path, _, rep = run_orbit(cfg, args.k, [(0, args.k)], op)[0]   # an orbit of one
+    rep = run_orbit(cfg, args.k, [(0, args.k)], op)   # an orbit of one
     energy = rep.f_l2sq + rep.em_sq
     print(f"mode k={args.k} integrated to T={args.T}; "
-          f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {csv_path}")
+          f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {_mode_file(args.out, 0, 'csv')}")
     return 0
 
 
@@ -145,9 +145,7 @@ def cmd_decay_sweep(args) -> int:
     cfg = parse_config(args.config)
     t0 = time.perf_counter()
     archive = run_sweep(cfg)
-    report(archive)
-    solves = len({shell_radius(k) for k, _ in archive.k_set})
-    print(f"sweep complete: {len(archive.mode_csvs)} modes from {solves} solves, "
+    print(f"sweep complete: {len(archive.mode_csvs)} modes from {len(cfg.shells)} solves, "
           f"{len(archive.failures)} failures, {time.perf_counter() - t0:.0f}s; "
           f"archive at {archive.outdir}")
     return 0 if not archive.failures else 1
@@ -156,10 +154,14 @@ def cmd_decay_sweep(args) -> int:
 def _decay_fits(args, ms):
     """(archive, decay fit per m), or (archive, None) after printing to stderr why not.
 
-    None when the norms cannot be synthesized or when the window's t2 lies
-    past the archive's last sample.
+    None when the archive cannot be read, when its norms cannot be synthesized
+    or when the window's t2 lies past its last sample.
     """
-    archive = load_archive(args.archive)
+    try:
+        archive = load_archive(args.archive)
+    except (OSError, ValueError) as exc:   # no config.cfg, a bad one, or no finished run of it
+        print(f"vml: {exc}", file=sys.stderr)
+        return None, None
     try:
         norms = [synthesize_norms(archive, m) for m in ms]
     except ValueError as exc:
@@ -172,7 +174,7 @@ def _decay_fits(args, ms):
         print(f"the fit window ({args.window[0]:g}, {args.window[1]:g}) ends past the last "
               f"sample of {archive.outdir}, at t = {last:g}", file=sys.stderr)
         return archive, None
-    shells = len({shell_radius(k) for k, _ in archive.k_set})
+    shells = len(parse_config(archive.config_path).shells)
     return archive, [decay_fit(times, series, args.window, m=m, shells_used=shells)
                      for m, (times, series) in zip(ms, norms)]
 

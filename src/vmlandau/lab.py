@@ -10,9 +10,10 @@ integrates r e3 once per shell and writes every member's checkpoint records
 other column is rotation-invariant) from it.  A member's records satisfy its
 own implicit-step equation at its own k to the solver tolerance, and the
 members of an orbit succeed or fail together.  Per-mode series go to CSV
-(schema below), raw states to checkpoints, everything under one run directory.
-Whole-space norms are synthesized by k-quadrature of the per-mode series;
-algebraic decay exponents come from log-log fits over a configured window.
+(schema below), raw states to checkpoints, everything under one run directory:
+the sweep's one record, read back by the rule that wrote it (``_archive``).
+Whole-space norms are synthesized by k-quadrature of the mode CSVs; algebraic
+decay exponents come from log-log fits over a configured window.
 
 Mode CSV schema (exact header):
     t,k1,k2,k3,f_l2sq,em_sq,micro_D,macro_abc,a_diff,E_term,B_term,rho_k,gauss_E,gauss_B
@@ -33,7 +34,7 @@ import contextlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "parse_config",
     "build_k_set",
     "init_data",
-    "shell_radius",
     "run_orbit",
     "run_sweep",
     "load_archive",
@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError("directions_per_shell must be 1, 2 or 6 (axis directions)")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        if self.ell != 0.0:
+            raise ConfigError(f"ell = {self.ell} is not 0: the mode CSVs hold unweighted series")
         if not (self.save_interval > 0 and self.checkpoint_interval >= 0):
             raise ConfigError("save_interval must be positive and checkpoint_interval not negative")
         try:
@@ -224,11 +226,6 @@ def build_k_set(cfg: ExperimentConfig):
     return out
 
 
-def shell_radius(k) -> float:
-    """|k| rounded to 12 decimals: the key that groups a k-set into shells."""
-    return round(float(np.linalg.norm(k)), 12)
-
-
 def _envelope(k: np.ndarray) -> float:
     return float(np.exp(-0.5 * float(k @ k)))
 
@@ -334,7 +331,7 @@ class DecayFitReport:
 
 @dataclass
 class RunArchive:
-    """Paths and (when produced in-process) reports of one sweep."""
+    """One sweep's files in its run directory, in k-set order; built by ``_archive`` only."""
 
     run_id: str
     outdir: str
@@ -342,8 +339,7 @@ class RunArchive:
     mode_csvs: list
     checkpoints: list
     k_set: list
-    reports: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    failures: list
 
     def manifest_path(self) -> str:
         return os.path.join(self.outdir, "manifest.json")
@@ -413,14 +409,13 @@ def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
     Q = R(kvec) R(k)^T, R = ``_frame`` (k itself is the member with Q = I).
     Since the data is covariant and L commutes with Q, Q carries the run at k
     to the run at kvec.  Into the existing directory cfg.outdir it writes,
-    per member (4-digit idx), ``mode_<idx>.ckpt``, the run's records carried
-    by Q as the run goes, and ``mode_<idx>.csv``, the run's report with only
-    k changed, every other column being rotation-invariant.  Returns
-    (csv path, checkpoint path, report) per member.  Runs on one BLAS thread.
-    The members fail together: an exception carries ``exc.checkpoints``, the
-    checkpoint paths opened before it, keyed by idx.
+    per member, ``_mode_file(outdir, idx, "ckpt")``, the run's records carried
+    by Q as the run goes, and ``_mode_file(outdir, idx, "csv")``, the run's
+    report with only k changed, every other column being rotation-invariant.
+    Returns the run's report at k.  Runs on one BLAS thread.  The members fail
+    together: an exception carries ``exc.checkpoints``, the names of the
+    checkpoints opened before it, keyed by idx.
     """
-    outdir = Path(cfg.outdir)
     k = np.asarray(k, dtype=float).reshape(3)
     opened = {}
     try:
@@ -431,25 +426,21 @@ def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
         with contextlib.ExitStack() as stack:
             writers = []
             for (idx, kvec), rotation in zip(targets, rotations):
-                path = outdir / f"mode_{idx:04d}.ckpt"
+                path = _mode_file(cfg.outdir, idx, "ckpt")
                 writer = stack.enter_context(CheckpointWriter(path, op.grid, cfg.gamma, cfg.c_phi))
-                opened[idx] = str(path)
+                opened[idx] = path.name
                 writers.append((writer, rotation, kvec))
             hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
                                   sample_interval=cfg.save_interval,
                                   checkpoint=_OrbitCheckpoint(writers),
                                   checkpoint_interval=cfg.checkpoint_interval)
         rep = mode_energy_report(hist, cfg.ell, op)
-        out = []
         for idx, kvec in targets:
-            member = replace(rep, k=kvec)
-            csv_path = outdir / f"mode_{idx:04d}.csv"
-            csv_path.write_text(_mode_csv_text(member))
-            out.append((str(csv_path), opened[idx], member))
+            _mode_file(cfg.outdir, idx, "csv").write_text(_mode_csv_text(replace(rep, k=kvec)))
     except Exception as exc:
         exc.checkpoints = opened
         raise
-    return out
+    return rep
 
 
 _WORKER_CTX: dict = {}
@@ -460,15 +451,16 @@ def _worker_init(cfg, op):
     _WORKER_CTX["op"] = op
 
 
-def _run_one_orbit(job):
+def _run_one_orbit(job) -> list:
+    """The orbit's failure records: one per member if it failed, else none."""
     k, members = job
     try:
-        done = run_orbit(_WORKER_CTX["cfg"], k, members, _WORKER_CTX["op"])
+        run_orbit(_WORKER_CTX["cfg"], k, members, _WORKER_CTX["op"])
     except Exception as exc:  # a failed orbit is recorded for each member, not fatal
         err = f"{type(exc).__name__}: {exc}"
         opened = getattr(exc, "checkpoints", {})
-        return [(idx, None, opened.get(idx), None, err) for idx, _ in members]
-    return [(idx, *files, None) for (idx, _), files in zip(members, done)]
+        return [{"mode": idx, "error": err, "checkpoint": opened.get(idx)} for idx, _ in members]
+    return []
 
 
 def max_workers() -> int:
@@ -482,13 +474,12 @@ def max_workers() -> int:
         raise ValueError(f"VML_THREADS must be an integer, got {env!r}") from None
 
 
-def _orbits(k_set) -> list:
-    """The k-set's shells as (r e3, [(idx, kvec), ...]): the solves of a sweep."""
-    shells = {}
-    for idx, (kvec, _w) in enumerate(k_set):
-        shells.setdefault(shell_radius(kvec), []).append((idx, kvec))
-    return [(np.array([0.0, 0.0, np.linalg.norm(members[0][1])]), members)
-            for members in shells.values()]
+def _orbits(cfg: ExperimentConfig, k_set) -> list:
+    """The shells as (r e3, [(idx, kvec), ...]), from the k-set's shell-major order."""
+    per = cfg.directions_per_shell
+    members = [(idx, kvec) for idx, (kvec, _w) in enumerate(k_set)]
+    return [(np.array([0.0, 0.0, r]), members[i * per:(i + 1) * per])
+            for i, r in enumerate(cfg.shells)]
 
 
 def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> RunArchive:
@@ -501,8 +492,10 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     regardless of worker scheduling and count and of the caller's BLAS thread
     count: each ``run_orbit`` runs on one BLAS thread.  Per-mode failures
     are recorded in the archive (and manifest), with the partial checkpoint a
-    failed mode leaves, without aborting the sweep.  A given ``op`` must match
-    the config's grid (R, n) and collision parameters.
+    failed mode leaves, without aborting the sweep.  It deletes any
+    manifest.json first and writes its own last, through ``report`` with no
+    fits, so a manifest with this config's run id marks a finished run.  A
+    given ``op`` must match the config's grid (R, n) and collision parameters.
     """
     if op is not None and ((op.grid.R, op.grid.n) != (cfg.R, cfg.n)
                            or op.params != cfg.collision_params()):
@@ -512,10 +505,9 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     workers = max_workers()
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    k_set = build_k_set(cfg)
-    config_path = outdir / "config.cfg"
-    config_path.write_text(config_to_text(cfg))
-    jobs = _orbits(k_set)
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    (outdir / "config.cfg").write_text(config_to_text(cfg))
+    jobs = _orbits(cfg, build_k_set(cfg))
     nproc = min(workers, len(jobs))
     if op is None:
         op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
@@ -527,21 +519,9 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     else:
         _worker_init(cfg, op)
         batches = list(map(_run_one_orbit, jobs))
-    results = {r[0]: r[1:] for batch in batches for r in batch}
-    mode_csvs, checkpoints, reports, failures = [], [], [], []
-    for idx in range(len(k_set)):
-        csv, ckpt, rep, err = results[idx]
-        if ckpt is not None:
-            checkpoints.append(ckpt)
-        if err is not None:
-            failures.append({"mode": idx, "error": err,
-                             "checkpoint": os.path.basename(ckpt) if ckpt else None})
-            continue
-        mode_csvs.append(csv)
-        reports.append(rep)
-    archive = RunArchive(run_id=_run_id(cfg), outdir=str(outdir), config_path=str(config_path),
-                         mode_csvs=mode_csvs, checkpoints=checkpoints,
-                         k_set=k_set, reports=reports, failures=failures)
+    failures = sorted((f for batch in batches for f in batch), key=lambda f: f["mode"])
+    archive = _archive(outdir, cfg, failures)
+    report(archive)
     return archive
 
 
@@ -549,72 +529,68 @@ def _run_id(cfg: ExperimentConfig) -> str:   # a name-based UUID of the config t
     return uuid.uuid5(uuid.NAMESPACE_URL, config_to_text(cfg)).hex
 
 
-def load_archive(outdir) -> RunArchive:
-    """Reconstruct an archive handle from a run directory on disk.
+def _mode_file(outdir, idx: int, ext: str) -> Path:
+    """A mode's file in a run directory, named by its k-set index."""
+    return Path(outdir) / f"mode_{idx:04d}.{ext}"
 
-    Files are named from the k-set index, as ``run_orbit`` writes them, so no
-    file an earlier run left is claimed; a failed mode's checkpoint is the one
-    its manifest record names.  A manifest of another config is not read.
+
+def _archive(outdir: Path, cfg: ExperimentConfig, failures: list) -> RunArchive:
+    """The archive of ``cfg``'s run in ``outdir``, for ``run_sweep`` and ``load_archive``.
+
+    Files are named by k-set index and listed if on disk; a failed mode has no
+    CSV, and a checkpoint only where its failure record names one.
     """
-    outdir = Path(outdir)
-    manifest = outdir / "manifest.json"
-    cfg = parse_config(outdir / "config.cfg")
-    k_set = build_k_set(cfg)
-    run_id, failures = _run_id(cfg), []
-    if manifest.exists():
-        saved = json.loads(manifest.read_text())
-        if saved["run_id"] == run_id:   # else it is an earlier config's manifest
-            failures = saved["failures"]
     failed = {f["mode"]: f["checkpoint"] for f in failures}   # idx -> checkpoint or None
-    idxs = range(len(k_set))
-    csvs = [outdir / f"mode_{idx:04d}.csv" for idx in idxs if idx not in failed]
-    ckpts = [outdir / failed.get(idx, f"mode_{idx:04d}.ckpt") for idx in idxs
+    k_set = build_k_set(cfg)
+    csvs = [_mode_file(outdir, idx, "csv") for idx in range(len(k_set)) if idx not in failed]
+    ckpts = [_mode_file(outdir, idx, "ckpt") for idx in range(len(k_set))
              if failed.get(idx, True)]
-    return RunArchive(run_id=run_id, outdir=str(outdir),
+    return RunArchive(run_id=_run_id(cfg), outdir=str(outdir),
                       config_path=str(outdir / "config.cfg"),
                       mode_csvs=[str(p) for p in csvs if p.exists()],
                       checkpoints=[str(p) for p in ckpts if p.exists()],
                       k_set=k_set, failures=failures)
 
 
-def synthesize_norms(archive: RunArchive, m: int, ell: float = 0.0):
-    """k-quadrature of |k|^(2m) M-tilde_ell(t, k) over the archived modes.
+def load_archive(outdir) -> RunArchive:
+    """The archive of the finished run in ``outdir``, by ``run_sweep``'s rule.
+
+    The run is finished when manifest.json carries the run id of config.cfg:
+    ``run_sweep`` deletes the manifest first and writes it last.  Otherwise
+    ValueError, so that no earlier or unfinished run is read as this config's.
+    """
+    outdir = Path(outdir)
+    cfg = parse_config(outdir / "config.cfg")
+    manifest = outdir / "manifest.json"
+    saved = json.loads(manifest.read_text()) if manifest.exists() else {}
+    if saved.get("run_id") != _run_id(cfg):
+        raise ValueError(f"{outdir} holds no finished run of its config.cfg")
+    return _archive(outdir, cfg, saved["failures"])
+
+
+def synthesize_norms(archive: RunArchive, m: int):
+    """k-quadrature of |k|^(2m) (|f|^2 + |[E, B]|^2)(t, k) over the archived mode CSVs.
 
     Approximates the squared whole-space norm of the m-th spatial derivative
-    of (w^ell f, E, B).  ell = 0 is served directly from the archived CSV
-    series; ell != 0 requires in-process reports (archive.reports) computed at
-    that ell.  Raises ValueError when a mode of the k-set has no series, since
-    the quadrature would silently lose that mode's weight.
+    of (f, E, B).  Mode idx's series is read from its CSV,
+    ``_mode_file(outdir, idx, "csv")``; its k and weight come from
+    ``archive.k_set``.  Raises ValueError when a mode of the k-set has no
+    listed CSV, since the quadrature would silently lose that mode's weight.
     """
-    if not archive.mode_csvs and not archive.reports:
-        raise ValueError("archive holds no mode series")
-    if archive.reports:
-        if ell != 0.0 and any(r.ell != ell for r in archive.reports):
-            raise ValueError(f"archived reports were computed at ell != {ell}")
-        modes = [(rep.k, rep.times, rep.m_tilde if ell != 0.0 else rep.f_l2sq + rep.em_sq)
-                 for rep in archive.reports]
-    elif ell != 0.0:
-        raise ValueError("ell != 0 synthesis needs in-process reports; "
-                         "the CSV schema stores the unweighted series")
-    else:
-        modes = []
-        for path in archive.mode_csvs:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            kvec = np.array([data["k1"][0], data["k2"][0], data["k3"][0]])
-            modes.append((kvec, data["t"], data["f_l2sq"] + data["em_sq"]))
-    index = {tuple(np.round(k, 12)): idx for idx, (k, _w) in enumerate(archive.k_set)}
-    idxs = [index[tuple(np.round(kvec, 12))] for kvec, _, _ in modes]
-    missing = sorted(set(range(len(archive.k_set))) - set(idxs))
+    paths = [str(_mode_file(archive.outdir, idx, "csv")) for idx in range(len(archive.k_set))]
+    listed = set(archive.mode_csvs)
+    missing = [idx for idx, path in enumerate(paths) if path not in listed]
     if missing:
         share = (sum(archive.k_set[idx][1] for idx in missing)
                  / sum(w for _k, w in archive.k_set))
         raise ValueError(f"modes {missing} have no series; they carry {share:.3g} "
                          "of the k-quadrature weight")
-    times = modes[0][1]
-    total = np.zeros_like(times)
-    for idx, (kvec, _, series) in zip(idxs, modes):
-        ksq = float(kvec @ kvec)
-        total += archive.k_set[idx][1] * ksq ** m * series
+    total = 0.0
+    for (kvec, weight), path in zip(archive.k_set, paths):
+        # the columns t, f_l2sq and em_sq; %.17g round-trips, so these are the run's bits
+        times, f_l2sq, em_sq = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 4, 5),
+                                          ndmin=2).T
+        total = total + weight * float(kvec @ kvec) ** m * (f_l2sq + em_sq)
     return times, total
 
 
@@ -660,14 +636,11 @@ def report(archive: RunArchive, fits=()) -> dict:
             _fmt(f.window[0]), _fmt(f.window[1]), str(f.shells_used),
         ]))
     Path(archive.summary_path()).write_text("\n".join(lines) + "\n")
-    files = sorted(os.path.relpath(p, archive.outdir)
-                   for p in archive.mode_csvs + archive.checkpoints)
-    files.append(os.path.relpath(archive.summary_path(), archive.outdir))
-    files.append(os.path.relpath(archive.config_path, archive.outdir))
+    files = sorted(os.path.basename(p) for p in archive.mode_csvs + archive.checkpoints)
     manifest = {
         "run_id": archive.run_id,
-        "config": os.path.relpath(archive.config_path, archive.outdir),
-        "files": files,
+        "config": "config.cfg",
+        "files": files + ["fit_summary.csv", "config.cfg"],
         "failures": archive.failures,
         "n_modes": len(archive.mode_csvs),
     }

@@ -418,8 +418,9 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     difference block, and sets u^{n+1} = 2x - u^n (imex-midpoint) or x (imex-euler).
     T and the intervals must be whole numbers of steps (cfg.steps).  Frames
     fall on the multiples of the sample interval's steps, and, given a
-    ``checkpoint`` (a CheckpointWriter), records on the checkpoint interval's;
-    both hold the first and the last state, and a 0 interval only those.
+    ``checkpoint`` (any object with ``append(ModeState)``: a CheckpointWriter,
+    or ``lab._OrbitCheckpoint``), records on the checkpoint interval's; both
+    hold the first and the last state, and a 0 interval only those.
     Initial data must satisfy the Gauss constraints to within
     cfg.constraint_tol, which at k = 0 asks for charge-neutral data.
     Constraint drift during the run is recorded in the gauss_E and gauss_B
@@ -546,11 +547,6 @@ class ModeEnergyReport:
     gauss_E: np.ndarray
     gauss_B: np.ndarray
     ell: float = 0.0
-
-    @property
-    def m_tilde(self) -> np.ndarray:
-        """M-tilde_ell = |w^ell fhat|^2 + |[E, B]|^2."""
-        return self.f_weighted_l2sq + self.em_sq
 
 
 def mode_energy_report(history: ModeHistory, ell: float,

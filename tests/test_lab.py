@@ -1,9 +1,12 @@
 import contextlib
 import csv
+import dataclasses
+import json
 import os
 import re
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,19 @@ def _tiny_cfg(outdir) -> lab.ExperimentConfig:
 def _two_shell_cfg(outdir, **changes) -> lab.ExperimentConfig:
     """_tiny_cfg on the shells 0.5 and 1.0: two orbits, so two solves."""
     return lab.ExperimentConfig(**{**vars(_tiny_cfg(outdir)), "shells": (0.5, 1.0), **changes})
+
+
+def _write_run(cfg, times, series) -> None:
+    """A finished run of ``cfg`` in cfg.outdir whose mode CSVs carry f_l2sq = series(k)."""
+    outdir = Path(cfg.outdir)
+    (outdir / "config.cfg").write_text(lab.config_to_text(cfg))
+    z = np.zeros_like(times)
+    for idx, (k, _w) in enumerate(lab.build_k_set(cfg)):
+        rep = ModeEnergyReport(k=k, rho=0.0, times=times, f_l2sq=series(k), em_sq=z,
+                               micro_D=z, f_weighted_l2sq=z, macro_abc=z, a_diff=z,
+                               E_term=z, B_term=z, gauss_E=z, gauss_B=z)
+        (outdir / f"mode_{idx:04d}.csv").write_text(lab._mode_csv_text(rep))
+    lab.report(lab._archive(outdir, cfg, []))   # the manifest marks the run finished
 
 
 def _blas_counts(controls) -> list:
@@ -333,6 +349,59 @@ class TestCli:
         assert "sigma_hat" not in out and "summary:" not in out
         assert sorted(p.name for p in outdir.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_archive_without_a_config_exits_1(self, tmp_path, capsys, command):
+        assert cli.main([command, "--archive", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vml: ") and "config.cfg" in err
+
+    def test_unfinished_run_is_not_read_as_its_config(self, sweeps, op9, tmp_path, monkeypatch,
+                                                      capsys):
+        # run A (mixed) finished here; run B (micro-only) dies after it writes config.cfg
+        outdir = tmp_path / "run"
+        shutil.copytree(sweeps["1"].outdir, outdir)
+        monkeypatch.setenv("VML_THREADS", "1")
+
+        def killed(job):
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(lab, "_run_one_orbit", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            lab.run_sweep(dataclasses.replace(_tiny_cfg(outdir), family="micro-only"), op9)
+        assert lab.parse_config(outdir / "config.cfg").family == "micro-only"
+        assert not (outdir / "manifest.json").exists()
+        message = f"{outdir} holds no finished run of its config.cfg"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lab.load_archive(outdir)
+        capsys.readouterr()
+        for argv in (["fit"], ["report"]):
+            assert cli.main(argv + ["--archive", str(outdir), "--window", "0,0.5"]) == 1
+            assert capsys.readouterr().err == f"vml: {message}\n"
+
+    def test_decay_sweep_fit_and_report(self, tmp_path, capsys):
+        # micro-only data decays by about 20x by t = 4 at n = 9, so the fit is conclusive
+        outdir = tmp_path / "run"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"n = 9\nshells = 0.5, 1.0\ndirections_per_shell = 1\n"
+                          f"family = micro-only\ndt = 1.0\nT = 4.0\nsave_interval = 1.0\n"
+                          f"outdir = {outdir}\n")
+
+        def listed_files_are_on_disk():
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
+            assert sorted(manifest["files"]) == on_disk
+            assert len(on_disk) == 2 * 2 + 2   # CSV and checkpoint per mode, config, summary
+
+        assert cli.main(["decay-sweep", "--config", str(config)]) == 0
+        listed_files_are_on_disk()
+        assert cli.main(["fit", "--archive", str(outdir), "--window", "0,4"]) == 0
+        assert cli.main(["report", "--archive", str(outdir), "--window", "0,4"]) == 0
+        listed_files_are_on_disk()
+        assert "sweep complete: 2 modes from 2 solves, 0 failures" in capsys.readouterr().out
+        with open(outdir / "fit_summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["m"], row["n_shells"]) for row in rows] == [("0", "2"), ("1", "2")]
+
 
 @pytest.fixture(scope="module")
 def orbit_sweeps(op9, tmp_path_factory):
@@ -422,6 +491,34 @@ class TestOrbits:
                 assert np.array_equal(got_t, want_t)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_a_sweep_returns_the_archive_load_archive_reads(self, orbit_sweeps):
+        archive = orbit_sweeps["imex-midpoint", 6]   # two shells on two forked workers
+        loaded = lab.load_archive(archive.outdir)
+        for f in dataclasses.fields(lab.RunArchive):
+            got, want = getattr(loaded, f.name), getattr(archive, f.name)
+            if f.name == "k_set":
+                assert len(got) == len(want) == 12
+                assert all(np.array_equal(a, b) and v == w
+                           for (a, v), (b, w) in zip(got, want))
+            else:
+                assert got == want, f.name
+        for m in (0, 1):
+            for got, want in zip(lab.synthesize_norms(loaded, m), lab.synthesize_norms(archive, m)):
+                assert np.array_equal(got, want)
+
+    def test_synthesis_from_the_csvs_is_the_run_bit_for_bit(self, orbit_sweeps, op9, tmp_path):
+        # %.17g round-trips: the CSVs give the in-process reports' quadrature exactly
+        archive = orbit_sweeps["imex-midpoint", 1]
+        cfg = dataclasses.replace(lab.parse_config(archive.config_path), outdir=str(tmp_path))
+        reports = [lab.run_orbit(cfg, k, [(idx, k)], op9)
+                   for idx, (k, _w) in enumerate(archive.k_set)]
+        for m in (0, 1):
+            want = sum(w * float(k @ k) ** m * (rep.f_l2sq + rep.em_sq)
+                       for (k, w), rep in zip(archive.k_set, reports))
+            got_t, got = lab.synthesize_norms(archive, m)
+            assert np.array_equal(got_t, reports[0].times)
+            assert np.array_equal(got, want)
+
     def test_one_direction_per_shell_is_r_e3_with_the_shell_weight(self, tmp_path):
         cfg = lab.ExperimentConfig(shells=(0.25, 0.5, 1.0), directions_per_shell=1,
                                    outdir=str(tmp_path))
@@ -448,16 +545,8 @@ class TestSynthesizeNorms:
         # |u(k, t)|^2 = exp(-|k|^2) exp(-2 |k|^2 t) decays like t^-(3/2 + m) in the
         # m-th derivative's squared norm as t grows: the exponent 3/4 + m/2
         cfg = lab.ExperimentConfig(outdir=str(tmp_path))
-        (tmp_path / "config.cfg").write_text(lab.config_to_text(cfg))
         times = np.arange(0.0, cfg.T + 0.5 * cfg.save_interval, cfg.save_interval)
-        z = np.zeros_like(times)
-        for idx, (k, _w) in enumerate(lab.build_k_set(cfg)):
-            ksq = float(k @ k)
-            rep = ModeEnergyReport(k=k, rho=0.0, times=times,
-                                   f_l2sq=np.exp(-ksq - 2.0 * ksq * times), em_sq=z,
-                                   micro_D=z, f_weighted_l2sq=z, macro_abc=z, a_diff=z,
-                                   E_term=z, B_term=z, gauss_E=z, gauss_B=z)
-            (tmp_path / f"mode_{idx:04d}.csv").write_text(lab._mode_csv_text(rep))
+        _write_run(cfg, times, lambda k: np.exp(-float(k @ k) - 2.0 * float(k @ k) * times))
         window = cli.build_parser().parse_args(["fit", "--archive", str(tmp_path)]).window
         got_t, got = lab.synthesize_norms(lab.load_archive(tmp_path), m)
         fit = lab.decay_fit(got_t, got, window, m=m)
@@ -489,22 +578,14 @@ class TestSynthesizeNorms:
     def test_matches_shell_quadrature(self, tmp_path, m):
         cfg = lab.ExperimentConfig(shells=(0.25, 0.5, 1.0), directions_per_shell=6,
                                    outdir=str(tmp_path))
-        k_set = lab.build_k_set(cfg)
         times = np.linspace(0.0, 5.0, 11)
 
         def series(k):
             # closed form that differs between the six directions of a shell
             return np.exp(-2.0 * float(k @ k) * times) * (1.0 + 0.3 * k[0] - 0.2 * k[2])
 
-        z = np.zeros_like(times)
-        reports = [ModeEnergyReport(k=k, rho=0.0, times=times, f_l2sq=series(k), em_sq=z,
-                                    micro_D=z, f_weighted_l2sq=z,
-                                    macro_abc=z, a_diff=z, E_term=z, B_term=z,
-                                    gauss_E=z, gauss_B=z)
-                   for k, _w in reversed(k_set)]
-        archive = lab.RunArchive(run_id="x", outdir=str(tmp_path), config_path="",
-                                 mode_csvs=[], checkpoints=[], k_set=k_set, reports=reports)
-        got_t, got = lab.synthesize_norms(archive, m)
+        _write_run(cfg, times, series)
+        got_t, got = lab.synthesize_norms(lab.load_archive(tmp_path), m)
         # trapezoid half-widths of the shells 0.25, 0.5, 1.0, and the six axis directions
         axes = [np.array(v, dtype=float) for v in
                 ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
@@ -592,6 +673,11 @@ class TestConfigText:
         assert cli.main(["decay-sweep", "--config", str(tmp_path / "bad.cfg")]) == 2
         assert re.match(f"vml: \\S*bad.cfg:2: {message}", capsys.readouterr().err)
         assert not run.exists()
+
+    def test_weighted_ell_names_its_line(self, tmp_path):
+        # the mode CSVs hold unweighted series: vml fit could only fit the ell = 0 norm
+        self._assert_names_line_3(tmp_path, "ell", 2.0,
+                                  "ell = 2.0 is not 0: the mode CSVs hold unweighted series")
 
     def test_negative_T_names_its_line(self, tmp_path):
         with pytest.raises(lab.ConfigError, match=r"T = -1\.0 must not be negative"):
