@@ -18,7 +18,7 @@ commute with d/dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -148,20 +148,26 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
 
     For each family's test function phi (sqrt(mu), xi_i sqrt(mu),
     (|xi|^2 - 3) sqrt(mu)/6, (xi_i xi_j - 1) sqrt(mu), (|xi|^2 - 5) xi_i sqrt(mu)/10)
-    and species the residual is |d/dt <phi, f_pm> - <phi, (mode_rhs f)_pm>| at
-    wavevector k.  Splitting f = Pf + {I-P}f regroups these into the macro/micro
-    form of the laws for (a_pm, b, c, Theta, Lambda); here every constant of
-    that form, such as Lambda(Pf), Lambda(E.xi sqrt(mu)) or the coefficient of
-    i k_i c, is a moment under the grid quadrature rather than its continuum
-    Gaussian value, so the residual measures time-discretisation error only.
+    and species the residual is |d/dt <phi, f_pm> - <phi, df_pm/dt>| at
+    wavevector k, with df_pm/dt = -i (xi.k) f_pm +- (E.xi) sqrt(mu) - (L f)_pm
+    the mode equation.  L enters through its symmetry: W A and W K are
+    symmetric, so <phi, (L f)_pm> = <A phi, f_pm> + <K phi, f_+ + f_->, and A
+    and K are applied once per call to the 17 test functions (K to two real
+    ones packed in each complex vector), not once per frame; each frame's
+    moments are then products with these rows, the transport row (xi.k) phi
+    and the field column <phi, xi sqrt(mu)>.
+
+    Splitting f = Pf + {I-P}f regroups these into the macro/micro form of the
+    laws for (a_pm, b, c, Theta, Lambda); here every constant of that form,
+    such as Lambda(Pf), Lambda(E.xi sqrt(mu)) or the coefficient of i k_i c,
+    is a moment under the grid quadrature rather than its continuum Gaussian
+    value, so the residual measures time-discretisation error only.
     It vanishes to roundoff when the centered difference is exact and is second
     order in the spacing for imex-midpoint frames.  The off-diagonal Theta
     residual keeps d/dt a_pm rather than substituting the mass law, so it
     differs from that law's macro/micro form (see _moment_rows) by the 'a'
     residual.
     """
-    from .mode import mode_rhs   # mode imports this module
-
     if len(frames) < 3:
         raise ValueError("macro_residuals needs at least 3 uniformly spaced frames")
     times = np.array([s.t for s in frames])
@@ -169,10 +175,23 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-8, atol=1e-12):
         raise ValueError("frames are not uniformly sampled")
-    rows = _moment_rows(op.grid)
+    g = op.grid
+    w = g.weights
+    k = np.asarray(k, dtype=float)
+    rows = _moment_rows(g)
+    phis = rows / w
+    # K phi for two real test functions per complex k_part call: K is real
+    packed = phis[0::2].astype(complex)
+    packed[:-1] += 1j * phis[1::2]
+    Kpacked = np.array([op.k_part(p) for p in packed])
+    Kphi = np.empty_like(phis)
+    Kphi[0::2], Kphi[1::2] = Kpacked.real, Kpacked.imag[:-1]
+    own = -(1j * (k @ g.xi) * rows + w * (op.A_sparse @ phis.T).T)   # <phi, -i (xi.k) f - A f>
+    shared = -w * Kphi                                           # <phi, -K (f_+ + f_-)>
+    field = rows @ (g.xi * g.sqrt_mu).T                          # <phi, xi_i sqrt(mu)>
     moms = np.array([s.fhat.values @ rows.T for s in frames])
-    rhs = np.array([mode_rhs(replace(s, k=k), op)[0].values @ rows.T
-                    for s in frames[1:-1]])
+    rhs = np.array([s.fhat.values @ own.T + (s.fhat.values[0] + s.fhat.values[1]) @ shared.T
+                    + np.outer([1.0, -1.0], field @ s.Ehat) for s in frames[1:-1]])
     res = np.abs((moms[2:] - moms[:-2]) / (2.0 * dt) - rhs)   # (frames-2, 2, moments)
     nt = len(frames) - 2
     series = {name: res[:, :, sl].reshape(nt, -1).max(axis=1)

@@ -26,17 +26,20 @@ inverse, so it keeps the energy norm: the blocks' tests on the true residual
 |r_b| <= lin_tol |rhs_b| add up to lin_tol |rhs| on the whole state.  Between
 steps the state stays in species form.  One _ModeSolve per (mode, a) holds
 both blocks' generators, which mode_rhs applies too, and their solves.  Each
-block runs restarted GMRES from the current state, right-preconditioned on its
-kinetic entries by the mode's one diagonal ILU (D-ILU) of I + a (A + i xi.k),
-built on the first solve so that evaluating M builds none.  Right
+block runs restarted GMRES from the current state, right-preconditioned by the
+mode's one diagonal ILU (D-ILU) of I + a (A + i xi.k), built on the first
+solve so that evaluating M builds none.  On the difference block the
+preconditioner also closes the six field entries: it inverts exactly the block
+matrix whose kinetic block is the D-ILU, through its 6 x 6 Schur complement on
+(E, B), built once per _ModeSolve from three D-ILU solves.  Right
 preconditioning leaves the residual unpreconditioned, so the Givens recurrence
 gives the true residual and each iteration costs one block application and two
-sparse triangular solves.  The per-step ledger applies K once to s^n for the
-dissipation <L f, f> = <(A + 2K) s, s> + <A d, d>, and the same K s^n gives
-the sum block's initial residual a (G s^n), so a step applies K once per
-sum-block iteration plus once.  Every value carried across a step is a
-function of u^n alone, so a restarted run reproduces an uninterrupted one
-bitwise.
+sparse triangular solves.  The per-step ledger applies K once to s^n and A
+once to s^n and d^n for the dissipation <L f, f> = <(A + 2K) s, s> + <A d, d>,
+and the same products give both blocks' initial residuals a (G u^n), so a step
+applies K once per sum-block iteration plus once.  Every value carried across a
+step is a function of u^n alone, so a restarted run reproduces an
+uninterrupted one bitwise.
 
 A run records by step index, StepperConfig.steps being the one time-to-steps
 rule, and its solver vector, frames and checkpoint records share one layout,
@@ -60,7 +63,7 @@ import scipy.sparse.linalg as spla
 from .collision import LinearizedOperator
 from .grid import TwoSpeciesField
 from .macro import _moment_rows, project_P
-from .weights import WeightSpec, dissipation_norm, weight_eval
+from .weights import WeightSpec, dissipation_norm
 
 __all__ = [
     "ModeState",
@@ -170,6 +173,13 @@ def _gauss(g, k: np.ndarray, f: np.ndarray, E: np.ndarray, B: np.ndarray):
     return abs(1j * (k @ E) - _charge(g, f)), abs(1j * (k @ B))
 
 
+def _cross(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """k x v, component by component: np.cross's products in np.cross's order, so equal bit
+    for bit, without its broadcasting set-up."""
+    return np.array([k[1] * v[2] - k[2] * v[1], k[2] * v[0] - k[0] * v[2],
+                     k[0] * v[1] - k[1] * v[0]])
+
+
 def _current(g, d: np.ndarray) -> np.ndarray:
     """<xi sqrt(mu), d> of one n^3 block; the current is sqrt2 times it at d = (f_+ - f_-)/sqrt2."""
     return _moment_rows(g)[1:4] @ d
@@ -246,11 +256,13 @@ class _ModeSolve:
     Holds xi.k, the weight a and the coupling coefficient ``couple`` (sqrt2,
     or 0 to drop the field-kinetic terms).  A block is x = (n^3 kinetic
     entries, fields) and G is the block's part of the generator.  The
-    preconditioner M^-1 is the mode's one _DiagonalILU of I + a (A + i xi.k),
-    built on the first solve, on the leading n^3 entries; field entries, if
-    the block has any, pass through.  GMRES runs on (I - a G) M^-1 (Saad &
-    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with modified Gram-Schmidt
-    and Givens rotations, and keeps z_j = M^-1 v_j so that x = x0 + Z y costs
+    preconditioner M^-1 (see precondition) is built on the first solve from
+    the mode's one _DiagonalILU of I + a (A + i xi.k): on the sum block it is
+    the D-ILU; on the difference block it closes the field entries exactly
+    through their Schur complement.  Both depend only on (op, k, a).  GMRES
+    runs on (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986) with modified Gram-Schmidt and Givens rotations, and keeps
+    z_j = M^-1 v_j so that x = x0 + Z y costs
     no further preconditioner solve.  With M^-1 on the right the residual is
     the true one, so the recurrence's |g_{m+1}| <= lin_tol |rhs| is the
     block's stopping test; the residual is recomputed from x only at a
@@ -270,30 +282,57 @@ class _ModeSolve:
     def ilu(self) -> _DiagonalILU:
         return _DiagonalILU(self.op.A_sparse, self.a, self.xik)
 
-    def sparse_block(self, x: np.ndarray) -> np.ndarray:
-        """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L."""
-        return -1j * self.xik * x - self.op.A_sparse @ x
+    @functools.cached_property
+    def closure(self):
+        """(W, V, S^-1) of the difference block's field closure; see precondition."""
+        g, k, a = self.op.grid, self.k, self.a
+        U = (a * self.couple) * g.xi * g.sqrt_mu
+        W = np.array([self.ilu.solve(u.astype(complex)) for u in U])
+        V = (a * self.couple) * _moment_rows(g)[1:4].astype(complex)
+        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        S = np.block([[np.eye(3) + V @ W.T, -1j * a * kx], [1j * a * kx, np.eye(3)]])
+        return W, V, np.linalg.inv(S)
+
+    def sparse_block(self, x: np.ndarray, Ax: Optional[np.ndarray] = None) -> np.ndarray:
+        """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L.
+        ``Ax``, if given, is A x."""
+        return -1j * self.xik * x - (self.op.A_complex @ x if Ax is None else Ax)
 
     def sum_block(self, s: np.ndarray) -> np.ndarray:
         """The sum block's generator -(i xi.k + A + 2K) s."""
         return self.sparse_block(s) - 2.0 * self.op.k_part(s)
 
-    def diff_block(self, v: np.ndarray) -> np.ndarray:
-        """The difference block's generator on v = (d, E, B)."""
+    def diff_block(self, v: np.ndarray, Ad: Optional[np.ndarray] = None) -> np.ndarray:
+        """The difference block's generator on v = (d, E, B); ``Ad``, if given, is A d."""
         g, k = self.op.grid, self.k
         n3 = g.size
         d, E, B = v[:n3], v[n3:n3 + 3], v[n3 + 3:]
         out = np.empty_like(v)
-        out[:n3] = self.sparse_block(d)
-        out[n3:n3 + 3] = 1j * np.cross(k, B)
-        out[n3 + 3:] = -1j * np.cross(k, E)
+        out[:n3] = self.sparse_block(d, Ad)
+        out[n3:n3 + 3] = 1j * _cross(k, B)
+        out[n3 + 3:] = -1j * _cross(k, E)
         out[:n3] += self.couple * _xi_dot(g, E) * g.sqrt_mu
         out[n3:n3 + 3] -= self.couple * _current(g, d)
         return out
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
+        """M^-1 x: the D-ILU on a sum-block vector; on a difference-block vector, the exact
+        inverse of the block matrix whose kinetic block is the D-ILU P_d.
+
+        With U = a couple xi sqrt(mu) and V = a couple <xi sqrt(mu), .>, that matrix is
+        [[P_d, -U, 0], [V, I, -i a k x], [0, i a k x, I]]; its Schur complement on
+        (E, B) is S = [[I + V W, -i a k x], [i a k x, I]] with W = P_d^-1 U
+        (Benzi, Golub & Liesen, Acta Numerica 14, 2005).  So y = P_d^-1 x_d,
+        (E, B) = S^-1 (x_E - V y, x_B) and d = y + W E: one D-ILU solve, as on the
+        sum block, and W and S^-1 come from three D-ILU solves once per _ModeSolve.
+        """
         n3 = self.op.grid.size
-        return np.concatenate([self.ilu.solve(x[:n3]), x[n3:]])
+        y = self.ilu.solve(x[:n3])
+        if x.size == n3:
+            return y
+        W, V, Sinv = self.closure
+        EB = Sinv @ np.concatenate([x[n3:n3 + 3] - V @ y, x[n3 + 3:]])
+        return np.concatenate([y + EB[:3] @ W, EB])
 
     def solve(self, gen, rhs: np.ndarray, guess: np.ndarray,
               gen_guess: Optional[np.ndarray] = None, restart: int = 50):
@@ -455,32 +494,33 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     resid = np.zeros((nsteps, 2))
 
     def scalars(idx, uvec, t):
-        """Record step idx's scalars; return uvec in (s, d, E, B) form and G_s s."""
+        """Record step idx's scalars; return uvec in (s, d, E, B) form, G_s s and G_d (d, E, B)."""
         v = _sum_diff(uvec, n3)
         s, d = v[:n3], v[n3:2 * n3]
-        Ls = op.A_sparse @ s + 2.0 * op.k_part(s)
+        Ad = op.A_complex @ d
+        Ls = op.A_complex @ s + 2.0 * op.k_part(s)
         f = uvec[:2 * n3].reshape(2, n3)
         times[idx] = t
         energy[idx] = float(np.sum(g.weights * (np.abs(f) ** 2).sum(axis=0))
                             + np.sum(np.abs(uvec[2 * n3:]) ** 2))
         # <L f, f> in (s, d) form: the map is orthogonal
-        diss[idx] = float(np.sum(g.weights * (Ls * np.conj(s)
-                                              + (op.A_sparse @ d) * np.conj(d))).real)
+        diss[idx] = float(np.sum(g.weights * (Ls * np.conj(s) + Ad * np.conj(d))).real)
         gauss_e[idx], gauss_b[idx] = _gauss(g, k, f, uvec[2 * n3:2 * n3 + 3], uvec[2 * n3 + 3:])
-        return v, -1j * ms.xik * s - Ls
+        return v, -1j * ms.xik * s - Ls, ms.diff_block(v[n3:], Ad)
 
-    v, gen_s = scalars(0, u, state0.t)
+    v, gen_s, gen_d = scalars(0, u, state0.t)
     frames = [state0.copy()]
     if checkpoint is not None:
         checkpoint.append(state0)
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
         s, iters[step - 1, 0], resid[step - 1, 0] = ms.solve(ms.sum_block, v[:n3], v[:n3], gen_s)
-        dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, v[n3:], v[n3:])
+        dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, v[n3:], v[n3:],
+                                                               gen_d)
         x = np.concatenate([s, dEB])
         v = 2.0 * x - v if cfg.scheme == "imex-midpoint" else x
         u = _sum_diff(v, n3)
-        v, gen_s = scalars(step, u, t_new)
+        v, gen_s, gen_d = scalars(step, u, t_new)
         sample = step % sample_every == 0 or step == nsteps
         record = checkpoint is not None and (step % ckpt_every == 0 or step == nsteps)
         if sample or record:
@@ -539,7 +579,6 @@ class ModeEnergyReport:
     f_l2sq: np.ndarray
     em_sq: np.ndarray
     micro_D: np.ndarray
-    f_weighted_l2sq: np.ndarray    # |w^ell fhat|^2, the weighted content of M-tilde
     macro_abc: np.ndarray
     a_diff: np.ndarray
     E_term: np.ndarray
@@ -556,12 +595,11 @@ def mode_energy_report(history: ModeHistory, ell: float,
     k = history.k
     ksq = float(k @ k)
     rho = rho_frequency(k)
-    wl = weight_eval(WeightSpec(tau=-ell / 2.0), 0.0, g.xi, op.params)
     spec0 = WeightSpec(tau=0.0, lam=0.0)
     nts = len(history.frames)
     cols = {name: np.empty(nts) for name in
-            ("f_l2sq", "em_sq", "micro_D", "f_weighted_l2sq",
-             "macro_abc", "a_diff", "E_term", "B_term", "gauss_E", "gauss_B")}
+            ("f_l2sq", "em_sq", "micro_D", "macro_abc", "a_diff", "E_term", "B_term",
+             "gauss_E", "gauss_B")}
     times = np.empty(nts)
     for idx, st in enumerate(history.frames):
         times[idx] = st.t
@@ -570,8 +608,6 @@ def mode_energy_report(history: ModeHistory, ell: float,
         cols["f_l2sq"][idx] = float(np.sum(g.weights * (np.abs(f.values) ** 2).sum(axis=0)))
         cols["em_sq"][idx] = float(np.sum(np.abs(st.Ehat) ** 2) + np.sum(np.abs(st.Bhat) ** 2))
         cols["micro_D"][idx] = dissipation_norm(micro, spec0, st.t, op.sigma)
-        cols["f_weighted_l2sq"][idx] = float(
-            np.sum(g.weights * (np.abs(f.values * wl) ** 2).sum(axis=0)))
         abc = (abs(macro.a_plus + macro.a_minus) ** 2
                + float(np.sum(np.abs(macro.b) ** 2)) + abs(macro.c) ** 2)
         cols["macro_abc"][idx] = ksq / (1.0 + ksq) * abc

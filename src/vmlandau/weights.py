@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -43,12 +44,17 @@ class WeightSpec:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
 
 
+def _bracket_sq(xi) -> np.ndarray:
+    """<xi>^2 = 1 + |xi|^2; xi is a 3-vector or (3, m) array."""
+    xi = np.asarray(xi, dtype=float)
+    return 1.0 + np.sum(xi * xi, axis=0)
+
+
 def weight_eval(spec: WeightSpec, t: float, xi, params: CollisionParams):
     """Evaluate w_{tau,lambda}(t, xi); xi is a 3-vector or (3, m) array."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    br2 = 1.0 + np.sum(xi * xi, axis=0)
+    br2 = _bracket_sq(xi)
     out = br2 ** (0.5 * (params.gamma + 2.0) * spec.tau)
     if spec.lam > 0.0:
         out = out * np.exp(spec.lam * br2 / (1.0 + t) ** spec.theta)
@@ -70,13 +76,13 @@ def dissipation_norm(f: TwoSpeciesField, spec: WeightSpec, t: float,
     xi = g.xi
     grads = [velocity_gradient(f, i + 1).values for i in range(3)]
     total = 0.0
-    fsq = (f.values * np.conj(f.values)).real
+    fsq = (f.values * np.conj(f.values)).real.sum(axis=0)
     for i in range(3):
         for j in range(3):
             sij = sigma.component(i, j)
             gg = (grads[i] * np.conj(grads[j])).real.sum(axis=0)
             total += float(np.sum(quad * sij * gg))
-            total += float(np.sum(quad * sij * 0.25 * xi[i] * xi[j] * fsq.sum(axis=0)))
+            total += float(np.sum(quad * sij * 0.25 * xi[i] * xi[j] * fsq))
     return total
 
 
@@ -151,26 +157,35 @@ def _beta_derivative(f: TwoSpeciesField, beta) -> TwoSpeciesField:
     return out
 
 
-def _energy_part(state, req: EnergyRequest, t: float, params: CollisionParams) -> EnergyLedger:
-    """A ledger holding only the energy terms and em_sobolev of one mode state."""
+def _energy_part(state, req: EnergyRequest, t: float, params: CollisionParams,
+                 derivs: Optional[dict] = None) -> EnergyLedger:
+    """A ledger holding only the energy terms and em_sobolev of one mode state.
+
+    ``derivs`` maps beta to the beta-derivative of state.fhat; calls on one
+    state may share it, and missing entries are added.
+    """
     f = state.fhat
     k = np.asarray(state.k, dtype=float)
     ledger = EnergyLedger(t=t)
-    derivs: dict = {}
+    derivs = {} if derivs is None else derivs
     em_sq = float(np.sum(np.abs(state.Ehat) ** 2 + np.abs(state.Bhat) ** 2))
+    sums = {}   # beta -> weighted |d^beta f|^2, which every alpha scales by its k-factor
+    for btot in range(min(req.N, req.max_beta) + 1):
+        w2 = _weight_sq(WeightSpec(tau=btot - req.ell, lam=req.lam, theta=req.theta),
+                        t, f.grid, params)
+        for beta in _multi_indices(btot):
+            if beta not in derivs:
+                derivs[beta] = _beta_derivative(f, beta)
+            df = derivs[beta]
+            sums[beta] = float(np.sum(
+                f.grid.weights * w2 * (df.values * np.conj(df.values)).real.sum(axis=0)))
     for atot in range(req.N + 1):
         for alpha in _multi_indices(atot):
             kfac = _k_power_sq(k, alpha)
             ledger.em_sobolev += kfac * em_sq
             for btot in range(min(req.N - atot, req.max_beta) + 1):
                 for beta in _multi_indices(btot):
-                    spec = WeightSpec(tau=btot - req.ell, lam=req.lam, theta=req.theta)
-                    w2 = _weight_sq(spec, t, f.grid, params)
-                    if beta not in derivs:
-                        derivs[beta] = _beta_derivative(f, beta)
-                    df = derivs[beta]
-                    ledger.energy_terms[(alpha, beta)] = kfac * float(np.sum(
-                        f.grid.weights * w2 * (df.values * np.conj(df.values)).real.sum(axis=0)))
+                    ledger.energy_terms[(alpha, beta)] = kfac * sums[beta]
     return ledger
 
 
@@ -190,20 +205,24 @@ def energy_ledger(state, req: EnergyRequest, t: float,
     ledger = _energy_part(state, req, t, params)
     macro_state, _, micro = project_P(f)
 
-    derivs: dict = {}
-    for alpha, beta in ledger.energy_terms:
-        kfac = _k_power_sq(k, alpha)
+    # per beta, the micro part's dissipation norm and lambda-weighted extra term,
+    # which every alpha scales by its k-factor
+    micro_d, micro_x = {}, {}
+    br2 = _bracket_sq(f.grid.xi)
+    for beta in dict.fromkeys(beta for _, beta in ledger.energy_terms):
         spec = WeightSpec(tau=sum(beta) - req.ell, lam=req.lam, theta=req.theta)
-        if beta not in derivs:
-            derivs[beta] = _beta_derivative(micro, beta)
-        dmicro = derivs[beta]
-        ledger.micro_dissipation[(alpha, beta)] = kfac * dissipation_norm(dmicro, spec, t, op.sigma)
+        dmicro = _beta_derivative(micro, beta)
+        micro_d[beta] = dissipation_norm(dmicro, spec, t, op.sigma)
         if req.lam > 0.0:
             w2 = _weight_sq(spec, t, f.grid, params)
-            br2 = 1.0 + np.sum(f.grid.xi ** 2, axis=0)
-            extra = kfac * float(np.sum(f.grid.weights * w2 * br2 *
-                                        (dmicro.values * np.conj(dmicro.values)).real.sum(axis=0)))
-            ledger.extra_decay += (req.lam / (1.0 + t) ** (1.0 + req.theta)) * extra
+            micro_x[beta] = float(np.sum(f.grid.weights * w2 * br2 *
+                                         (dmicro.values * np.conj(dmicro.values)).real.sum(axis=0)))
+    decay = req.lam / (1.0 + t) ** (1.0 + req.theta)
+    for alpha, beta in ledger.energy_terms:
+        kfac = _k_power_sq(k, alpha)
+        ledger.micro_dissipation[(alpha, beta)] = kfac * micro_d[beta]
+        if req.lam > 0.0:
+            ledger.extra_decay += decay * (kfac * micro_x[beta])
 
     abc_sq = (abs(macro_state.a_plus) ** 2 + abs(macro_state.a_minus) ** 2
               + float(np.sum(np.abs(macro_state.b) ** 2)) + abs(macro_state.c) ** 2)
@@ -252,10 +271,11 @@ def temporal_norm_x(states, times, op, config: XNormConfig = XNormConfig()):
     def E(state, t, N, ell, lam):
         N = max(int(N), 0)
         req = EnergyRequest(N=N, ell=max(ell, N if lam > 0 else 0.0), lam=lam, theta=c.theta)
-        return _energy_part(state, req, t, op.params).energy
+        return _energy_part(state, req, t, op.params, derivs).energy
 
     parts = []
     for state, t in zip(states, times):
+        derivs: dict = {}   # one beta-derivative table per state, shared by its seven ledgers
         s = 1.0 + t
         val = (E(state, t, c.N1, 0.0, 0.0)
                + s ** 1.5 * E(state, t, c.N1 - 2, 0.0, 0.0)

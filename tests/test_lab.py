@@ -41,7 +41,7 @@ def _write_run(cfg, times, series) -> None:
     z = np.zeros_like(times)
     for idx, (k, _w) in enumerate(lab.build_k_set(cfg)):
         rep = ModeEnergyReport(k=k, rho=0.0, times=times, f_l2sq=series(k), em_sq=z,
-                               micro_D=z, f_weighted_l2sq=z, macro_abc=z, a_diff=z,
+                               micro_D=z, macro_abc=z, a_diff=z,
                                E_term=z, B_term=z, gauss_E=z, gauss_B=z)
         (outdir / f"mode_{idx:04d}.csv").write_text(lab._mode_csv_text(rep))
     lab.report(lab._archive(outdir, cfg, []))   # the manifest marks the run finished

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -5,7 +7,7 @@ from numpy.polynomial.hermite import hermgauss
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.lab import ExperimentConfig, init_data
 from vmlandau.macro import _FAMILIES, _moment_rows, macro_residuals, project_P
-from vmlandau.mode import ModeState
+from vmlandau.mode import ModeState, StepperConfig, integrate_mode, mode_rhs
 
 from conftest import profile_frame, random_field, smooth_random_field
 
@@ -142,6 +144,38 @@ class TestThetaLambda:
                     assert abs(theta[0, i, j]) < 1e-8
 
 
+def _exact_derivative_frames(grid, op):
+    """(k, f, E, frames): three frames u - d Mu, u, u + d Mu at spacing d = 0.1 around a
+    smooth random state u = (f, E, k x E), so that their centered difference is exactly Mu."""
+    rng = np.random.default_rng(6)
+    k = np.array([0.3, -0.4, 0.6])
+    f = smooth_random_field(grid, rng)
+    E = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    u = ModeState(k, f, E, np.cross(k, E), 0.0)
+    df, dE, dB = mode_rhs(u, op)
+    d = 0.1
+    frames = [ModeState(k, f + s * d * df, E + s * d * dE, u.Bhat + s * d * dB, (1 + s) * d)
+              for s in (-1, 0, 1)]
+    return k, f, E, frames
+
+
+def _assert_matches_the_per_frame_form(frames, k, op):
+    """macro_residuals against the residuals formed with L applied to every interior
+    frame (one mode_rhs each), to 1e-13 of the largest right-hand-side moment."""
+    rows = _moment_rows(op.grid)
+    dt = frames[1].t - frames[0].t
+    moms = np.array([s.fhat.values @ rows.T for s in frames])
+    rhs = np.array([mode_rhs(replace(s, k=k), op)[0].values @ rows.T for s in frames[1:-1]])
+    res = np.abs((moms[2:] - moms[:-2]) / (2.0 * dt) - rhs)
+    tol = 1e-13 * np.abs(rhs).max()
+    rep = macro_residuals(frames, k, op)
+    for name, sl in _FAMILIES.items():
+        want = res[:, :, sl].reshape(len(res), -1).max(axis=1)
+        assert np.abs(rep.series[name] - want).max() <= tol, name
+    assert abs(rep.max_residual - res.max()) <= tol
+    assert abs(rep.l2_residual - np.sqrt(np.mean(res ** 2))) <= tol
+
+
 def _macro_only_state(grid, k, b, c, t):
     smu = grid.sqrt_mu
     xi = grid.xi
@@ -171,20 +205,23 @@ class TestMacroResiduals:
     def test_exact_derivative_frames_satisfy_every_law(self, grid11, op11):
         # frames u - d Mu, u, u + d Mu make the centered difference exactly Mu,
         # so any quadrature-vs-continuum mismatch in the laws would show here
-        from vmlandau.mode import mode_rhs
-        rng = np.random.default_rng(6)
-        k = np.array([0.3, -0.4, 0.6])
-        f = smooth_random_field(grid11, rng)
-        E = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        u = ModeState(k, f, E, np.cross(k, E), 0.0)
-        df, dE, dB = mode_rhs(u, op11)
-        d = 0.1
-        frames = [ModeState(k, f + s * d * df, E + s * d * dE, u.Bhat + s * d * dB,
-                            (1 + s) * d) for s in (-1, 0, 1)]
+        k, f, E, frames = _exact_derivative_frames(grid11, op11)
         rep = macro_residuals(frames, k, op11)
         scale = f.norm() + np.linalg.norm(E)
         for law in ("a", "b", "c", "theta", "lambda"):
             assert rep.family_max(law) <= 1e-11 * scale, law
+
+    def test_matches_the_per_frame_form_on_a_midpoint_history(self, grid11, op11):
+        k = np.array([0.0, 0.3, 0.4])
+        cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
+                               outdir="/tmp/unused")
+        h = integrate_mode(init_data(cfg, k, grid11), StepperConfig(dt=0.1, lin_tol=1e-10),
+                           1.0, op11, sample_interval=0.1)
+        _assert_matches_the_per_frame_form(h.frames, k, op11)
+
+    def test_matches_the_per_frame_form_on_exact_derivative_frames(self, grid11, op11):
+        k, _, _, frames = _exact_derivative_frames(grid11, op11)
+        _assert_matches_the_per_frame_form(frames, k, op11)
 
     def test_lambda_law_reduces_for_stationary_macro(self, grid17, op17):
         # stationary macro-only frames with b != 0, E = 0: the only lambda-law
