@@ -153,7 +153,7 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G) -> np.ndarray:
     return _divergence(grid, u)
 
 
-def _complex_twin(M: sp.csr_array) -> sp.csr_array:
+def _complex_csr(M: sp.csr_array) -> sp.csr_array:
     """M with complex data in M's own index order, so its products are M's bit for bit
     (``astype`` would sort the indices)."""
     return sp.csr_array((M.data.astype(complex), M.indices, M.indptr), shape=M.shape)
@@ -187,14 +187,13 @@ class LinearizedOperator:
                 M = self.G[j].T @ sp.diags_array(w * sigma.component(i, j)) @ self.G[i]
                 BA = M if BA is None else BA + M
         self._winv = 1.0 / w
-        # 2 W^{-1} B_A: the sparse part of L per species, real for the D-ILU's
-        # factors; A_complex is its twin in the same index order, since scipy
-        # would cast the data to complex on every product with a complex vector
-        self.A_sparse = sp.csr_array(sp.diags_array(self._winv) @ (2.0 * sp.csr_array(BA)))
-        self.A_complex = _complex_twin(self.A_sparse)
+        # 2 W^{-1} B_A: the sparse part of L per species, stored complex, since
+        # scipy would cast real data to complex on every product with a complex vector
+        self.A_sparse = _complex_csr(
+            sp.csr_array(sp.diags_array(self._winv) @ (2.0 * sp.csr_array(BA))))
         Gw = [sp.csr_array(sp.diags_array(w * smu) @ Gi) for Gi in self.G]
-        self._Gw = tuple(_complex_twin(Gi) for Gi in Gw)
-        self._GwT = tuple(_complex_twin(sp.csr_array(Gi.T)) for Gi in Gw)
+        self._Gw = tuple(_complex_csr(Gi) for Gi in Gw)
+        self._GwT = tuple(_complex_csr(sp.csr_array(Gi.T)) for Gi in Gw)
         self._kbuf = np.empty((3, n, n, n), dtype=complex)
         self._k_eigenpairs = None
 

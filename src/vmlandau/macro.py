@@ -152,8 +152,8 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
     wavevector k, with df_pm/dt = -i (xi.k) f_pm +- (E.xi) sqrt(mu) - (L f)_pm
     the mode equation.  L enters through its symmetry: W A and W K are
     symmetric, so <phi, (L f)_pm> = <A phi, f_pm> + <K phi, f_+ + f_->, and A
-    and K are applied once per call to the 17 test functions (K to two real
-    ones packed in each complex vector), not once per frame; each frame's
+    and K are applied once per call to the 17 test functions (two real ones
+    packed in each complex vector), not once per frame; each frame's
     moments are then products with these rows, the transport row (xi.k) phi
     and the field column <phi, xi sqrt(mu)>.
 
@@ -180,13 +180,14 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
     k = np.asarray(k, dtype=float)
     rows = _moment_rows(g)
     phis = rows / w
-    # K phi for two real test functions per complex k_part call: K is real
+    # A phi and K phi for two real test functions per complex product: A and K are real
     packed = phis[0::2].astype(complex)
     packed[:-1] += 1j * phis[1::2]
-    Kpacked = np.array([op.k_part(p) for p in packed])
-    Kphi = np.empty_like(phis)
-    Kphi[0::2], Kphi[1::2] = Kpacked.real, Kpacked.imag[:-1]
-    own = -(1j * (k @ g.xi) * rows + w * (op.A_sparse @ phis.T).T)   # <phi, -i (xi.k) f - A f>
+    Aphi, Kphi = np.empty_like(phis), np.empty_like(phis)
+    for out, P in ((Aphi, (op.A_sparse @ packed.T).T),
+                   (Kphi, np.array([op.k_part(p) for p in packed]))):
+        out[0::2], out[1::2] = P.real, P.imag[:-1]
+    own = -(1j * (k @ g.xi) * rows + w * Aphi)                   # <phi, -i (xi.k) f - A f>
     shared = -w * Kphi                                           # <phi, -K (f_+ + f_-)>
     field = rows @ (g.xi * g.sqrt_mu).T                          # <phi, xi_i sqrt(mu)>
     moms = np.array([s.fhat.values @ rows.T for s in frames])

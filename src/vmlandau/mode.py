@@ -289,14 +289,14 @@ class _ModeSolve:
         U = (a * self.couple) * g.xi * g.sqrt_mu
         W = np.array([self.ilu.solve(u.astype(complex)) for u in U])
         V = (a * self.couple) * _moment_rows(g)[1:4].astype(complex)
-        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        kx = _cross(k, np.eye(3))
         S = np.block([[np.eye(3) + V @ W.T, -1j * a * kx], [1j * a * kx, np.eye(3)]])
         return W, V, np.linalg.inv(S)
 
     def sparse_block(self, x: np.ndarray, Ax: Optional[np.ndarray] = None) -> np.ndarray:
         """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L.
         ``Ax``, if given, is A x."""
-        return -1j * self.xik * x - (self.op.A_complex @ x if Ax is None else Ax)
+        return -1j * self.xik * x - (self.op.A_sparse @ x if Ax is None else Ax)
 
     def sum_block(self, s: np.ndarray) -> np.ndarray:
         """The sum block's generator -(i xi.k + A + 2K) s."""
@@ -497,8 +497,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         """Record step idx's scalars; return uvec in (s, d, E, B) form, G_s s and G_d (d, E, B)."""
         v = _sum_diff(uvec, n3)
         s, d = v[:n3], v[n3:2 * n3]
-        Ad = op.A_complex @ d
-        Ls = op.A_complex @ s + 2.0 * op.k_part(s)
+        Ad = op.A_sparse @ d
+        Ls = op.A_sparse @ s + 2.0 * op.k_part(s)
         f = uvec[:2 * n3].reshape(2, n3)
         times[idx] = t
         energy[idx] = float(np.sum(g.weights * (np.abs(f) ** 2).sum(axis=0))

@@ -539,22 +539,9 @@ class TestPreconditionerQuality:
         assert calls[0] <= parent_calls
         assert h.solve_iters.shape == h.solve_residual.shape == (len(h.times) - 1, 2)
         assert h.solve_iters.sum() == calls[0]
-        assert np.all(h.solve_residual <= 1e-8)
-
-    @pytest.mark.parametrize("n, scheme, dt, T, most", [
-        # passing the field entries through the preconditioner took 4 and 6
-        (17, "imex-euler", 0.02, 0.2, 2),
-        (13, "imex-midpoint", 0.25, 1.0, 4),
-    ])
-    def test_difference_block_iterations_with_closed_fields(self, request, n, scheme, dt, T,
-                                                             most):
-        from vmlandau.lab import ExperimentConfig, init_data
-        op = request.getfixturevalue("op13" if n == 13 else "op17")
-        cfg = ExperimentConfig(R=op.grid.R, n=n, family="mixed", shells=(0.5,),
-                               outdir="/tmp/unused")
-        st = init_data(cfg, [0.0, 0.0, 0.5], op.grid)
-        h = integrate_mode(st, StepperConfig(dt=dt, scheme=scheme, lin_tol=1e-8), T, op)
-        assert h.solve_iters[:, 1].max() <= most
+        # the difference block, its field entries closed by precondition; passing
+        # them through the D-ILU took 4 an euler step and 6 a midpoint step
+        assert h.solve_iters[:, 1].max() <= (2 if scheme == "imex-euler" else 4)
         assert np.all(h.solve_residual <= 1e-8)
 
 
