@@ -17,14 +17,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .collision import CollisionParams, assemble_L, sigma_field
 from .grid import TwoSpeciesField, build_grid, inner_product
-from .lab import (ConfigError, ExperimentConfig, _fmt, _mode_file, decay_fit, load_archive,
-                  parse_config, report, run_orbit, run_sweep, synthesize_norms)
+from .lab import (ConfigError, ExperimentConfig, _PARSERS, _fmt, _mode_file, decay_fit,
+                  load_archive, parse_config, report, run_orbit, run_sweep, synthesize_norms)
 from .macro import project_P
 from .weights import WeightSpec, dissipation_norm
 
@@ -79,7 +80,7 @@ IDENTITY_TOL = 1e-12     # null residuals and symmetry defect: roundoff identiti
 SYMMETRY_PAIRS = 4       # seeded field pairs for the symmetry defect
 
 
-def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = 1.0):
+def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = ExperimentConfig.c_phi):
     """Null residuals, symmetry defect and, over the 14 odd-even fields f
     (``LinearizedOperator.odd_even_basis``), the (min, max) of <Lf, f>/|f|^2 and of
     <Lm, m>/|m|_D^2 on their micro parts m = (I - P)f: the space on which the
@@ -127,16 +128,19 @@ def cmd_spectrum_check(args) -> int:
     return 1 if failed else 0
 
 
+# the ExperimentConfig fields mode-run takes as flags, each defaulting to the config's own
+_MODE_RUN_SETTINGS = ("family", "T", "n", "R", "gamma", "dt", "scheme", "save_interval")
+
+
 def cmd_mode_run(args) -> int:
-    cfg = ExperimentConfig(gamma=args.gamma, R=args.R, n=args.n, family=args.family,
-                           dt=args.dt, scheme=args.scheme, T=args.T,
-                           outdir=args.out, save_interval=args.save_interval,
-                           shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
+    settings = {name: getattr(args, name) for name in _MODE_RUN_SETTINGS}
+    cfg = ExperimentConfig(**{name: v for name, v in settings.items() if v is not None},
+                           outdir=args.out, shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
     Path(args.out).mkdir(parents=True, exist_ok=True)
     op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
     rep = run_orbit(cfg, args.k, [(0, args.k)], op)   # an orbit of one
     energy = rep.f_l2sq + rep.em_sq
-    print(f"mode k={args.k} integrated to T={args.T}; "
+    print(f"mode k={args.k} integrated to T={cfg.T}; "
           f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {_mode_file(args.out, 0, 'csv')}")
     return 0
 
@@ -209,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sigma-table", help="dump sigma^ij along a lattice ray")
-    s.add_argument("--gamma", type=float, default=-3.0)
-    s.add_argument("--c-phi", type=float, default=1.0)
+    s.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
+    s.add_argument("--c-phi", type=float, default=ExperimentConfig.c_phi)
     s.add_argument("--ray", type=_parse_vec, default=np.array([1.0, 0, 0]))
     s.add_argument("--rmax", type=float, default=8.0)
     s.add_argument("--n", type=int, default=33)
@@ -221,20 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
             "when a null residual or the symmetry defect exceeds 1e-12")
     s = sub.add_parser("spectrum-check", help=text, description=text)
     s.add_argument("--n", type=int, nargs="+", default=[17, 25])
-    s.add_argument("--R", type=float, default=7.0)
-    s.add_argument("--gamma", type=float, default=-3.0)
+    s.add_argument("--R", type=float, default=ExperimentConfig.R)
+    s.add_argument("--gamma", type=float, default=ExperimentConfig.gamma)
     s.set_defaults(func=cmd_spectrum_check)
 
-    s = sub.add_parser("mode-run", help="integrate a single Fourier mode")
+    s = sub.add_parser("mode-run", help="integrate a single Fourier mode; a setting left "
+                                        "out takes the ExperimentConfig default")
     s.add_argument("--k", type=_parse_vec, required=True)
-    s.add_argument("--family", default="micro-only")
-    s.add_argument("--T", type=float, default=100.0)
-    s.add_argument("--n", type=int, default=25)
-    s.add_argument("--R", type=float, default=7.0)
-    s.add_argument("--gamma", type=float, default=-3.0)
-    s.add_argument("--dt", type=float, default=0.05)
-    s.add_argument("--scheme", default="imex-midpoint")
-    s.add_argument("--save-interval", type=float, default=1.0)
+    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+    for name in _MODE_RUN_SETTINGS:
+        s.add_argument(f"--{name.replace('_', '-')}", type=parsers[name])
     s.add_argument("--out", default="runs/mode")
     s.set_defaults(func=cmd_mode_run)
 

@@ -180,26 +180,21 @@ class LinearizedOperator:
         D = grid.gradient_matrices
         S = sp.diags_array(smu)
         Sinv = sp.diags_array(1.0 / smu)
-        self.G = tuple(sp.csr_array(S @ D[i] @ Sinv) for i in range(3))
+        G = tuple(sp.csr_array(S @ D[i] @ Sinv) for i in range(3))
         BA = None
         for i in range(3):
             for j in range(3):
-                M = self.G[j].T @ sp.diags_array(w * sigma.component(i, j)) @ self.G[i]
+                M = G[j].T @ sp.diags_array(w * sigma.component(i, j)) @ G[i]
                 BA = M if BA is None else BA + M
         self._winv = 1.0 / w
         # 2 W^{-1} B_A: the sparse part of L per species, stored complex, since
         # scipy would cast real data to complex on every product with a complex vector
         self.A_sparse = _complex_csr(
             sp.csr_array(sp.diags_array(self._winv) @ (2.0 * sp.csr_array(BA))))
-        Gw = [sp.csr_array(sp.diags_array(w * smu) @ Gi) for Gi in self.G]
+        Gw = [sp.csr_array(sp.diags_array(w * smu) @ Gi) for Gi in G]
         self._Gw = tuple(_complex_csr(Gi) for Gi in Gw)
         self._GwT = tuple(_complex_csr(sp.csr_array(Gi.T)) for Gi in Gw)
         self._kbuf = np.empty((3, n, n, n), dtype=complex)
-        self._k_eigenpairs = None
-
-    @property
-    def size(self) -> int:
-        return self.grid.size
 
     def k_part(self, h: np.ndarray) -> np.ndarray:
         """Nonlocal part: W^{-1} K_B h for the species sum h = f_+ + f_-."""
@@ -239,39 +234,9 @@ class LinearizedOperator:
         return [TwoSpeciesField.from_species(self.grid, s, sign * s)
                 for s in fields for sign in (1.0, -1.0)]
 
-    def deflation_basis(self, rank: int = 48, iters: int = 3, seed: int = 1234):
-        """Dominant eigenpairs of the symmetrized nonlocal part.
-
-        Deterministic seeded subspace iteration with Rayleigh-Ritz extraction;
-        cached per operator.  Returns (lam, V_left, V_right) with
-        K ~ V_left diag(lam) V_right^T in plain coordinates.  No solver calls
-        it; it stays because ``perfbench/tracing.py::install`` wraps it by name.
-        """
-        if self._k_eigenpairs is not None and self._k_eigenpairs[0].size >= rank:
-            lam, Vl, Vr = self._k_eigenpairs
-            return lam[:rank], Vl[:, :rank], Vr[:, :rank]
-        sw = np.sqrt(self.grid.weights)
-        rng = np.random.default_rng(seed)
-        V = rng.standard_normal((self.grid.size, rank))
-        V, _ = np.linalg.qr(V)
-        for _ in range(iters):
-            Y = np.empty_like(V)
-            for c in range(rank):
-                Y[:, c] = (sw * self.k_part((V[:, c] / sw).astype(complex))).real
-            V, _ = np.linalg.qr(Y)
-        KV = np.empty_like(V)
-        for c in range(rank):
-            KV[:, c] = (sw * self.k_part((V[:, c] / sw).astype(complex))).real
-        H = V.T @ KV
-        H = 0.5 * (H + H.T)
-        lam, U = np.linalg.eigh(H)
-        order = np.argsort(-np.abs(lam))
-        lam = lam[order]
-        W = V @ U[:, order]
-        Vl = W / sw[:, None]
-        Vr = W * sw[:, None]
-        self._k_eigenpairs = (lam, Vl, Vr)
-        return lam, Vl, Vr
+    def deflation_basis(self, rank: int):
+        """Not implemented: no solve deflates.  Kept because ``perfbench/tracing.py`` wraps it."""
+        raise NotImplementedError("the solves have no deflation")
 
 
 def assemble_L(grid: VelocityGrid, params: CollisionParams) -> LinearizedOperator:

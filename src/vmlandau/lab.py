@@ -9,11 +9,12 @@ integrates r e3 once per shell and writes every member's checkpoint records
 (node permutation, and rotation of E and B) and CSV (only k changes; every
 other column is rotation-invariant) from it.  A member's records satisfy its
 own implicit-step equation at its own k to the solver tolerance, and the
-members of an orbit succeed or fail together.  Per-mode series go to CSV
-(schema below), raw states to checkpoints, everything under one run directory:
-the sweep's one record, read back by the rule that wrote it (``_archive``).
-Whole-space norms are synthesized by k-quadrature of the mode CSVs; algebraic
-decay exponents come from log-log fits over a configured window.
+members of an orbit succeed or fail together.  The ExperimentConfig goes to
+config.cfg, one line per field, whose text names the run; per-mode series go
+to CSV (schema below), raw states to checkpoints, everything under one run
+directory: the sweep's one record, read back by the rule that wrote it
+(``_archive``).  Whole-space norms are synthesized by k-quadrature of the mode
+CSVs; algebraic decay exponents come from log-log fits over a configured window.
 
 Mode CSV schema (exact header):
     t,k1,k2,k3,f_l2sq,em_sq,micro_D,macro_abc,a_diff,E_term,B_term,rho_k,gauss_E,gauss_B
@@ -76,7 +77,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a sweep bit-for-bit on the same build."""
+    """Everything needed to reproduce a sweep bit-for-bit on the same build, one
+    config.cfg line per field.  The data amplitude is fixed (the system is
+    linear), and ``ell`` is the class constant 0, not a field: the mode CSVs
+    hold unweighted series."""
 
     gamma: float = -3.0
     c_phi: float = 1.0
@@ -85,17 +89,15 @@ class ExperimentConfig:
     shells: tuple = tuple(float(r) for r in np.geomspace(0.02, 1.5, 12))
     directions_per_shell: int = 6
     family: str = "mixed"
-    amplitude: float = 1.0
-    ell: float = 0.0
     dt: float = 0.25
     scheme: str = "imex-midpoint"
     lin_tol: float = 1e-8
     constraint_tol: float = 1e-5
-    max_steps: int = 10_000_000
     T: float = 200.0
     outdir: str = "runs/out"
     save_interval: float = 1.0
     checkpoint_interval: float = 0.0   # 0: first/last state only
+    ell = 0.0   # unannotated, so not a field
 
     def __post_init__(self):
         if len(self.shells) == 0:
@@ -110,8 +112,6 @@ class ExperimentConfig:
             raise ConfigError("directions_per_shell must be 1, 2 or 6 (axis directions)")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
-        if self.ell != 0.0:
-            raise ConfigError(f"ell = {self.ell} is not 0: the mode CSVs hold unweighted series")
         if not (self.save_interval > 0 and self.checkpoint_interval >= 0):
             raise ConfigError("save_interval must be positive and checkpoint_interval not negative")
         try:
@@ -127,15 +127,12 @@ class ExperimentConfig:
         return CollisionParams(gamma=self.gamma, c_phi=self.c_phi)
 
     def deflation_needed(self) -> bool:
-        """Always False: the solves have no deflation.
-
-        Kept only because ``perfbench/workloads.py::_setup`` calls it.
-        """
+        """Always False: the solves have no deflation.  Kept because perfbench calls it."""
         return False
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(dt=self.dt, scheme=self.scheme, lin_tol=self.lin_tol,
-                             constraint_tol=self.constraint_tol, max_steps=self.max_steps)
+                             constraint_tol=self.constraint_tol)
 
 
 # value parsers keyed by the field annotations, which are strings under
@@ -261,7 +258,7 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     +e3, R = I.
     """
     k = np.asarray(k, dtype=float).reshape(3)
-    amp = cfg.amplitude * _envelope(k)
+    amp = _envelope(k)
     R = _frame(k)
     xi = R.T @ grid.xi
     smu = grid.sqrt_mu
@@ -585,10 +582,11 @@ def synthesize_norms(archive: RunArchive, m: int):
                  / sum(w for _k, w in archive.k_set))
         raise ValueError(f"modes {missing} have no series; they carry {share:.3g} "
                          "of the k-quadrature weight")
+    columns = [MODE_CSV_HEADER.split(",").index(name) for name in ("t", "f_l2sq", "em_sq")]
     total = 0.0
     for (kvec, weight), path in zip(archive.k_set, paths):
-        # the columns t, f_l2sq and em_sq; %.17g round-trips, so these are the run's bits
-        times, f_l2sq, em_sq = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 4, 5),
+        # %.17g round-trips, so these are the run's bits
+        times, f_l2sq, em_sq = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns,
                                           ndmin=2).T
         total = total + weight * float(kvec @ kvec) ** m * (f_l2sq + em_sq)
     return times, total

@@ -81,6 +81,7 @@ _SQRT2 = np.sqrt(2.0)
 _LARTG = scipy.linalg.get_lapack_funcs("lartg", dtype=complex)
 _MAX_CYCLES = 200    # GMRES restart cycles before a solve is reported as failed
 _MAX_SWEEPS = 100    # Jacobi sweeps for the D-ILU diagonal before its set-up is reported as failed
+_MAX_STEPS = 10_000_000   # steps of one run before integrate_mode refuses it as a runaway
 
 
 def rho_frequency(k) -> float:
@@ -132,7 +133,6 @@ class StepperConfig:
     scheme: str = "imex-midpoint"
     lin_tol: float = 1e-10
     constraint_tol: float = 1e-6
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -455,11 +455,12 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
 
     Each step solves (I - a M) x = u^n, a = cfg.implicit_weight(), sum block then
     difference block, and sets u^{n+1} = 2x - u^n (imex-midpoint) or x (imex-euler).
-    T and the intervals must be whole numbers of steps (cfg.steps).  Frames
-    fall on the multiples of the sample interval's steps, and, given a
-    ``checkpoint`` (any object with ``append(ModeState)``: a CheckpointWriter,
-    or ``lab._OrbitCheckpoint``), records on the checkpoint interval's; both
-    hold the first and the last state, and a 0 interval only those.
+    T and the intervals must be whole numbers of steps (cfg.steps), T at most
+    _MAX_STEPS of them (a runaway guard).  Frames fall on the multiples of the
+    sample interval's steps, and, given a ``checkpoint`` (any object with
+    ``append(ModeState)``: a CheckpointWriter, or ``lab._OrbitCheckpoint``),
+    records on the checkpoint interval's; both hold the first and the last
+    state, and a 0 interval only those.
     Initial data must satisfy the Gauss constraints to within
     cfg.constraint_tol, which at k = 0 asks for charge-neutral data.
     Constraint drift during the run is recorded in the gauss_E and gauss_B
@@ -481,8 +482,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                          f"exceed constraint tolerance {cfg.constraint_tol:.2e}")
 
     nsteps = cfg.steps(T)
-    if nsteps > cfg.max_steps:
-        raise ValueError(f"run of {nsteps} steps exceeds max_steps={cfg.max_steps}")
+    if nsteps > _MAX_STEPS:
+        raise ValueError(f"run of {nsteps} steps exceeds the cap of {_MAX_STEPS}")
     sample_every = cfg.steps(sample_interval, "sample_interval") or nsteps
     ckpt_every = cfg.steps(checkpoint_interval, "checkpoint_interval") or nsteps
     n3 = g.size

@@ -7,6 +7,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,6 +288,18 @@ class TestCli:
                              "--out", str(out)])
         assert code == 0
         _same_mode_files(sweeps["1"].outdir, out, ["mode_0000.csv", "mode_0000.ckpt"])
+
+    def test_mode_run_flags_left_out_take_the_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(cfg, k, members, op):   # no run: the energy columns mode-run prints
+            seen.append(cfg)
+            return SimpleNamespace(f_l2sq=np.ones(1), em_sq=np.zeros(1))
+
+        monkeypatch.setattr(cli, "run_orbit", capture)
+        out = str(tmp_path / "mode")
+        assert cli.main(["mode-run", "--k", "0,0,0.5", "--n", "9", "--out", out]) == 0
+        assert seen == [lab.ExperimentConfig(n=9, shells=(0.5,), outdir=out)]
 
     def test_sigma_table_writes_sigma_along_the_ray(self, tmp_path):
         out = tmp_path / "sigma.csv"
@@ -602,7 +615,7 @@ class TestConfigText:
         cfg = lab.ExperimentConfig(gamma=-2.5, n=13, shells=(0.1, 0.35, 0.7),
                                    directions_per_shell=2, family="micro-only",
                                    scheme="imex-euler", dt=0.02, lin_tol=3.7e-9,
-                                   max_steps=777, T=0.4, outdir="runs/other")
+                                   T=0.4, outdir="runs/other")
         path = tmp_path / "run.cfg"
         path.write_text(lab.config_to_text(cfg))
         parsed = lab.parse_config(path)
@@ -616,6 +629,8 @@ class TestConfigText:
         ("n 25", "expected 'key = value'"),
         ("n = 2.5", "bad value for 'n'"),
         ("tau = 0.0", "unknown key 'tau'"),
+        ("amplitude = 1.0", "unknown key 'amplitude'"),
+        ("max_steps = 10", "unknown key 'max_steps'"),
     ])
     def test_bad_line_names_its_number(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
@@ -675,9 +690,12 @@ class TestConfigText:
         assert not run.exists()
 
     def test_weighted_ell_names_its_line(self, tmp_path):
-        # the mode CSVs hold unweighted series: vml fit could only fit the ell = 0 norm
-        self._assert_names_line_3(tmp_path, "ell", 2.0,
-                                  "ell = 2.0 is not 0: the mode CSVs hold unweighted series")
+        # the mode CSVs hold unweighted series, so ell is the constant 0, not a setting
+        assert lab.ExperimentConfig().ell == 0.0
+        path = tmp_path / "bad.cfg"
+        path.write_text("# a comment\nn = 9\nell = 2.0\nT = 0.5\n")
+        with pytest.raises(lab.ConfigError, match="bad.cfg:3: unknown key 'ell'"):
+            lab.parse_config(path)
 
     def test_negative_T_names_its_line(self, tmp_path):
         with pytest.raises(lab.ConfigError, match=r"T = -1\.0 must not be negative"):

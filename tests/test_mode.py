@@ -327,6 +327,19 @@ class TestSolverGuards:
             integrate_mode(_zero_state(grid11, [0.0, 0.0, 1.0]), StepperConfig(dt=0.1), -1.0,
                            op11)
 
+    def test_runaway_run_is_refused_before_any_solve(self, op11, grid11, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("a solve started")
+
+        monkeypatch.setattr(mode, "_MAX_STEPS", 3)
+        monkeypatch.setattr(mode, "_DiagonalILU", refuse)
+        st = _micro_state(grid11, [0.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="run of 4 steps exceeds the cap of 3"):
+            integrate_mode(st, StepperConfig(dt=0.1), 0.4, op11)
+        # a run of exactly the cap passes the guard and reaches its first solve
+        with pytest.raises(RuntimeError, match="a solve started"):
+            integrate_mode(st, StepperConfig(dt=0.1), 0.3, op11)
+
     def test_long_run_keeps_every_sample_and_record(self, params, tmp_path):
         # 7,430 steps of dt = 0.1: sample times summed in floating point drift
         # and drop one; step indices cannot
