@@ -27,7 +27,7 @@ from .grid import TwoSpeciesField, build_grid, inner_product
 from .lab import (ConfigError, ExperimentConfig, _PARSERS, _fmt, _mode_file, decay_fit,
                   load_archive, parse_config, report, run_orbit, run_sweep, synthesize_norms)
 from .macro import project_P
-from .weights import WeightSpec, dissipation_norm
+from .weights import dissipation_norm
 
 SIGMA_CSV_HEADER = "r,xi1,xi2,xi3,s11,s12,s13,s22,s23,s33"
 
@@ -100,7 +100,7 @@ def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = ExperimentConf
         rayleigh.append(inner_product(op.apply(f), f).real / f.norm() ** 2)
         m = project_P(f)[2]
         coercivity.append(inner_product(op.apply(m), m).real
-                          / dissipation_norm(m, WeightSpec(), 0.0, op.sigma))
+                          / dissipation_norm(m, op.sigma))
     return {"n": n, "R": R, "gamma": gamma, "symmetry_defect": sym,
             "null_residuals": [op.apply(v).norm() / v.norm() for v in op.nullspace_basis()],
             "odd_even_rayleigh": (min(rayleigh), max(rayleigh)),

@@ -159,6 +159,8 @@ def parse_config(path) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in parsers:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
         try:
             values[key] = parsers[key](val)
         except ValueError as exc:
@@ -572,7 +574,8 @@ def synthesize_norms(archive: RunArchive, m: int):
     of (f, E, B).  Mode idx's series is read from its CSV,
     ``_mode_file(outdir, idx, "csv")``; its k and weight come from
     ``archive.k_set``.  Raises ValueError when a mode of the k-set has no
-    listed CSV, since the quadrature would silently lose that mode's weight.
+    listed CSV, since the quadrature would silently lose that mode's weight,
+    and when a CSV's times differ from the first CSV's.
     """
     paths = [str(_mode_file(archive.outdir, idx, "csv")) for idx in range(len(archive.k_set))]
     listed = set(archive.mode_csvs)
@@ -586,8 +589,13 @@ def synthesize_norms(archive: RunArchive, m: int):
     total = 0.0
     for (kvec, weight), path in zip(archive.k_set, paths):
         # %.17g round-trips, so these are the run's bits
-        times, f_l2sq, em_sq = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns,
-                                          ndmin=2).T
+        t, f_l2sq, em_sq = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns,
+                                      ndmin=2).T
+        if path == paths[0]:
+            times = t
+        elif not np.array_equal(t, times):
+            raise ValueError(f"{path} and {paths[0]} hold different sample times "
+                             f"({t.size} and {times.size} samples)")
         total = total + weight * float(kvec @ kvec) ** m * (f_l2sq + em_sq)
     return times, total
 

@@ -63,7 +63,7 @@ import scipy.sparse.linalg as spla
 from .collision import LinearizedOperator
 from .grid import TwoSpeciesField
 from .macro import _moment_rows, project_P
-from .weights import WeightSpec, dissipation_norm
+from .weights import dissipation_norm
 
 __all__ = [
     "ModeState",
@@ -586,17 +586,20 @@ class ModeEnergyReport:
     B_term: np.ndarray
     gauss_E: np.ndarray
     gauss_B: np.ndarray
-    ell: float = 0.0
 
 
 def mode_energy_report(history: ModeHistory, ell: float,
                        op: LinearizedOperator) -> ModeEnergyReport:
-    """Evaluate the reported energy/dissipation components on the stored frames."""
+    """Evaluate the reported energy/dissipation components on the stored frames.
+
+    Every column is unweighted, so ``ell`` must be 0.
+    """
+    if ell != 0:
+        raise ValueError(f"ell = {ell!r}: the report's columns are unweighted, so ell must be 0")
     g = op.grid
     k = history.k
     ksq = float(k @ k)
     rho = rho_frequency(k)
-    spec0 = WeightSpec(tau=0.0, lam=0.0)
     nts = len(history.frames)
     cols = {name: np.empty(nts) for name in
             ("f_l2sq", "em_sq", "micro_D", "macro_abc", "a_diff", "E_term", "B_term",
@@ -608,7 +611,7 @@ def mode_energy_report(history: ModeHistory, ell: float,
         macro, pf, micro = project_P(f)
         cols["f_l2sq"][idx] = float(np.sum(g.weights * (np.abs(f.values) ** 2).sum(axis=0)))
         cols["em_sq"][idx] = float(np.sum(np.abs(st.Ehat) ** 2) + np.sum(np.abs(st.Bhat) ** 2))
-        cols["micro_D"][idx] = dissipation_norm(micro, spec0, st.t, op.sigma)
+        cols["micro_D"][idx] = dissipation_norm(micro, op.sigma)
         abc = (abs(macro.a_plus + macro.a_minus) ** 2
                + float(np.sum(np.abs(macro.b) ** 2)) + abs(macro.c) ** 2)
         cols["macro_abc"][idx] = ksq / (1.0 + ksq) * abc
@@ -618,4 +621,4 @@ def mode_energy_report(history: ModeHistory, ell: float,
         res_e, res_b = st.gauss_residuals()
         cols["gauss_E"][idx] = res_e
         cols["gauss_B"][idx] = res_b
-    return ModeEnergyReport(k=k.copy(), rho=rho, times=times, ell=ell, **cols)
+    return ModeEnergyReport(k=k.copy(), rho=rho, times=times, **cols)

@@ -8,7 +8,7 @@ from vmlandau.collision import (CollisionParams, ResourceBudgetError, apply_Q,
                                 assemble_L, sigma_field)
 from vmlandau.grid import build_grid, inner_product
 from vmlandau.macro import project_P
-from vmlandau.weights import WeightSpec, dissipation_norm
+from vmlandau.weights import dissipation_norm
 
 from conftest import random_field, smooth_random_field
 
@@ -212,12 +212,11 @@ class TestLinearizedOperator:
 
     def test_micro_coercivity_gap_positive(self, op11, grid11):
         rng = np.random.default_rng(14)
-        spec = WeightSpec(tau=0.0, lam=0.0)
         gaps = []
         for _ in range(20):
             f = smooth_random_field(grid11, rng, decay=0.25)
             _, _, micro = project_P(f)
-            d = dissipation_norm(micro, spec, 0.0, op11.sigma)
+            d = dissipation_norm(micro, op11.sigma)
             gaps.append(inner_product(op11.apply(micro), micro).real / d)
         assert min(gaps) > 0.01
 

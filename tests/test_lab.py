@@ -551,6 +551,24 @@ class TestSynthesis:
         with pytest.raises(ValueError, match=r"modes \[1\] have no series; they carry 0\.5 "):
             lab.synthesize_norms(archive, 0)
 
+    @pytest.mark.parametrize("cut, counts", [("mode_0000.csv", "5 and 1"),
+                                             ("mode_0001.csv", "1 and 5")])
+    def test_short_mode_csv_is_refused(self, tmp_path, capsys, cut, counts):
+        # a CSV cut to its first sample would broadcast against the others' series
+        cfg = lab.ExperimentConfig(n=9, shells=(0.5, 1.0), directions_per_shell=1, T=1.0,
+                                   dt=0.25, save_interval=0.25, outdir=str(tmp_path))
+        times = np.arange(0.0, 1.125, 0.25)
+        _write_run(cfg, times, lambda k: np.exp(-2.0 * float(k @ k) * times))
+        path = tmp_path / cut
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        archive = lab.load_archive(tmp_path)
+        with pytest.raises(ValueError, match=r"mode_0001\.csv and .*mode_0000\.csv hold "
+                                             rf"different sample times \({counts} samples\)"):
+            lab.synthesize_norms(archive, 0)
+        for argv in (["fit"], ["report"]):
+            assert cli.main(argv + ["--archive", str(tmp_path), "--window", "0,1"]) == 1
+            assert "hold different sample times" in capsys.readouterr().err
+
 
 class TestSynthesizeNorms:
     @pytest.mark.parametrize("m", [0, 1])
@@ -631,6 +649,7 @@ class TestConfigText:
         ("tau = 0.0", "unknown key 'tau'"),
         ("amplitude = 1.0", "unknown key 'amplitude'"),
         ("max_steps = 10", "unknown key 'max_steps'"),
+        ("dt = 0.25", "key 'dt' repeats line 2"),
     ])
     def test_bad_line_names_its_number(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
@@ -684,7 +703,7 @@ class TestConfigText:
                                                                value, message):
         self._assert_names_line_3(tmp_path, key, value, message)
         run = tmp_path / "run"
-        (tmp_path / "bad.cfg").write_text(f"n = 9\n{key} = {value}\noutdir = {run}\n")
+        (tmp_path / "bad.cfg").write_text(f"family = mixed\n{key} = {value}\noutdir = {run}\n")
         assert cli.main(["decay-sweep", "--config", str(tmp_path / "bad.cfg")]) == 2
         assert re.match(f"vml: \\S*bad.cfg:2: {message}", capsys.readouterr().err)
         assert not run.exists()
@@ -718,7 +737,7 @@ class TestConfigText:
         with pytest.raises(lab.ConfigError, match=message):
             lab.ExperimentConfig(**{key: value})
         path = tmp_path / "bad.cfg"
-        path.write_text(f"# a comment\nn = 9\n{key} = {value}\nT = 0.5\n")
+        path.write_text(f"# a comment\nfamily = mixed\n{key} = {value}\nT = 0.5\n")
         with pytest.raises(lab.ConfigError, match=f"bad.cfg:3: {message}"):
             lab.parse_config(path)
 

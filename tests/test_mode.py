@@ -587,12 +587,14 @@ class TestModeEnergyReport:
         assert rep.rho == pytest.approx(0.25, rel=1e-12)
         assert rep.micro_D[0] <= 1e-10 * rep.f_l2sq[0]
 
-    def test_weighted_columns_present(self, op11, grid11):
+    def test_weighted_ell_is_refused(self, op11, grid11):
+        # every column is unweighted, so an ell != 0 would label them falsely
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
-        h = integrate_mode(st, StepperConfig(dt=0.1, lin_tol=1e-10), 0.3, op11,
+        h = integrate_mode(st, StepperConfig(dt=0.1, lin_tol=1e-10), 0.1, op11,
                            sample_interval=0.1)
-        rep = mode_energy_report(h, 2.0, op11)
-        assert rep.ell == 2.0
+        with pytest.raises(ValueError, match="ell must be 0"):
+            mode_energy_report(h, 2.0, op11)
+        assert not hasattr(mode_energy_report(h, 0.0, op11), "ell")
 
 
 class TestCheckpoint:
