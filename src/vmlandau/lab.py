@@ -22,11 +22,16 @@ Fit summary schema:
     m,sigma_hat,sigma_target,resid,t1,t2,n_shells
 
 Parallelism: orbits, not modes, are farmed to forked worker processes (the
-assembled operator is shared copy-on-write); VML_THREADS caps the worker count.
+assembled operator is shared copy-on-write); VML_THREADS caps the worker count,
+which is otherwise the number of CPUs this process may run on.
 Each orbit runs on one OpenBLAS thread (``mode._one_blas_thread``, held by
 ``run_orbit`` and by ``mode.integrate_mode``), so workers x BLAS threads never
 exceeds the worker count, and archive bytes depend neither on scheduling
 order, nor on the worker count, nor on the caller's BLAS thread count.
+The workers are forked inside that block too, so they start at a count of 1
+and never call the OpenBLAS setter: in a forked process the setter starts the
+library's thread pool again, even at count 1, and those idle threads spin on
+the cores the orbits need.
 """
 
 from __future__ import annotations
@@ -463,9 +468,11 @@ def _run_one_orbit(job) -> list:
 
 
 def max_workers() -> int:
-    """Worker cap: VML_THREADS if set (at least 1), else the CPU count."""
+    """Worker cap: VML_THREADS if set (at least 1), else the CPUs this process may run on."""
     env = os.environ.get("VML_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return max(1, int(env))
@@ -513,7 +520,9 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     if nproc > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
-        with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
+        # forked at one BLAS thread, so that no worker calls a setter (module docstring)
+        with _one_blas_thread(), ctx.Pool(nproc, initializer=_worker_init,
+                                          initargs=(cfg, op)) as pool:
             batches = list(pool.imap_unordered(_run_one_orbit, jobs))
     else:
         _worker_init(cfg, op)

@@ -434,15 +434,23 @@ def _openblas_controls() -> tuple:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one thread of every loaded OpenBLAS; restore the counts after."""
-    controls = _openblas_controls()
-    saved = [get_threads() for _, get_threads in controls]
-    for set_threads, _ in controls:
+    """Run the block on one thread of every loaded OpenBLAS; restore the counts after.
+
+    Only a library whose count is not 1 is set, and only it is restored.
+    OpenBLAS's fork handler shuts its thread pool down, and its setter starts
+    the pool again whatever the count, so a setter called at count 1 in a
+    forked worker would start threads that the worker never uses and that
+    spin on the cores its orbits need; ``lab.run_sweep`` forks its workers
+    inside this block, so they inherit a count of 1 and call no setter.
+    """
+    changed = [(set_threads, count) for set_threads, get_threads in _openblas_controls()
+               if (count := get_threads()) != 1]
+    for set_threads, _ in changed:
         set_threads(1)
     try:
         yield
     finally:
-        for (set_threads, _), count in zip(controls, saved):
+        for set_threads, count in changed:
             set_threads(count)
 
 

@@ -174,8 +174,10 @@ def energy_ledger(state, req: EnergyRequest, t: float,
 
     Spatial derivatives of order alpha become |k^alpha|^2 factors; velocity
     derivatives are finite differences up to |beta| <= MAX_BETA (stencil
-    accuracy budget).
+    accuracy budget).  ``t`` must be the state's own time (ValueError if not).
     """
+    if t != state.t:
+        raise ValueError(f"t = {t!r} is not the state's time {state.t!r}")
     return _ledger(state, req, t, op.params)
 
 
@@ -183,9 +185,13 @@ def temporal_norm_x(states, times, op):
     """Composite sup-in-time energy norm assembled from ledgers at the X_* orders.
 
     Reported as a diagnostic series X(t); velocity derivatives beyond the
-    |beta| <= MAX_BETA stencil budget are omitted from the sums.
+    |beta| <= MAX_BETA stencil budget are omitted from the sums.  ``times``
+    must be the states' own times, one per state (ValueError if not).
     """
     times = np.asarray(times, dtype=float)
+    if len(times) != len(states) or any(t != s.t for s, t in zip(states, times)):
+        raise ValueError(f"times {times.tolist()} are not the states' times "
+                         f"{[s.t for s in states]}")
 
     def E(state, t, N, ell, lam):
         return _ledger(state, EnergyRequest(N=N, ell=ell, lam=lam), t, op.params, derivs).energy

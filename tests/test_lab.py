@@ -130,6 +130,8 @@ class TestRunSweep:
         _same_mode_files(archives[1].outdir, archives[2].outdir, names)
 
     @needs_openblas
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task to count a process's threads")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_each_mode_runs_on_one_blas_thread(self, workers, op9, tmp_path, monkeypatch):
         monkeypatch.setenv("VML_THREADS", workers)
@@ -137,10 +139,12 @@ class TestRunSweep:
         log.mkdir()
 
         def recording(fn):
-            # forked workers inherit these wrappers, so each call writes its own record
+            # forked workers inherit these wrappers, so each call writes its own
+            # record: the BLAS counts, then the OS threads of the calling process
             def wrapper(*args, **kwargs):
                 fd, _ = tempfile.mkstemp(dir=log, prefix=fn.__name__)
-                os.write(fd, ",".join(map(str, _blas_counts(_openblas_controls()))).encode())
+                counts = ",".join(map(str, _blas_counts(_openblas_controls())))
+                os.write(fd, f"{counts};{len(os.listdir('/proc/self/task'))}".encode())
                 os.close(fd)
                 return fn(*args, **kwargs)
             return wrapper
@@ -154,10 +158,13 @@ class TestRunSweep:
             archive = lab.run_sweep(_two_shell_cfg(tmp_path / "run"), op9)
             after = _blas_counts(controls)
         assert not archive.failures and len(archive.mode_csvs) == 4
-        records = {p.name: [int(c) for c in p.read_text().split(",")] for p in log.iterdir()}
+        records = [p.read_text().split(";") for p in log.iterdir()]
         assert len(records) == 3 * 2
-        for counts in records.values():
-            assert counts == [1] * len(controls)
+        for counts, threads in records:
+            assert [int(c) for c in counts.split(",")] == [1] * len(controls)
+            if workers == "2":
+                # a forked worker that starts no BLAS thread pool has its main thread only
+                assert int(threads) == 1
         assert after == [2] * len(controls)
 
     @needs_openblas
@@ -259,6 +266,13 @@ class TestRunSweep:
             lab.run_sweep(cfg, op11_soft)
         assert not list(tmp_path.rglob("mode_*"))
         assert not (tmp_path / "run" / "config.cfg").exists()
+
+    def test_worker_cap_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("VML_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert lab.max_workers() == 1
+        monkeypatch.setenv("VML_THREADS", "3")
+        assert lab.max_workers() == 3
 
     def test_malformed_thread_count_is_refused_before_the_run_directory(self, op9, tmp_path,
                                                                        monkeypatch):

@@ -196,3 +196,19 @@ def test_temporal_norm_x_equals_the_ledger_formula(op11, grid11):
         parts.append(val)
     assert np.array_equal(temporal_norm_x(states, times, op11),
                           np.maximum.accumulate(np.array(parts)))
+
+
+def test_ledger_and_x_refuse_times_that_are_not_the_states(op11, grid11):
+    rng = np.random.default_rng(9)
+    states = [ModeState(np.array([0.0, 0.0, 0.5]), random_field(grid11, rng, decay=0.75),
+                        np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), t)
+              for t in (0.0, 0.5, 1.0)]
+    req = EnergyRequest(N=0, ell=0.0, lam=0.0)
+    with pytest.raises(ValueError, match="not the state's time"):
+        energy_ledger(states[1], req, 0.0, op11)
+    with pytest.raises(ValueError, match="not the states' times"):
+        temporal_norm_x(states, [0.0, 5.5, 6.0], op11)   # shifted
+    with pytest.raises(ValueError, match="not the states' times"):
+        temporal_norm_x(states, [0.0, 0.5], op11)        # short: the last state was dropped
+    assert energy_ledger(states[1], req, 0.5, op11).energy > 0.0
+    assert temporal_norm_x(states, [0.0, 0.5, 1.0], op11).shape == (3,)
