@@ -8,6 +8,7 @@ Subcommands:
                    exceeds 1e-12
     mode-run       integrate a single Fourier mode and archive its series
     decay-sweep    run a full k-set sweep from a config file
+                   (mode-run and decay-sweep print the operator's set-up time)
     fit            synthesize whole-space norms from an archive and fit decay
     report         write the fit summary CSV and run manifest for an archive
 """
@@ -128,6 +129,14 @@ def cmd_spectrum_check(args) -> int:
     return 1 if failed else 0
 
 
+def _operator(cfg: ExperimentConfig):
+    """L on cfg's grid and kernel; prints the seconds its set-up took."""
+    t0 = time.perf_counter()
+    op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
+    print(f"operator set-up: {time.perf_counter() - t0:.3f}s at n = {cfg.n}")
+    return op
+
+
 # the ExperimentConfig fields mode-run takes as flags, each defaulting to the config's own
 _MODE_RUN_SETTINGS = ("family", "T", "n", "R", "gamma", "dt", "scheme", "save_interval")
 
@@ -137,8 +146,7 @@ def cmd_mode_run(args) -> int:
     cfg = ExperimentConfig(**{name: v for name, v in settings.items() if v is not None},
                            outdir=args.out, shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
-    rep = run_orbit(cfg, args.k, [(0, args.k)], op)   # an orbit of one
+    rep = run_orbit(cfg, args.k, [(0, args.k)], _operator(cfg))   # an orbit of one
     energy = rep.f_l2sq + rep.em_sq
     print(f"mode k={args.k} integrated to T={cfg.T}; "
           f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {_mode_file(args.out, 0, 'csv')}")
@@ -148,7 +156,7 @@ def cmd_mode_run(args) -> int:
 def cmd_decay_sweep(args) -> int:
     cfg = parse_config(args.config)
     t0 = time.perf_counter()
-    archive = run_sweep(cfg)
+    archive = run_sweep(cfg, _operator(cfg))
     print(f"sweep complete: {len(archive.mode_csvs)} modes from {len(cfg.shells)} solves, "
           f"{len(archive.failures)} failures, {time.perf_counter() - t0:.0f}s; "
           f"archive at {archive.outdir}")

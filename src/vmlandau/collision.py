@@ -90,17 +90,15 @@ def _convolver(grid: VelocityGrid, params: CollisionParams) -> LatticeConvolver:
 
 
 def sigma_field(grid: VelocityGrid, params: CollisionParams) -> CollisionFrequencyField:
-    """Collision frequency sigma^ij(xi) by weighted lattice convolution with mu."""
-    conv = _convolver(grid, params)
-    n = grid.n
-    wmu = (grid.weights * grid.mu).reshape(n, n, n)
-    packed = np.empty((6, grid.size))
-    for j in range(3):
-        v = np.zeros((3, n, n, n), dtype=complex)
-        v[j] = wmu
-        res = conv.apply_vector(v)
-        for i in range(j, 3):
-            packed[_PACK[i, j]] = res[i].real.reshape(-1)
+    """Collision frequency sigma^ij(xi) by weighted lattice convolution with mu.
+
+    One ``apply_all_components(w mu)``: one forward transform, six products and
+    two inverse passes, equal bit for bit to three ``apply_vector`` calls with
+    w mu in one component each.
+    """
+    wmu = (grid.weights * grid.mu).reshape((grid.n,) * 3)
+    six = _convolver(grid, params).apply_all_components(wmu)
+    packed = np.ascontiguousarray(six.real.reshape(6, grid.size))
     packed.setflags(write=False)
     return CollisionFrequencyField(grid=grid, packed=packed, params=params)
 
@@ -177,23 +175,40 @@ class LinearizedOperator:
         n = grid.n
         w = grid.weights
         smu = grid.sqrt_mu
-        D = grid.gradient_matrices
-        S = sp.diags_array(smu)
-        Sinv = sp.diags_array(1.0 / smu)
-        G = tuple(sp.csr_array(S @ D[i] @ Sinv) for i in range(3))
+        ws = w * smu
+        # Each diagonal product scales CSR data, its factors in the order and its entries
+        # in the index order of scipy's products with diags_array, so every array below
+        # is that route's bit for bit.
+        G, GT, Gw = [], [], []
+        for Di in grid.gradient_matrices:
+            rows = np.repeat(np.arange(grid.size), np.diff(Di.indptr))
+            # G_i = S D_i S^-1, S = diag(sqrt(mu)), and G_i^T, both with sorted rows
+            G.append(sp.csr_array((smu[rows] * Di.data * (1.0 / smu)[Di.indices], Di.indices,
+                                   Di.indptr), shape=Di.shape))
+            GT.append(sp.csr_array(G[-1].T))
+            # W sqrt(mu) G_i, each row reversed as a product from the left leaves it:
+            # k_part's sums run in that order
+            rev = Di.indptr[rows] + Di.indptr[rows + 1] - 1 - np.arange(rows.size)
+            Gw.append(sp.csr_array(((ws[rows] * G[-1].data)[rev], Di.indices[rev], Di.indptr),
+                                   shape=Di.shape))
+        # B_A = sum_ij G_j^T diag(w sigma^ij) G_i in (i, j) order, each product summing
+        # over the rows of G in ascending order; sorted, so that the product with W^-1
+        # from the left leaves each row of A reversed, the order apply_raw's sums take
         BA = None
         for i in range(3):
             for j in range(3):
-                M = G[j].T @ sp.diags_array(w * sigma.component(i, j)) @ G[i]
+                wsig = w * sigma.component(i, j)
+                M = sp.csr_array((GT[j].data * wsig[GT[j].indices], GT[j].indices, GT[j].indptr),
+                                 shape=GT[j].shape) @ G[i]
                 BA = M if BA is None else BA + M
+        BA.sort_indices()
         self._winv = 1.0 / w
         # 2 W^{-1} B_A: the sparse part of L per species, stored complex, since
         # scipy would cast real data to complex on every product with a complex vector
-        self.A_sparse = _complex_csr(
-            sp.csr_array(sp.diags_array(self._winv) @ (2.0 * sp.csr_array(BA))))
-        Gw = [sp.csr_array(sp.diags_array(w * smu) @ Gi) for Gi in G]
+        self.A_sparse = _complex_csr(sp.csr_array(sp.diags_array(self._winv) @ (2.0 * BA)))
         self._Gw = tuple(_complex_csr(Gi) for Gi in Gw)
-        self._GwT = tuple(_complex_csr(sp.csr_array(Gi.T)) for Gi in Gw)
+        self._GwT = tuple(_complex_csr(sp.csr_array((T.data * ws[T.indices], T.indices, T.indptr),
+                                                    shape=T.shape)) for T in GT)
         self._kbuf = np.empty((3, n, n, n), dtype=complex)
 
     def k_part(self, h: np.ndarray) -> np.ndarray:

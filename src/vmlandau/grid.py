@@ -103,15 +103,24 @@ class VelocityGrid:
 
     @cached_property
     def gradient_matrices(self) -> tuple:
-        """Sparse gradient matrices (D_1, D_2, D_3) acting on flattened fields."""
+        """Sparse gradient matrices (D_1, D_2, D_3) acting on flattened fields.
+
+        Row p of D_a is the 1-D row of p's axis-a index, its columns moved by
+        that axis's stride and sorted: for n >= 5, the arrays of kron(D, I, I),
+        kron(I, D, I) and kron(I, I, D), built by index arithmetic.
+        """
         D = _d1_matrix(self.n, self.h)
-        I = sp.identity(self.n, format="csr")
-        mats = (
-            sp.csr_array(sp.kron(sp.kron(D, I), I)),
-            sp.csr_array(sp.kron(sp.kron(I, D), I)),
-            sp.csr_array(sp.kron(sp.kron(I, I), D)),
-        )
-        return mats
+        node = np.arange(self.size)
+        mats = []
+        for stride in (self.n * self.n, self.n, 1):
+            digit = node // stride % self.n
+            counts = np.diff(D.indptr)[digit]
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+            rows = np.repeat(node, counts)
+            entry = np.arange(indptr[-1]) - indptr[rows] + D.indptr[digit[rows]]
+            cols = rows + (D.indices[entry] - digit[rows]) * stride
+            mats.append(sp.csr_array((D.data[entry], cols, indptr), shape=(self.size,) * 2))
+        return tuple(mats)
 
     def same_grid(self, other: "VelocityGrid") -> bool:
         return self.n == other.n and self.R == other.R

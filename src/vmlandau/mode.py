@@ -226,10 +226,13 @@ class _DiagonalILU:
     Patel, SIAM J. Sci. Comput. 37, 2015) reach its fixed point, and stop when
     two agree bitwise; Re d >= 0.64 min|m| was measured for 0.02 <= a <= 100.
     SuperLU factors each triangle unpivoted in natural order: exact, no fill.
+    A_L and A_U are cut from A's arrays by masks and sorted, as sp.tril and
+    sp.triu leave them (the sweeps' sums run in that order), so d and the
+    factors are those of the tril/triu route bit for bit.
     """
 
     def __init__(self, A, a: float, xik: np.ndarray):
-        lower, upper = sp.tril(A, k=-1, format="csr"), sp.triu(A, k=1, format="csr")
+        lower, upper = _triangles(A)
         m = 1.0 + a * (A.diagonal() + 1j * xik)
         coupling = a * a * lower.multiply(upper.T)
         d = m
@@ -248,6 +251,19 @@ class _DiagonalILU:
     def solve(self, x: np.ndarray) -> np.ndarray:
         """P^-1 x = (D + a A_U)^-1 D (D + a A_L)^-1 x."""
         return self._upper.solve(self.d * self._lower.solve(x))
+
+
+def _triangles(A: sp.csr_array) -> tuple:
+    """A's strict lower and upper triangles, cut from A's arrays by masks and then sorted:
+    the arrays of sp.tril and sp.triu, without their COO round trip."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    out = []
+    for keep in (A.indices < rows, A.indices > rows):
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=A.shape[0]))])
+        T = sp.csr_array((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+        T.sort_indices()
+        out.append(T)
+    return tuple(out)
 
 
 class _ModeSolve:

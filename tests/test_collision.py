@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.special import erf
 
-from vmlandau._conv import sigma_iso_origin
+from vmlandau._conv import _PACK, LatticeConvolver, sigma_iso_origin
 from vmlandau.collision import (CollisionParams, ResourceBudgetError, apply_Q,
                                 assemble_L, sigma_field)
 from vmlandau.grid import build_grid, inner_product
@@ -245,3 +246,43 @@ class TestLinearizedOperator:
         h_ratio_1 = (19 - 1) / (15 - 1)   # h ~ 1/(n-1) at fixed R
         assert gaps[1] < gaps[0] / 1.3
         assert gaps[2] < gaps[1] / (h_ratio_1 / 1.2)
+
+
+def _same_csr(got, want) -> bool:
+    return all(np.array_equal(getattr(got, part), getattr(want, part))
+               for part in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -2.5])
+def test_set_up_equals_the_route_of_three_convolutions_and_diagonal_products(gamma):
+    """sigma, A and the weighted gradients, bit for bit, against the route they replaced:
+    sigma from three apply_vector calls, each with one nonzero component, and every
+    diagonal scaling as a sparse product with diags_array."""
+    grid = build_grid(7.0, 9)
+    params = CollisionParams(gamma=gamma)
+    op = assemble_L(grid, params)
+    n = grid.n
+    conv = LatticeConvolver(grid, gamma, params.c_phi)
+    wmu = (grid.weights * grid.mu).reshape(n, n, n)
+    sigma = np.empty((6, grid.size))
+    for j in range(3):
+        v = np.zeros((3, n, n, n), dtype=complex)
+        v[j] = wmu
+        res = conv.apply_vector(v)
+        for i in range(j, 3):
+            sigma[_PACK[i, j]] = res[i].real.reshape(-1)
+    assert np.array_equal(op.sigma.packed, sigma)
+
+    w, smu = grid.weights, grid.sqrt_mu
+    G = [sp.csr_array(sp.diags_array(smu) @ D @ sp.diags_array(1.0 / smu))
+         for D in grid.gradient_matrices]
+    BA = None
+    for i in range(3):
+        for j in range(3):
+            M = G[j].T @ sp.diags_array(w * op.sigma.component(i, j)) @ G[i]
+            BA = M if BA is None else BA + M
+    assert _same_csr(op.A_sparse, sp.diags_array(1.0 / w) @ (2.0 * sp.csr_array(BA)))
+    for i, Gi in enumerate(G):
+        Gw = sp.csr_array(sp.diags_array(w * smu) @ Gi)
+        assert _same_csr(op._Gw[i], Gw)
+        assert _same_csr(op._GwT[i], sp.csr_array(Gw.T))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 
-from vmlandau.grid import (GridMismatchError, GridParameterError, TwoSpeciesField,
+from vmlandau.grid import (GridMismatchError, GridParameterError, TwoSpeciesField, _d1_matrix,
                            build_grid, inner_product, maxwellian, velocity_gradient)
 
 from conftest import random_field
@@ -162,6 +163,18 @@ class TestVelocityGradient:
     def test_bad_axis(self, grid11):
         with pytest.raises(ValueError):
             velocity_gradient(TwoSpeciesField.zero(grid11), 0)
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_gradient_matrices_are_the_kron_products_bit_for_bit(self, n):
+        # from n = 5 on: at n = 3 kron densifies D and stores its zero diagonal entry
+        g = build_grid(7.0, n)
+        D = _d1_matrix(n, g.h)
+        I = sp.identity(n, format="csr")
+        kron = [sp.csr_array(sp.kron(sp.kron(D, I), I)), sp.csr_array(sp.kron(sp.kron(I, D), I)),
+                sp.csr_array(sp.kron(sp.kron(I, I), D))]
+        for got, want in zip(g.gradient_matrices, kron):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def _adjointness_defect(g, decay, trials=5, seed=3):

@@ -315,6 +315,29 @@ class TestCli:
         assert cli.main(["mode-run", "--k", "0,0,0.5", "--n", "9", "--out", out]) == 0
         assert seen == [lab.ExperimentConfig(n=9, shells=(0.5,), outdir=out)]
 
+    def test_runs_print_the_operator_set_up_time(self, tmp_path, monkeypatch, capsys):
+        ops = []
+
+        def orbit(cfg, k, members, op):   # no run: the energy columns mode-run prints
+            ops.append(op)
+            return SimpleNamespace(f_l2sq=np.ones(1), em_sq=np.zeros(1))
+
+        def sweep(cfg, op):
+            ops.append(op)
+            return SimpleNamespace(mode_csvs=[], failures=[], outdir=cfg.outdir)
+
+        monkeypatch.setattr(cli, "run_orbit", orbit)
+        monkeypatch.setattr(cli, "run_sweep", sweep)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"n = 9\nshells = 0.5\noutdir = {tmp_path / 'run'}\n")
+        assert cli.main(["mode-run", "--k", "0,0,0.5", "--n", "9",
+                         "--out", str(tmp_path / "mode")]) == 0
+        assert cli.main(["decay-sweep", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [bool(re.fullmatch(r"operator set-up: \d+\.\d{3}s at n = 9", line))
+                for line in lines] == [True, False, True, False]
+        assert [(op.grid.n, op.params) for op in ops] == [(9, CollisionParams())] * 2
+
     def test_sigma_table_writes_sigma_along_the_ray(self, tmp_path):
         out = tmp_path / "sigma.csv"
         assert cli.main(["sigma-table", "--n", "9", "--rmax", "7", "--ray", "1,0,0",

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vmlandau.checkpoint import CheckpointWriter, read_checkpoint
-from vmlandau.collision import assemble_L
+from vmlandau.collision import CollisionParams, assemble_L
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau import mode
 from vmlandau.macro import macro_residuals, project_P
@@ -525,6 +526,32 @@ class TestDiagonalILU:
         monkeypatch.setattr(mode, "_MAX_SWEEPS", 1)
         with pytest.raises(RuntimeError, match="not settled after 1 sweeps"):
             self._parts(op11, 0.125)
+
+    @pytest.mark.parametrize("gamma", [-3.0, -2.5])
+    @pytest.mark.parametrize("a", [0.02, 0.125])
+    def test_set_up_equals_the_tril_triu_route(self, gamma, a):
+        """d and a solve, bit for bit, against triangles from sp.tril/sp.triu and factors
+        from scipy's diags_array sums."""
+        op = assemble_L(build_grid(7.0, 9), CollisionParams(gamma=gamma))
+        A = op.A_sparse
+        xik = mode._xi_dot(op.grid, np.array([0.0, 0.0, 0.5]))
+        lower, upper = sp.tril(A, k=-1, format="csr"), sp.triu(A, k=1, format="csr")
+        m = 1.0 + a * (A.diagonal() + 1j * xik)
+        coupling = a * a * lower.multiply(upper.T)
+        d = m
+        for _ in range(mode._MAX_SWEEPS):
+            d, prev = m - coupling @ (1.0 / d), d
+            if np.array_equal(d, prev):
+                break
+        D = sp.diags_array(d)
+        opts = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1, relax=1)
+        lo = spla.splu((D + a * lower).tocsc(), **opts)
+        up = spla.splu((D + a * upper).tocsc(), **opts)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
+        ilu = mode._DiagonalILU(A, a, xik)
+        assert np.array_equal(ilu.d, d)
+        assert np.array_equal(ilu.solve(x), up.solve(d * lo.solve(x)))
 
 
 class TestFieldClosure:
