@@ -31,6 +31,7 @@ from .macro import project_P
 from .weights import dissipation_norm
 
 SIGMA_CSV_HEADER = "r,xi1,xi2,xi3,s11,s12,s13,s22,s23,s33"
+FIT_WINDOW = (20.0, 200.0)   # fit and report's default --window
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -253,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fit", help="fit a decay exponent from an archive")
     s.add_argument("--archive", required=True)
     s.add_argument("--m", type=int, default=0)
-    s.add_argument("--window", type=_parse_window, default=(20.0, 200.0))
+    s.add_argument("--window", type=_parse_window, default=FIT_WINDOW)
     s.set_defaults(func=cmd_fit)
 
     s = sub.add_parser("report", help="write fit summary and manifest")
     s.add_argument("--archive", required=True)
     s.add_argument("--m", type=int, nargs="+", default=[0, 1])
-    s.add_argument("--window", type=_parse_window, default=(20.0, 200.0))
+    s.add_argument("--window", type=_parse_window, default=FIT_WINDOW)
     s.set_defaults(func=cmd_report)
     return p
 

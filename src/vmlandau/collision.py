@@ -51,8 +51,8 @@ class ResourceBudgetError(RuntimeError):
 class CollisionParams:
     """Soft-potential kernel parameters: exponent gamma and amplitude C_phi."""
 
-    gamma: float = -3.0
-    c_phi: float = 1.0
+    gamma: float
+    c_phi: float
 
     def __post_init__(self):
         if not (-3.0 <= self.gamma < -2.0):
@@ -74,7 +74,7 @@ class CollisionFrequencyField:
 
     grid: VelocityGrid = field(repr=False)
     packed: np.ndarray = field(repr=False)   # (6, n^3): 11, 12, 13, 22, 23, 33
-    params: CollisionParams = CollisionParams()
+    params: CollisionParams
 
     def component(self, i: int, j: int) -> np.ndarray:
         """sigma^ij over all nodes, 0-based indices."""

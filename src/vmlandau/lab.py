@@ -5,10 +5,11 @@ covariant (``init_data``): the data at k is the profile at |k| e3 carried to k
 by one proper rotation R(k-hat), which on an axis direction is a signed
 permutation of the velocity lattice.  L commutes with those permutations, so
 the directions of a shell form an orbit that shares one solve: the sweep
-integrates r e3 once per shell and writes every member's checkpoint records
-(node permutation, and rotation of E and B) and CSV (only k changes; every
-other column is rotation-invariant) from it.  A member's records satisfy its
-own implicit-step equation at its own k to the solver tolerance, and the
+integrates r e3 once per shell, checkpoints that solve as the +e3 member's, and
+writes every member's CSV from it (only k changes; every other column is
+rotation-invariant).  Another member's states are the node-permuted,
+vector-rotated states of the solve, which satisfy its own implicit-step
+equation at its own k to the solver tolerance; no file stores them.  The
 members of an orbit succeed or fail together.  The ExperimentConfig goes to
 config.cfg, one line per field, whose text names the run; per-mode series go
 to CSV (schema below), raw states to checkpoints, everything under one run
@@ -36,7 +37,6 @@ the cores the orbits need.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import uuid
@@ -363,87 +363,47 @@ def _mode_csv_text(rep: ModeEnergyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LatticeRotation:
-    """A rotation Q of k-space that maps the velocity lattice onto itself.
-
-    Q must be a signed permutation (to 1e-12), else ValueError.  ``state``
-    carries a mode state to Q k: f(xi) -> f(Q^T xi), a permutation of the
-    nodes, and E, B -> Q E, Q B.  Entries are moved and negated, never
-    rounded, so the identity map reproduces a state bit for bit.
-    """
-
-    def __init__(self, Q: np.ndarray, grid: VelocityGrid):
-        Qi = np.rint(Q).astype(int)
-        if not (np.abs(Q - Qi).max() <= 1e-12 and np.all(np.abs(Qi).sum(axis=0) == 1)
-                and np.all(np.abs(Qi).sum(axis=1) == 1)):
-            raise ValueError(f"rotation {Q.tolist()} does not map the velocity lattice onto itself")
-        self.perm = np.abs(Qi).argmax(axis=1)              # (Q v)_i = +-v_perm[i]
-        self.flip = Qi[np.arange(3), self.perm] < 0
-        n, mid = grid.n, (grid.n - 1) // 2
-        offsets = np.indices((n, n, n)).reshape(3, -1) - mid
-        self.nodes = np.ravel_multi_index(Qi.T @ offsets + mid, (n, n, n))
-        self.grid = grid
-
-    def vector(self, v: np.ndarray) -> np.ndarray:
-        out = v[self.perm]
-        out[self.flip] = -out[self.flip]
-        return out
-
-    def state(self, st: ModeState, k: np.ndarray) -> ModeState:
-        f = TwoSpeciesField(st.fhat.values[:, self.nodes], self.grid)
-        return ModeState(k, f, self.vector(st.Ehat), self.vector(st.Bhat), st.t)
-
-
-class _OrbitCheckpoint:
-    """Appends each record of an orbit's run, carried to each member, to the member's checkpoint."""
-
-    def __init__(self, members):
-        self.members = members    # (CheckpointWriter, _LatticeRotation, member k)
-
-    def append(self, state: ModeState) -> None:
-        for writer, rotation, k in self.members:
-            writer.append(rotation.state(state, k))
+def _is_lattice_image(kvec: np.ndarray, k: np.ndarray) -> bool:
+    """Whether Q = R(kvec) R(k)^T, R = ``_frame``, is a signed permutation (to
+    1e-12), a symmetry of the velocity lattice, that carries k to kvec."""
+    Q = _frame(kvec) @ _frame(k).T
+    Qi = np.rint(Q)
+    return bool(np.abs(Q - Qi).max() <= 1e-12 and np.all(np.abs(Qi).sum(axis=0) == 1)
+                and np.all(np.abs(Qi).sum(axis=1) == 1)
+                and np.abs(Qi @ k - kvec).max() <= 1e-12 * np.linalg.norm(k))
 
 
 @_one_blas_thread()
 def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
-    """Integrate the configured data at ``k`` to cfg.T once; write every member's files from it.
+    """Integrate the configured data at ``k`` to cfg.T once; write every member's CSV from it.
 
-    ``members`` are (idx, kvec) pairs, each kvec = Q k for a lattice symmetry
-    Q = R(kvec) R(k)^T, R = ``_frame`` (k itself is the member with Q = I).
-    Since the data is covariant and L commutes with Q, Q carries the run at k
-    to the run at kvec.  Into the existing directory cfg.outdir it writes,
-    per member, ``_mode_file(outdir, idx, "ckpt")``, the run's records carried
-    by Q as the run goes, and ``_mode_file(outdir, idx, "csv")``, the run's
-    report with only k changed, every other column being rotation-invariant.
-    Returns the run's report at k.  Runs on one BLAS thread.  The members fail
-    together: an exception carries ``exc.checkpoints``, the names of the
-    checkpoints opened before it, keyed by idx.
+    ``members`` are (idx, kvec) pairs that hold k exactly once, each kvec = Q k
+    for a lattice symmetry Q = R(kvec) R(k)^T, R = ``_frame``; else ValueError,
+    before anything is written.  Since the data is covariant and L commutes
+    with Q, Q carries the run at k to the run at kvec.  Into the existing
+    directory cfg.outdir it writes the run's records to k's member's
+    ``_mode_file(outdir, idx, "ckpt")`` as the run goes and, per member,
+    ``_mode_file(outdir, idx, "csv")``: the run's report with only k changed,
+    every other column being rotation-invariant.  Returns the run's report at
+    k.  Runs on one BLAS thread.
     """
     k = np.asarray(k, dtype=float).reshape(3)
-    opened = {}
-    try:
-        frame = _frame(k)
-        targets = [(idx, np.asarray(kvec, dtype=float).reshape(3)) for idx, kvec in members]
-        rotations = [_LatticeRotation(_frame(kvec) @ frame.T, op.grid) for _, kvec in targets]
-        state0 = init_data(cfg, k, op.grid)
-        with contextlib.ExitStack() as stack:
-            writers = []
-            for (idx, kvec), rotation in zip(targets, rotations):
-                path = _mode_file(cfg.outdir, idx, "ckpt")
-                writer = stack.enter_context(CheckpointWriter(path, op.grid, cfg.gamma, cfg.c_phi))
-                opened[idx] = path.name
-                writers.append((writer, rotation, kvec))
-            hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
-                                  sample_interval=cfg.save_interval,
-                                  checkpoint=_OrbitCheckpoint(writers),
-                                  checkpoint_interval=cfg.checkpoint_interval)
-        rep = mode_energy_report(hist, cfg.ell, op)
-        for idx, kvec in targets:
-            _mode_file(cfg.outdir, idx, "csv").write_text(_mode_csv_text(replace(rep, k=kvec)))
-    except Exception as exc:
-        exc.checkpoints = opened
-        raise
+    targets = [(idx, np.asarray(kvec, dtype=float).reshape(3)) for idx, kvec in members]
+    solved = [idx for idx, kvec in targets if np.array_equal(kvec, k)]
+    if len(solved) != 1:
+        raise ValueError(f"the members hold k = {k.tolist()} {len(solved)} times, not once")
+    for _idx, kvec in targets:
+        if not _is_lattice_image(kvec, k):
+            raise ValueError(f"member {kvec.tolist()} is not a lattice image of k = {k.tolist()}")
+    state0 = init_data(cfg, k, op.grid)
+    with CheckpointWriter(_mode_file(cfg.outdir, solved[0], "ckpt"), op.grid,
+                          cfg.gamma, cfg.c_phi) as writer:
+        hist = integrate_mode(state0, cfg.stepper(), cfg.T, op,
+                              sample_interval=cfg.save_interval, checkpoint=writer,
+                              checkpoint_interval=cfg.checkpoint_interval)
+    rep = mode_energy_report(hist, cfg.ell, op)
+    for idx, kvec in targets:
+        _mode_file(cfg.outdir, idx, "csv").write_text(_mode_csv_text(replace(rep, k=kvec)))
     return rep
 
 
@@ -462,8 +422,12 @@ def _run_one_orbit(job) -> list:
         run_orbit(_WORKER_CTX["cfg"], k, members, _WORKER_CTX["op"])
     except Exception as exc:  # a failed orbit is recorded for each member, not fatal
         err = f"{type(exc).__name__}: {exc}"
-        opened = getattr(exc, "checkpoints", {})
-        return [{"mode": idx, "error": err, "checkpoint": opened.get(idx)} for idx, _ in members]
+        failures = []
+        for idx, _ in members:   # run_sweep deleted every earlier checkpoint
+            ckpt = _mode_file(_WORKER_CTX["cfg"].outdir, idx, "ckpt")
+            failures.append({"mode": idx, "error": err,
+                             "checkpoint": ckpt.name if ckpt.exists() else None})
+        return failures
     return []
 
 
@@ -492,16 +456,18 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     """Integrate every configured mode, archiving CSV series and checkpoints.
 
     The workers get one job per shell, not per mode: ``run_orbit`` integrates
-    r e3 once and writes every direction of the shell from it, so the members
-    of a shell share one solve and succeed or fail together.  Deterministic:
-    identical configs on the same build produce byte-identical archives
-    regardless of worker scheduling and count and of the caller's BLAS thread
-    count: each ``run_orbit`` runs on one BLAS thread.  Per-mode failures
-    are recorded in the archive (and manifest), with the partial checkpoint a
-    failed mode leaves, without aborting the sweep.  It deletes any
-    manifest.json first and writes its own last, through ``report`` with no
-    fits, so a manifest with this config's run id marks a finished run.  A
-    given ``op`` must match the config's grid (R, n) and collision parameters.
+    r e3 once, checkpoints it as the +e3 member and writes every direction's
+    CSV from it, so the members of a shell share one solve and succeed or fail
+    together.  Deterministic: identical configs on the same build produce
+    byte-identical archives regardless of worker scheduling and count and of
+    the caller's BLAS thread count: each ``run_orbit`` runs on one BLAS
+    thread.  Per-mode failures are recorded in the archive (and manifest), with
+    the partial checkpoint a failed solve leaves, without aborting the sweep.
+    It first deletes the directory's manifest.json and mode files, so every
+    file it lists is this run's, and writes its manifest last, through
+    ``report`` with no fits, so a manifest with this config's run id marks a
+    finished run.  A given ``op`` must match the config's grid (R, n) and
+    collision parameters.
     """
     if op is not None and ((op.grid.R, op.grid.n) != (cfg.R, cfg.n)
                            or op.params != cfg.collision_params()):
@@ -511,7 +477,9 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     workers = max_workers()
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").unlink(missing_ok=True)
+    for stale in [outdir / "manifest.json", *outdir.glob("mode_*.csv"),
+                  *outdir.glob("mode_*.ckpt")]:
+        stale.unlink(missing_ok=True)
     (outdir / "config.cfg").write_text(config_to_text(cfg))
     jobs = _orbits(cfg, build_k_set(cfg))
     nproc = min(workers, len(jobs))
@@ -545,14 +513,15 @@ def _mode_file(outdir, idx: int, ext: str) -> Path:
 def _archive(outdir: Path, cfg: ExperimentConfig, failures: list) -> RunArchive:
     """The archive of ``cfg``'s run in ``outdir``, for ``run_sweep`` and ``load_archive``.
 
-    Files are named by k-set index and listed if on disk; a failed mode has no
-    CSV, and a checkpoint only where its failure record names one.
+    Files are named by k-set index and listed if on disk, which ``run_sweep``
+    clears of earlier mode files; a failed mode has no CSV.  The checkpoints
+    are the orbits' solved members', on +e3: k-set index 6s + 4 of shell s with
+    six directions, 2s with two and s with one.
     """
-    failed = {f["mode"]: f["checkpoint"] for f in failures}   # idx -> checkpoint or None
+    failed = {f["mode"] for f in failures}
     k_set = build_k_set(cfg)
     csvs = [_mode_file(outdir, idx, "csv") for idx in range(len(k_set)) if idx not in failed]
-    ckpts = [_mode_file(outdir, idx, "ckpt") for idx in range(len(k_set))
-             if failed.get(idx, True)]
+    ckpts = [_mode_file(outdir, idx, "ckpt") for idx in range(len(k_set))]
     return RunArchive(run_id=_run_id(cfg), outdir=str(outdir),
                       config_path=str(outdir / "config.cfg"),
                       mode_csvs=[str(p) for p in csvs if p.exists()],

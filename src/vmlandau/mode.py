@@ -129,10 +129,10 @@ class ModeState:
 class StepperConfig:
     """Time stepping controls for integrate_mode."""
 
-    dt: float = 0.01
-    scheme: str = "imex-midpoint"
-    lin_tol: float = 1e-10
-    constraint_tol: float = 1e-6
+    dt: float
+    scheme: str
+    lin_tol: float
+    constraint_tol: float
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -482,8 +482,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     T and the intervals must be whole numbers of steps (cfg.steps), T at most
     _MAX_STEPS of them (a runaway guard).  Frames fall on the multiples of the
     sample interval's steps, and, given a ``checkpoint`` (any object with
-    ``append(ModeState)``: a CheckpointWriter, or ``lab._OrbitCheckpoint``),
-    records on the checkpoint interval's; both hold the first and the last
+    ``append(ModeState)``, such as a CheckpointWriter), records on the
+    checkpoint interval's; both hold the first and the last
     state, and a 0 interval only those.
     Initial data must satisfy the Gauss constraints to within
     cfg.constraint_tol, which at k = 0 asks for charge-neutral data.

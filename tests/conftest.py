@@ -3,6 +3,7 @@ import pytest
 
 from vmlandau.collision import CollisionParams, assemble_L
 from vmlandau.grid import TwoSpeciesField, build_grid
+from vmlandau.mode import StepperConfig
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,12 @@ def op17(grid17, params):
 @pytest.fixture(scope="session")
 def op11_soft(grid11, params_soft):
     return assemble_L(grid11, params_soft)
+
+
+def stepper(dt, scheme="imex-midpoint", lin_tol=1e-10, constraint_tol=1e-6):
+    """The step controls of the unit tests: StepperConfig with these tolerances
+    unless a test names its own."""
+    return StepperConfig(dt=dt, scheme=scheme, lin_tol=lin_tol, constraint_tol=constraint_tol)
 
 
 def random_field(grid, rng, decay=0.25):

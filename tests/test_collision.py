@@ -16,14 +16,14 @@ from conftest import random_field, smooth_random_field
 
 class TestCollisionParams:
     def test_soft_range_enforced(self):
-        CollisionParams(gamma=-3.0)
-        CollisionParams(gamma=-2.5)
+        CollisionParams(gamma=-3.0, c_phi=1.0)
+        CollisionParams(gamma=-2.5, c_phi=1.0)
         with pytest.raises(ValueError):
-            CollisionParams(gamma=-2.0)    # hard potentials rejected
+            CollisionParams(gamma=-2.0, c_phi=1.0)    # hard potentials rejected
         with pytest.raises(ValueError):
-            CollisionParams(gamma=-3.1)
+            CollisionParams(gamma=-3.1, c_phi=1.0)
         with pytest.raises(ValueError):
-            CollisionParams(c_phi=0.0)
+            CollisionParams(gamma=-3.0, c_phi=0.0)
 
 
 def sigma_origin_radial_oracle(gamma, c_phi):
@@ -52,7 +52,7 @@ class TestSigmaField:
     @pytest.mark.parametrize("gamma", [-3.0, -2.5])
     def test_origin_isotropic_value(self, gamma):
         grid = build_grid(7.0, 17)
-        params = CollisionParams(gamma=gamma)
+        params = CollisionParams(gamma=gamma, c_phi=1.0)
         sig = sigma_field(grid, params)
         oracle = sigma_origin_radial_oracle(gamma, params.c_phi)
         S0 = sig.matrix_at(grid.origin_index)
@@ -65,7 +65,7 @@ class TestSigmaField:
         # Coulomb case has a closed form; near-field error is O(h^2) from the
         # point-sampled singular kernel (~2e-3 at n=17, ~3e-4 at n=25)
         grid = build_grid(7.0, 17)
-        sig = sigma_field(grid, CollisionParams())
+        sig = sigma_field(grid, CollisionParams(gamma=-3.0, c_phi=1.0))
         rng = np.random.default_rng(3)
         for node in rng.choice(grid.size, 40, replace=False):
             S = sig.matrix_at(node)
@@ -259,7 +259,7 @@ def test_set_up_equals_the_route_of_three_convolutions_and_diagonal_products(gam
     sigma from three apply_vector calls, each with one nonzero component, and every
     diagonal scaling as a sparse product with diags_array."""
     grid = build_grid(7.0, 9)
-    params = CollisionParams(gamma=gamma)
+    params = CollisionParams(gamma=gamma, c_phi=1.0)
     op = assemble_L(grid, params)
     n = grid.n
     conv = LatticeConvolver(grid, gamma, params.c_phi)

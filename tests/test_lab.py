@@ -111,7 +111,9 @@ class TestRunSweep:
         serial, forked = archives["1"], archives["2"]
         assert not serial.failures and not forked.failures
         names = sorted(os.path.basename(p) for p in serial.mode_csvs + serial.checkpoints)
-        assert names == [f"mode_{i:04d}.{ext}" for i in range(4) for ext in ("ckpt", "csv")]
+        # a CSV per mode, a checkpoint per solve: the +e3 members 0 and 2
+        assert names == sorted([f"mode_{i:04d}.csv" for i in range(4)]
+                               + ["mode_0000.ckpt", "mode_0002.ckpt"])
         assert names == sorted(os.path.basename(p) for p in forked.mode_csvs + forked.checkpoints)
         _same_mode_files(serial.outdir, forked.outdir, names)
 
@@ -126,7 +128,7 @@ class TestRunSweep:
         assert not archives[1].failures and not archives[2].failures
         names = sorted(os.path.basename(p)
                        for p in archives[1].mode_csvs + archives[1].checkpoints)
-        assert len(names) == 4
+        assert names == ["mode_0000.ckpt", "mode_0000.csv", "mode_0001.csv"]
         _same_mode_files(archives[1].outdir, archives[2].outdir, names)
 
     @needs_openblas
@@ -204,14 +206,14 @@ class TestRunSweep:
         monkeypatch.setattr(lab, "integrate_mode", failing)
         outdir = tmp_path / "run"
         manifest = lab.report(lab.run_sweep(_two_shell_cfg(outdir), op9))
-        # both members of the failed orbit, each with the checkpoint it opened
+        # both members of the failed orbit; the solved one, +e3, with the checkpoint it opened
         assert manifest["failures"] == [
-            {"mode": idx, "error": "RuntimeError: solve failed", "checkpoint": f"mode_{idx:04d}.ckpt"}
-            for idx in (2, 3)]
+            {"mode": idx, "error": "RuntimeError: solve failed", "checkpoint": ckpt}
+            for idx, ckpt in ((2, "mode_0002.ckpt"), (3, None))]
         assert manifest["n_modes"] == 2
         on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
         assert sorted(manifest["files"]) == on_disk
-        assert {"mode_0002.ckpt", "mode_0003.ckpt"} <= set(on_disk)
+        assert "mode_0002.ckpt" in on_disk and "mode_0003.ckpt" not in on_disk
 
     def test_failed_mode_is_reported_by_fit_and_report(self, op9, tmp_path, monkeypatch,
                                                         capsys):
@@ -257,6 +259,7 @@ class TestRunSweep:
                                          "checkpoint": None} for idx in (2, 3)]
         assert "mode_0003.ckpt" not in manifest["files"]
         assert not (outdir / "mode_0002.ckpt").exists()
+        assert not (outdir / "mode_0003.ckpt").exists()   # the sweep deleted it first
         assert manifest["n_modes"] == 2
 
     def test_foreign_operator_is_refused(self, op11_soft, tmp_path):
@@ -336,7 +339,8 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert [bool(re.fullmatch(r"operator set-up: \d+\.\d{3}s at n = 9", line))
                 for line in lines] == [True, False, True, False]
-        assert [(op.grid.n, op.params) for op in ops] == [(9, CollisionParams())] * 2
+        params = CollisionParams(gamma=-3.0, c_phi=1.0)
+        assert [(op.grid.n, op.params) for op in ops] == [(9, params)] * 2
 
     def test_sigma_table_writes_sigma_along_the_ray(self, tmp_path):
         out = tmp_path / "sigma.csv"
@@ -482,16 +486,22 @@ class TestOrbits:
 
     @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
     def test_every_member_record_solves_its_own_step(self, orbit_sweeps, op9, scheme):
+        # a member's records are the lattice images of its shell's solve, the one checkpoint
         archive = orbit_sweeps[scheme, 6]
         cfg = lab.parse_config(archive.config_path)
-        assert not archive.failures and len(archive.checkpoints) == 12
+        assert not archive.failures
+        assert [os.path.basename(p) for p in archive.checkpoints] == ["mode_0004.ckpt",
+                                                                      "mode_0010.ckpt"]
+        solves = [read_checkpoint(p, op9.grid).states for p in archive.checkpoints]
         a = cfg.stepper().implicit_weight()
         worst = 0.0
-        for (kvec, _w), path in zip(archive.k_set, sorted(archive.checkpoints)):
-            states = read_checkpoint(path, op9.grid).states
-            assert [s.t for s in states] == [0.0, 0.25, 0.5]
+        for idx, (kvec, _w) in enumerate(archive.k_set):
+            shell, d = divmod(idx, 6)
+            assert [s.t for s in solves[shell]] == [0.0, 0.25, 0.5]
+            assert all(np.array_equal(s.k, archive.k_set[6 * shell + 4][0]) for s in solves[shell])
+            Q = np.rint(profile_frame(AXES[d]))
+            states = [lattice_image(s, Q, kvec) for s in solves[shell]]
             for s0, s1 in zip(states, states[1:]):
-                assert np.array_equal(s1.k, kvec)
                 u0 = s0.flat()
                 x = 0.5 * (u0 + s1.flat()) if scheme == "imex-midpoint" else s1.flat()
                 df, dE, dB = mode_rhs(ModeState.from_flat(kvec, x, op9.grid, s0.t), op9)
@@ -499,22 +509,33 @@ class TestOrbits:
                 worst = max(worst, np.linalg.norm(r) / np.linalg.norm(u0))
         assert worst <= cfg.lin_tol
 
-    def test_members_are_the_lattice_images_of_the_e3_run(self, orbit_sweeps, op9):
+    def test_members_are_the_lattice_images_of_the_e3_run(self, orbit_sweeps):
+        # every column but k is rotation-invariant: a member's CSV is the +e3 member's
         archive = orbit_sweeps["imex-midpoint", 6]
-        ckpts, csvs = sorted(archive.checkpoints), sorted(archive.mode_csvs)
+        csvs = sorted(archive.mode_csvs)
         for shell in range(2):
-            base = 6 * shell + 4                      # the +e3 member of the shell
-            rep = read_checkpoint(ckpts[base], op9.grid).states
-            rep_rows = open(csvs[base]).read().splitlines()
-            for d, idx in zip(AXES, range(6 * shell, 6 * shell + 6)):
-                kvec = archive.k_set[idx][0]
-                Q = np.rint(profile_frame(d))
-                for s, want in zip(read_checkpoint(ckpts[idx], op9.grid).states, rep):
-                    image = lattice_image(want, Q, kvec)
-                    assert np.array_equal(s.flat(), image.flat()) and s.t == want.t
+            rep_rows = open(csvs[6 * shell + 4]).read().splitlines()   # the +e3 member
+            for idx in range(6 * shell, 6 * shell + 6):
                 rows = open(csvs[idx]).read().splitlines()
                 assert [r.split(",")[4:] for r in rows] == [r.split(",")[4:] for r in rep_rows]
                 assert [r.split(",")[:1] for r in rows] == [r.split(",")[:1] for r in rep_rows]
+                assert all(np.array_equal([float(x) for x in r.split(",")[1:4]],
+                                          archive.k_set[idx][0]) for r in rows[1:])
+
+    @pytest.mark.parametrize("members, message", [
+        ([(0, [0.0, 0.0, -0.5])], r"the members hold k = \[0\.0, 0\.0, 0\.5\] 0 times, not once"),
+        ([(0, [0.0, 0.0, 0.5]), (1, [0.0, 0.0, 0.5])], "2 times, not once"),
+        ([(0, [0.0, 0.0, 0.5]), (1, [0.0, 0.0, 1.0])],
+         r"member \[0\.0, 0\.0, 1\.0\] is not a lattice image"),
+        ([(0, [0.0, 0.0, 0.5]), (1, [0.0, 0.3, 0.4])],
+         r"member \[0\.0, 0\.3, 0\.4\] is not a lattice image"),
+    ], ids=["k-missing", "k-twice", "longer-than-k", "off-axis"])
+    def test_run_orbit_refuses_members_that_are_not_images_of_k(self, op9, tmp_path, members,
+                                                                message):
+        cfg = lab.ExperimentConfig(n=9, T=0.5, dt=0.25, save_interval=0.25, outdir=str(tmp_path))
+        with pytest.raises(ValueError, match=message):
+            lab.run_orbit(cfg, [0.0, 0.0, 0.5], members, op9)
+        assert not list(tmp_path.iterdir())   # refused before anything is written
 
     def test_a_member_matches_its_direct_integration(self, orbit_sweeps, op9):
         archive = orbit_sweeps["imex-midpoint", 6]
@@ -622,13 +643,13 @@ class TestSynthesizeNorms:
         assert abs(fit.sigma_hat - (0.75 + 0.5 * m)) <= 0.02
 
     def test_a_rerun_with_fewer_modes_claims_no_stale_file(self, op9, tmp_path, monkeypatch):
-        # the first run leaves mode_0001 (the shell 0.5); the rerun's mode_0000 is that shell
+        # the first run writes mode_0001 (the shell 0.5); the rerun's mode_0000 is that shell
         monkeypatch.setenv("VML_THREADS", "1")
         outdir = tmp_path / "run"
         lab.report(lab.run_sweep(_two_shell_cfg(outdir, shells=(0.25, 0.5),
                                                 directions_per_shell=1), op9))
         rerun = lab.run_sweep(_two_shell_cfg(outdir, shells=(0.5,), directions_per_shell=1), op9)
-        assert (outdir / "mode_0001.csv").exists()
+        assert not (outdir / "mode_0001.csv").exists()   # the rerun deleted it first
         fresh = lab.run_sweep(_two_shell_cfg(tmp_path / "fresh", shells=(0.5,),
                                              directions_per_shell=1), op9)
         # what `vml report` writes: the earlier run's manifest names neither file nor run id

@@ -7,9 +7,9 @@ from numpy.polynomial.hermite import hermgauss
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.lab import ExperimentConfig, init_data
 from vmlandau.macro import _FAMILIES, _moment_rows, macro_residuals, project_P
-from vmlandau.mode import ModeState, StepperConfig, integrate_mode, mode_rhs
+from vmlandau.mode import ModeState, integrate_mode, mode_rhs
 
-from conftest import profile_frame, random_field, smooth_random_field
+from conftest import profile_frame, random_field, smooth_random_field, stepper
 
 
 def gh_moment_1d(power, order=80):
@@ -215,7 +215,7 @@ class TestMacroResiduals:
         k = np.array([0.0, 0.3, 0.4])
         cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
                                outdir="/tmp/unused")
-        h = integrate_mode(init_data(cfg, k, grid11), StepperConfig(dt=0.1, lin_tol=1e-10),
+        h = integrate_mode(init_data(cfg, k, grid11), stepper(dt=0.1, lin_tol=1e-10),
                            1.0, op11, sample_interval=0.1)
         _assert_matches_the_per_frame_form(h.frames, k, op11)
 

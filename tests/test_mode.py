@@ -15,11 +15,11 @@ from vmlandau.collision import CollisionParams, assemble_L
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau import mode
 from vmlandau.macro import macro_residuals, project_P
-from vmlandau.mode import (ModeState, StepperConfig, energy_identity_check,
+from vmlandau.mode import (ModeState, energy_identity_check,
                            integrate_mode, mode_energy_report, mode_rhs,
                            rho_frequency)
 
-from conftest import random_field
+from conftest import random_field, stepper
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(mode.__file__)))
 
@@ -120,7 +120,7 @@ class TestModeRhs:
         cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
                                outdir="/tmp/unused")
         k = np.array([0.0, 0.3, 0.4])
-        frames = integrate_mode(init_data(cfg, k, grid11), StepperConfig(dt=0.1), 0.3, op11,
+        frames = integrate_mode(init_data(cfg, k, grid11), stepper(dt=0.1), 0.3, op11,
                                 sample_interval=0.1).frames
 
         def refuse(*args):
@@ -128,7 +128,7 @@ class TestModeRhs:
 
         monkeypatch.setattr(mode, "_DiagonalILU", refuse)
         with pytest.raises(AssertionError, match="D-ILU built"):   # the patch is live
-            integrate_mode(frames[0], StepperConfig(dt=0.1), 0.1, op11)
+            integrate_mode(frames[0], stepper(dt=0.1), 0.1, op11)
         mode_rhs(frames[-1], op11)
         macro_residuals(frames, k, op11)
 
@@ -136,7 +136,7 @@ class TestModeRhs:
 class TestIntegrateMode:
     def test_zero_state_stays_zero(self, op11, grid11):
         h = integrate_mode(_zero_state(grid11, [0, 0, 1.0]),
-                           StepperConfig(dt=0.1), 1.0, op11)
+                           stepper(dt=0.1), 1.0, op11)
         assert np.all(h.energy == 0.0)
         assert h.frames[-1].fhat.norm() == 0.0
 
@@ -152,7 +152,7 @@ class TestIntegrateMode:
         B0 = np.cross(k, E0)
         st = ModeState(k, TwoSpeciesField.zero(grid11), E0, B0, 0.0)
         T, dt, lin_tol = 5.0, 0.01, 1e-13
-        h = integrate_mode(st, StepperConfig(dt=dt, scheme=scheme, lin_tol=lin_tol), T, op11,
+        h = integrate_mode(st, stepper(dt=dt, scheme=scheme, lin_tol=lin_tol), T, op11,
                            couple_kinetic=False)
         kz = k[2]
         # dE = i k x B; dB = -i k x E with all z-components zero
@@ -183,7 +183,7 @@ class TestIntegrateMode:
 
     def test_micro_only_data_monotone_strict_decay(self, op11, grid11):
         st = _micro_state(grid11, [0.0, 0.0, 0.0])
-        h = integrate_mode(st, StepperConfig(dt=0.05, lin_tol=1e-11), 2.0, op11)
+        h = integrate_mode(st, stepper(dt=0.05, lin_tol=1e-11), 2.0, op11)
         assert np.all(np.diff(h.energy) < 0.0)
 
     def test_energy_identity_and_order(self, op11, grid11):
@@ -193,7 +193,7 @@ class TestIntegrateMode:
         st = init_data(cfg, [0.0, 0.0, 0.5], grid11)
         residuals = {}
         for dt in (0.08, 0.04):
-            h = integrate_mode(st, StepperConfig(dt=dt, lin_tol=1e-12), 4.0, op11)
+            h = integrate_mode(st, stepper(dt=dt, lin_tol=1e-12), 4.0, op11)
             rep = energy_identity_check(h)
             residuals[dt] = rep.relative_cumulative
             assert rep.max_step_increase <= 1e-8 * rep.initial_energy
@@ -209,7 +209,7 @@ class TestIntegrateMode:
         cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
                                outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.3, 0.4], grid11)
-        h = integrate_mode(st, StepperConfig(dt=dt, lin_tol=lin_tol), 4 * dt, op11,
+        h = integrate_mode(st, stepper(dt=dt, lin_tol=lin_tol), 4 * dt, op11,
                            sample_interval=dt)
         assert len(h.frames) == 5
         eps = np.finfo(float).eps
@@ -233,8 +233,8 @@ class TestIntegrateMode:
         st = init_data(cfg, [0.0, 0.0, 0.5], grid11)
         residuals = {}
         for dt in (0.04, 0.02):
-            h = integrate_mode(st, StepperConfig(dt=dt, scheme="imex-euler",
-                                                 lin_tol=1e-12), 2.0, op11)
+            h = integrate_mode(st, stepper(dt=dt, scheme="imex-euler", lin_tol=1e-12), 2.0,
+                               op11)
             rep = energy_identity_check(h)
             residuals[dt] = rep.relative_cumulative
         assert residuals[0.02] < residuals[0.04] / 1.5
@@ -247,7 +247,7 @@ class TestIntegrateMode:
         cfg = ExperimentConfig(R=op9.grid.R, n=9, family=family, shells=(5.0,),
                                outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.0, 5.0], op9.grid)
-        h = integrate_mode(st, StepperConfig(dt=0.02, scheme="imex-euler", lin_tol=1e-8), 2.0,
+        h = integrate_mode(st, stepper(dt=0.02, scheme="imex-euler", lin_tol=1e-8), 2.0,
                            op9)
         assert np.all(np.diff(h.energy) <= 0.0)
 
@@ -260,7 +260,7 @@ class TestIntegrateMode:
                                outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.0, 0.5], grid11)
         T = 5.0
-        h = integrate_mode(st, StepperConfig(dt=0.05, scheme=scheme, lin_tol=1e-12), T, op11)
+        h = integrate_mode(st, stepper(dt=0.05, scheme=scheme, lin_tol=1e-12), T, op11)
         assert h.gauss_E.max() <= h.gauss_E[0] + 1e-8 * T
         assert h.gauss_B.max() <= 1e-12
 
@@ -270,20 +270,20 @@ class TestIntegrateMode:
         st = ModeState(np.zeros(3), f, np.zeros(3, dtype=complex),
                        np.zeros(3, dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            integrate_mode(st, StepperConfig(dt=0.1), 1.0, op11)
+            integrate_mode(st, stepper(dt=0.1), 1.0, op11)
 
     def test_gauss_violating_data_rejected(self, op11, grid11):
         st = _zero_state(grid11, [0.0, 0.0, 1.0])
         st.Ehat = np.array([0.0, 0.0, 1.0], dtype=complex)  # i k.E != 0, no charge
         with pytest.raises(ValueError):
-            integrate_mode(st, StepperConfig(dt=0.1, constraint_tol=1e-8), 1.0, op11)
+            integrate_mode(st, stepper(dt=0.1, constraint_tol=1e-8), 1.0, op11)
 
 
 class TestSolverGuards:
     def test_T_not_a_multiple_of_dt_rejected(self, op11, grid11):
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
         with pytest.raises(ValueError, match="not a whole number of steps"):
-            integrate_mode(st, StepperConfig(dt=0.3), 1.0, op11)
+            integrate_mode(st, stepper(dt=0.3), 1.0, op11)
 
     @pytest.mark.parametrize("kwargs, message", [
         ("sample_interval=0.0", "frames [0.0, 0.2] records [0.0, 0.2]"),
@@ -308,7 +308,8 @@ class TestSolverGuards:
             path = {str(tmp_path / "m.ckpt")!r}
             with CheckpointWriter(path, g, -3.0, 1.0) as w:
                 try:
-                    h = integrate_mode(st, StepperConfig(dt=0.1), 0.2, op, checkpoint=w, {kwargs})
+                    stepper = StepperConfig(0.1, "imex-midpoint", 1e-10, 1e-6)
+                    h = integrate_mode(st, stepper, 0.2, op, checkpoint=w, {kwargs})
                 except ValueError as exc:
                     print(exc)
                     raise SystemExit
@@ -325,7 +326,7 @@ class TestSolverGuards:
 
     def test_negative_T_raises_the_steps_message(self, op11, grid11):
         with pytest.raises(ValueError, match=r"T = -1\.0 must not be negative"):
-            integrate_mode(_zero_state(grid11, [0.0, 0.0, 1.0]), StepperConfig(dt=0.1), -1.0,
+            integrate_mode(_zero_state(grid11, [0.0, 0.0, 1.0]), stepper(dt=0.1), -1.0,
                            op11)
 
     def test_runaway_run_is_refused_before_any_solve(self, op11, grid11, monkeypatch):
@@ -336,10 +337,10 @@ class TestSolverGuards:
         monkeypatch.setattr(mode, "_DiagonalILU", refuse)
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
         with pytest.raises(ValueError, match="run of 4 steps exceeds the cap of 3"):
-            integrate_mode(st, StepperConfig(dt=0.1), 0.4, op11)
+            integrate_mode(st, stepper(dt=0.1), 0.4, op11)
         # a run of exactly the cap passes the guard and reaches its first solve
         with pytest.raises(RuntimeError, match="a solve started"):
-            integrate_mode(st, StepperConfig(dt=0.1), 0.3, op11)
+            integrate_mode(st, stepper(dt=0.1), 0.3, op11)
 
     def test_long_run_keeps_every_sample_and_record(self, params, tmp_path):
         # 7,430 steps of dt = 0.1: sample times summed in floating point drift
@@ -348,7 +349,7 @@ class TestSolverGuards:
         op = assemble_L(g, params)
         path = tmp_path / "m.ckpt"
         with CheckpointWriter(path, g, -3.0, 1.0) as w:
-            h = integrate_mode(_zero_state(g, [0.0, 0.0, 1.0]), StepperConfig(dt=0.1), 743.0,
+            h = integrate_mode(_zero_state(g, [0.0, 0.0, 1.0]), stepper(dt=0.1), 743.0,
                                op, sample_interval=0.1, checkpoint=w, checkpoint_interval=0.1)
         want = [step * 0.1 for step in range(7431)]
         assert [s.t for s in h.frames] == want
@@ -361,7 +362,7 @@ class TestSolverGuards:
         monkeypatch.setattr(mode._ModeSolve, "precondition",
                             lambda self, x: np.zeros_like(x))
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
-        cfg = StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8)
+        cfg = stepper(dt=0.1, scheme=scheme, lin_tol=1e-8)
         with pytest.raises(RuntimeError) as err:
             integrate_mode(st, cfg, 0.1, op11)
         # the sum block fails first; its iterate stays at the guess s, and
@@ -405,7 +406,7 @@ class TestSolverGuards:
         monkeypatch.setattr(type(op11), "k_part", counted_k_part)
         monkeypatch.setattr(LatticeConvolver, "apply_vector", counted_apply_vector)
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
-        h = integrate_mode(st, StepperConfig(dt=0.1, scheme=scheme, lin_tol=1e-8), 0.3, op11)
+        h = integrate_mode(st, stepper(dt=0.1, scheme=scheme, lin_tol=1e-8), 0.3, op11)
         steps = len(h.times) - 1
         assert pre_calls[0] == h.solve_iters.sum()
         s_calls = h.solve_iters[:, 0].sum()
@@ -532,7 +533,7 @@ class TestDiagonalILU:
     def test_set_up_equals_the_tril_triu_route(self, gamma, a):
         """d and a solve, bit for bit, against triangles from sp.tril/sp.triu and factors
         from scipy's diags_array sums."""
-        op = assemble_L(build_grid(7.0, 9), CollisionParams(gamma=gamma))
+        op = assemble_L(build_grid(7.0, 9), CollisionParams(gamma=gamma, c_phi=1.0))
         A = op.A_sparse
         xik = mode._xi_dot(op.grid, np.array([0.0, 0.0, 0.5]))
         lower, upper = sp.tril(A, k=-1, format="csr"), sp.triu(A, k=1, format="csr")
@@ -607,7 +608,7 @@ class TestPreconditionerQuality:
         monkeypatch.setattr(mode._ModeSolve, "precondition", counted)
         cfg = ExperimentConfig(R=op.grid.R, n=n, family="mixed", shells=(kz,), outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.0, kz], op.grid)
-        h = integrate_mode(st, StepperConfig(dt=dt, scheme=scheme, lin_tol=1e-8), T, op)
+        h = integrate_mode(st, stepper(dt=dt, scheme=scheme, lin_tol=1e-8), T, op)
         assert calls[0] <= parent_calls
         assert h.solve_iters.shape == h.solve_residual.shape == (len(h.times) - 1, 2)
         assert h.solve_iters.sum() == calls[0]
@@ -626,7 +627,7 @@ class TestMacroResidualConvergence:
         st = init_data(cfg, k, grid11)
         res = {}
         for dt in (0.08, 0.04):
-            h = integrate_mode(st, StepperConfig(dt=dt, lin_tol=1e-12), 1.6, op11,
+            h = integrate_mode(st, stepper(dt=dt, lin_tol=1e-12), 1.6, op11,
                                sample_interval=dt)
             res[dt] = macro_residuals(h.frames, k, op11)
         for law in ("a", "b", "c", "theta", "lambda"):
@@ -640,7 +641,7 @@ class TestMacroResidualConvergence:
 class TestModeEnergyReport:
     def test_rho_attached_and_macro_only_micro_terms_vanish(self, op11, grid11):
         st = _neutral_macro_state(grid11, [0.0, 0.0, 1.0])
-        h = integrate_mode(st, StepperConfig(dt=0.1, lin_tol=1e-11), 0.2, op11,
+        h = integrate_mode(st, stepper(dt=0.1, lin_tol=1e-11), 0.2, op11,
                            sample_interval=0.1)
         rep = mode_energy_report(h, 0.0, op11)
         assert rep.rho == pytest.approx(0.25, rel=1e-12)
@@ -649,7 +650,7 @@ class TestModeEnergyReport:
     def test_weighted_ell_is_refused(self, op11, grid11):
         # every column is unweighted, so an ell != 0 would label them falsely
         st = _micro_state(grid11, [0.0, 0.0, 0.5])
-        h = integrate_mode(st, StepperConfig(dt=0.1, lin_tol=1e-10), 0.1, op11,
+        h = integrate_mode(st, stepper(dt=0.1, lin_tol=1e-10), 0.1, op11,
                            sample_interval=0.1)
         with pytest.raises(ValueError, match="ell must be 0"):
             mode_energy_report(h, 2.0, op11)
@@ -715,7 +716,7 @@ class TestCheckpoint:
         cfg = ExperimentConfig(R=grid11.R, n=grid11.n, family="mixed", shells=(0.5,),
                                outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.0, 0.5], grid11)
-        scfg = StepperConfig(dt=0.05, scheme=scheme, lin_tol=1e-10)
+        scfg = stepper(dt=0.05, scheme=scheme, lin_tol=1e-10)
         full = integrate_mode(st, scfg, 2.0, op11)
         # interrupted: stop at t=1, checkpoint, restore, continue to t=2
         path = tmp_path / "restart.ckpt"

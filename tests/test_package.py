@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,10 +45,15 @@ def test_import_loads_neither_optimize_nor_integrate():
     assert out.stdout.strip() == "[]", out.stdout
 
 
-def test_benchmark_selfcheck_passes():
+def test_benchmark_selfcheck_passes(tmp_path):
     # the benchmark calls the program by name; a change that breaks one of
-    # those names fails here rather than only when the benchmark runs
+    # those names fails here rather than only when the benchmark runs.  It runs
+    # in a copy of perfbench/ and src/, so that its runs and traces stay out of
+    # the working tree
     root = Path(vmlandau.__file__).resolve().parents[2]
-    out = subprocess.run([sys.executable, str(root / "perfbench" / "selfcheck.py")],
-                         capture_output=True, text=True, cwd=root)
+    for part in ("perfbench", "src"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("_runs", "_traces", "__pycache__"))
+    out = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "selfcheck.py")],
+                         capture_output=True, text=True, cwd=tmp_path)
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

@@ -4,11 +4,11 @@ import pytest
 from vmlandau import weights
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.lab import ExperimentConfig, init_data
-from vmlandau.mode import ModeState, StepperConfig, integrate_mode
+from vmlandau.mode import ModeState, integrate_mode
 from vmlandau.weights import (EnergyRequest, WeightSpec, dissipation_norm, energy_ledger,
                               temporal_norm_x, weight_eval)
 
-from conftest import random_field
+from conftest import random_field, stepper
 
 
 class TestWeightSpec:
@@ -139,7 +139,7 @@ class TestEnergyLedger:
                                outdir="/tmp/unused")
         st = init_data(cfg, [0.0, 0.0, 0.5], op9.grid)
         assert np.abs(st.Ehat).max() > 0.0 and np.abs(st.Bhat).max() > 0.0
-        h = integrate_mode(st, StepperConfig(dt=0.02, scheme="imex-euler", lin_tol=1e-8), 0.1,
+        h = integrate_mode(st, stepper(dt=0.02, scheme="imex-euler", lin_tol=1e-8), 0.1,
                            op9, sample_interval=0.02)
         assert np.abs(h.frames[-1].Bhat).max() > 0.0
         for frame in h.frames:
