@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -50,6 +51,8 @@ def _parse_window(text: str) -> tuple:
 
 
 def cmd_sigma_table(args) -> int:
+    # ExperimentConfig's checks: a ConfigError unless the grid and kernel can be built
+    ExperimentConfig(R=args.rmax, n=args.n, gamma=args.gamma, c_phi=args.c_phi)
     grid = build_grid(args.rmax, args.n)
     params = CollisionParams(gamma=args.gamma, c_phi=args.c_phi)
     sigma = sigma_field(grid, params)
@@ -82,13 +85,13 @@ IDENTITY_TOL = 1e-12     # null residuals and symmetry defect: roundoff identiti
 SYMMETRY_PAIRS = 4       # seeded field pairs for the symmetry defect
 
 
-def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = ExperimentConfig.c_phi):
+def spectrum_suite(n: int, R: float, gamma: float):
     """Null residuals, symmetry defect and, over the 14 odd-even fields f
     (``LinearizedOperator.odd_even_basis``), the (min, max) of <Lf, f>/|f|^2 and of
     <Lm, m>/|m|_D^2 on their micro parts m = (I - P)f: the space on which the
     coercivity <Lf, f> >= lambda |(I - P)f|_D^2 fails on the lattice."""
     grid = build_grid(R, n)
-    op = assemble_L(grid, CollisionParams(gamma=gamma, c_phi=c_phi))
+    op = assemble_L(grid, CollisionParams(gamma=gamma, c_phi=ExperimentConfig.c_phi))
     rng = np.random.default_rng(7)
     envelope = grid.mu ** 0.25
     sym = 0.0
@@ -110,6 +113,8 @@ def spectrum_suite(n: int, R: float, gamma: float, c_phi: float = ExperimentConf
 
 
 def cmd_spectrum_check(args) -> int:
+    for n in args.n:   # every grid and kernel is checked before the first is built
+        ExperimentConfig(R=args.R, n=n, gamma=args.gamma)
     t0 = time.perf_counter()
     failed = []
     for n in args.n:
@@ -146,7 +151,12 @@ def cmd_mode_run(args) -> int:
     settings = {name: getattr(args, name) for name in _MODE_RUN_SETTINGS}
     cfg = ExperimentConfig(**{name: v for name, v in settings.items() if v is not None},
                            outdir=args.out, shells=(max(float(np.linalg.norm(args.k)), 1e-6),))
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
+    foreign = [name for name in ("config.cfg", "manifest.json") if (out / name).exists()]
+    if foreign:   # the mode_0000.* of a sweep's directory are that run's own
+        raise ConfigError(f"{out} holds another run ({', '.join(foreign)}); "
+                          "mode-run needs a directory of its own")
+    out.mkdir(parents=True, exist_ok=True)
     rep = run_orbit(cfg, args.k, [(0, args.k)], _operator(cfg))   # an orbit of one
     energy = rep.f_l2sq + rep.em_sq
     print(f"mode k={args.k} integrated to T={cfg.T}; "
@@ -181,6 +191,7 @@ def _decay_fits(args, ms):
         print(f"cannot synthesize the norms of {archive.outdir}: {exc}", file=sys.stderr)
         for f in archive.failures:
             print(f"  mode {f['mode']} failed: {f['error']}", file=sys.stderr)
+            print(textwrap.indent(f["traceback"].rstrip("\n"), "    "), file=sys.stderr)
         return archive, None
     last = float(norms[0][0][-1])
     if args.window[1] > last:

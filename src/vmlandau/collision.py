@@ -64,7 +64,7 @@ class CollisionParams:
 def _check_budget(n: int) -> None:
     if 2 * n ** 6 > DEFAULT_DESK_BUDGET:
         raise ResourceBudgetError(
-            f"2*n^6 = {2 * n ** 6:.3g} exceeds the desk budget {DEFAULT_DESK_BUDGET:.3g}"
+            f"n = {n}: 2*n^6 = {2 * n ** 6:.3g} exceeds the desk budget {DEFAULT_DESK_BUDGET:.3g}"
         )
 
 
@@ -74,7 +74,6 @@ class CollisionFrequencyField:
 
     grid: VelocityGrid = field(repr=False)
     packed: np.ndarray = field(repr=False)   # (6, n^3): 11, 12, 13, 22, 23, 33
-    params: CollisionParams
 
     def component(self, i: int, j: int) -> np.ndarray:
         """sigma^ij over all nodes, 0-based indices."""
@@ -100,7 +99,7 @@ def sigma_field(grid: VelocityGrid, params: CollisionParams) -> CollisionFrequen
     six = _convolver(grid, params).apply_all_components(wmu)
     packed = np.ascontiguousarray(six.real.reshape(6, grid.size))
     packed.setflags(write=False)
-    return CollisionFrequencyField(grid=grid, packed=packed, params=params)
+    return CollisionFrequencyField(grid=grid, packed=packed)
 
 
 def _divergence(grid: VelocityGrid, u3) -> np.ndarray:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import traceback
 import uuid
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -46,10 +47,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointWriter
-from .collision import CollisionParams, LinearizedOperator, assemble_L
-from .grid import TwoSpeciesField, VelocityGrid, build_grid, check_grid_parameters
+from .collision import CollisionParams, LinearizedOperator, ResourceBudgetError, _check_budget
+from .grid import TwoSpeciesField, VelocityGrid, check_grid_parameters
 from .macro import _projector, project_P
-from .mode import (ModeEnergyReport, ModeState, StepperConfig, _one_blas_thread,
+from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, _one_blas_thread,
                    integrate_mode, mode_energy_report)
 
 __all__ = [
@@ -84,8 +85,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything needed to reproduce a sweep bit-for-bit on the same build, one
     config.cfg line per field.  The data amplitude is fixed (the system is
-    linear), and ``ell`` is the class constant 0, not a field: the mode CSVs
-    hold unweighted series."""
+    linear).  ``ell`` and ``constraint_tol`` are class constants, not fields:
+    ell is 0 because the mode CSVs hold unweighted series, and constraint_tol
+    is integrate_mode's CONSTRAINT_TOL."""
 
     gamma: float = -3.0
     c_phi: float = 1.0
@@ -97,12 +99,12 @@ class ExperimentConfig:
     dt: float = 0.25
     scheme: str = "imex-midpoint"
     lin_tol: float = 1e-8
-    constraint_tol: float = 1e-5
     T: float = 200.0
     outdir: str = "runs/out"
     save_interval: float = 1.0
     checkpoint_interval: float = 0.0   # 0: first/last state only
     ell = 0.0   # unannotated, so not a field
+    constraint_tol = CONSTRAINT_TOL
 
     def __post_init__(self):
         if len(self.shells) == 0:
@@ -122,10 +124,11 @@ class ExperimentConfig:
         try:
             self.collision_params()
             check_grid_parameters(self.R, self.n)
+            _check_budget(self.n)
             stepper = self.stepper()
             for name in ("T", "save_interval", "checkpoint_interval"):
                 stepper.steps(getattr(self, name), name)
-        except ValueError as exc:
+        except (ValueError, ResourceBudgetError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def collision_params(self) -> CollisionParams:
@@ -136,8 +139,7 @@ class ExperimentConfig:
         return False
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, scheme=self.scheme, lin_tol=self.lin_tol,
-                             constraint_tol=self.constraint_tol)
+        return StepperConfig(dt=self.dt, scheme=self.scheme, lin_tol=self.lin_tol)
 
 
 # value parsers keyed by the field annotations, which are strings under
@@ -421,11 +423,11 @@ def _run_one_orbit(job) -> list:
     try:
         run_orbit(_WORKER_CTX["cfg"], k, members, _WORKER_CTX["op"])
     except Exception as exc:  # a failed orbit is recorded for each member, not fatal
-        err = f"{type(exc).__name__}: {exc}"
+        err, trace = f"{type(exc).__name__}: {exc}", traceback.format_exc()
         failures = []
         for idx, _ in members:   # run_sweep deleted every earlier checkpoint
             ckpt = _mode_file(_WORKER_CTX["cfg"].outdir, idx, "ckpt")
-            failures.append({"mode": idx, "error": err,
+            failures.append({"mode": idx, "error": err, "traceback": trace,
                              "checkpoint": ckpt.name if ckpt.exists() else None})
         return failures
     return []
@@ -452,7 +454,7 @@ def _orbits(cfg: ExperimentConfig, k_set) -> list:
             for i, r in enumerate(cfg.shells)]
 
 
-def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> RunArchive:
+def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator) -> RunArchive:
     """Integrate every configured mode, archiving CSV series and checkpoints.
 
     The workers get one job per shell, not per mode: ``run_orbit`` integrates
@@ -462,15 +464,15 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     byte-identical archives regardless of worker scheduling and count and of
     the caller's BLAS thread count: each ``run_orbit`` runs on one BLAS
     thread.  Per-mode failures are recorded in the archive (and manifest), with
-    the partial checkpoint a failed solve leaves, without aborting the sweep.
+    their traceback and the partial checkpoint a failed solve leaves, without
+    aborting the sweep.
     It first deletes the directory's manifest.json and mode files, so every
     file it lists is this run's, and writes its manifest last, through
     ``report`` with no fits, so a manifest with this config's run id marks a
-    finished run.  A given ``op`` must match the config's grid (R, n) and
-    collision parameters.
+    finished run.  ``op`` must match the config's grid (R, n) and collision
+    parameters.
     """
-    if op is not None and ((op.grid.R, op.grid.n) != (cfg.R, cfg.n)
-                           or op.params != cfg.collision_params()):
+    if (op.grid.R, op.grid.n) != (cfg.R, cfg.n) or op.params != cfg.collision_params():
         raise ValueError(
             f"operator built for R = {op.grid.R}, n = {op.grid.n}, {op.params}; "
             f"the config asks for R = {cfg.R}, n = {cfg.n}, {cfg.collision_params()}")
@@ -483,8 +485,6 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator | None = None) -> Ru
     (outdir / "config.cfg").write_text(config_to_text(cfg))
     jobs = _orbits(cfg, build_k_set(cfg))
     nproc = min(workers, len(jobs))
-    if op is None:
-        op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
     if nproc > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
@@ -578,11 +578,13 @@ def synthesize_norms(archive: RunArchive, m: int):
     return times, total
 
 
-def decay_fit(times, series, window, m: int = 0, shells_used: int = 0,
+def decay_fit(times, series, window, m: int, shells_used: int,
               min_decay: float = 5.0) -> DecayFitReport:
     """Least-squares slope of log(series) against log(1+t) on the window.
 
-    The series is a squared norm, so the reported exponent is -slope/2.
+    The series is a squared norm of the m-th derivative, so the reported
+    exponent is -slope/2, against the target 3/4 + m/2; ``shells_used`` is
+    the number of k-shells the series was synthesized from, for the report.
     Insufficient decay (< min_decay within the window) or nonpositive values
     yield an inconclusive report.  A conclusive report's window is the first
     and last sample time inside the requested one: the span actually fitted.

@@ -7,7 +7,8 @@ State per mode: (k, fhat, Ehat, Bhat, t) with
     d Bhat/dt = -i k x Ehat
 
 and the Gauss constraints i k.Ehat = <sqrt(mu), fhat_+ - fhat_-> and
-i k.Bhat = 0 monitored (never enforced) along the run.
+i k.Bhat = 0, which the initial data must meet to CONSTRAINT_TOL and which are
+monitored (never enforced) along the run.
 
 Both schemes take one implicit step: solve (I - a M) x = u^n to the configured
 tolerance, a = StepperConfig.implicit_weight(), and set u^{n+1} = 2x - u^n
@@ -77,8 +78,10 @@ __all__ = [
     "rho_frequency",
 ]
 
+CONSTRAINT_TOL = 1e-5   # largest initial Gauss residual integrate_mode accepts
 _SQRT2 = np.sqrt(2.0)
 _LARTG = scipy.linalg.get_lapack_funcs("lartg", dtype=complex)
+_RESTART = 50        # GMRES iterations per restart cycle
 _MAX_CYCLES = 200    # GMRES restart cycles before a solve is reported as failed
 _MAX_SWEEPS = 100    # Jacobi sweeps for the D-ILU diagonal before its set-up is reported as failed
 _MAX_STEPS = 10_000_000   # steps of one run before integrate_mode refuses it as a runaway
@@ -132,14 +135,13 @@ class StepperConfig:
     dt: float
     scheme: str
     lin_tol: float
-    constraint_tol: float
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in ("imex-midpoint", "imex-euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.lin_tol <= 0 or self.constraint_tol <= 0:
+        if self.lin_tol <= 0:
             raise ValueError("tolerances must be positive")
 
     def implicit_weight(self) -> float:
@@ -195,7 +197,7 @@ def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
     n3 = op.grid.size
-    ms = _ModeSolve(op, state.k, 0.0, 0.0, _SQRT2)   # never solves: builds no D-ILU
+    ms = _ModeSolve(op, state.k, 0.0, 0.0)   # never solves: builds no D-ILU
     u = _sum_diff(state.flat(), n3)
     du = np.concatenate([ms.sum_block(u[:n3]), ms.diff_block(u[n3:])])
     d = ModeState.from_flat(state.k, _sum_diff(du, n3), state.fhat.grid, state.t)
@@ -269,29 +271,26 @@ def _triangles(A: sp.csr_array) -> tuple:
 class _ModeSolve:
     """The generator blocks of one mode and the solves of (I - a G) x = rhs on them.
 
-    Holds xi.k, the weight a and the coupling coefficient ``couple`` (sqrt2,
-    or 0 to drop the field-kinetic terms).  A block is x = (n^3 kinetic
-    entries, fields) and G is the block's part of the generator.  The
-    preconditioner M^-1 (see precondition) is built on the first solve from
-    the mode's one _DiagonalILU of I + a (A + i xi.k): on the sum block it is
-    the D-ILU; on the difference block it closes the field entries exactly
-    through their Schur complement.  Both depend only on (op, k, a).  GMRES
-    runs on (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-    1986) with modified Gram-Schmidt and Givens rotations, and keeps
-    z_j = M^-1 v_j so that x = x0 + Z y costs
-    no further preconditioner solve.  With M^-1 on the right the residual is
-    the true one, so the recurrence's |g_{m+1}| <= lin_tol |rhs| is the
-    block's stopping test; the residual is recomputed from x only at a
-    restart and on failure.
+    Holds xi.k and the weight a.  A block is x = (n^3 kinetic entries,
+    fields) and G is the block's part of the generator.  The preconditioner
+    M^-1 (see precondition) is built on the first solve from the mode's one
+    _DiagonalILU of I + a (A + i xi.k): on the sum block it is the D-ILU; on
+    the difference block it closes the field entries exactly through their
+    Schur complement.  Both depend only on (op, k, a).  GMRES runs on
+    (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
+    restarted every _RESTART iterations, with modified Gram-Schmidt and
+    Givens rotations, and keeps z_j = M^-1 v_j so that x = x0 + Z y costs no
+    further preconditioner solve.  With M^-1 on the right the residual is the
+    true one, so the recurrence's |g_{m+1}| <= lin_tol |rhs| is the block's
+    stopping test; the residual is recomputed from x only at a restart and on
+    failure.
     """
 
-    def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float,
-                 couple: float):
+    def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float):
         self.op = op
         self.k = k
         self.a = a
         self.lin_tol = lin_tol
-        self.couple = couple
         self.xik = _xi_dot(op.grid, k)
 
     @functools.cached_property
@@ -302,9 +301,9 @@ class _ModeSolve:
     def closure(self):
         """(W, V, S^-1) of the difference block's field closure; see precondition."""
         g, k, a = self.op.grid, self.k, self.a
-        U = (a * self.couple) * g.xi * g.sqrt_mu
+        U = (a * _SQRT2) * g.xi * g.sqrt_mu
         W = np.array([self.ilu.solve(u.astype(complex)) for u in U])
-        V = (a * self.couple) * _moment_rows(g)[1:4].astype(complex)
+        V = (a * _SQRT2) * _moment_rows(g)[1:4].astype(complex)
         kx = _cross(k, np.eye(3))
         S = np.block([[np.eye(3) + V @ W.T, -1j * a * kx], [1j * a * kx, np.eye(3)]])
         return W, V, np.linalg.inv(S)
@@ -327,15 +326,15 @@ class _ModeSolve:
         out[:n3] = self.sparse_block(d, Ad)
         out[n3:n3 + 3] = 1j * _cross(k, B)
         out[n3 + 3:] = -1j * _cross(k, E)
-        out[:n3] += self.couple * _xi_dot(g, E) * g.sqrt_mu
-        out[n3:n3 + 3] -= self.couple * _current(g, d)
+        out[:n3] += _SQRT2 * _xi_dot(g, E) * g.sqrt_mu
+        out[n3:n3 + 3] -= _SQRT2 * _current(g, d)
         return out
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         """M^-1 x: the D-ILU on a sum-block vector; on a difference-block vector, the exact
         inverse of the block matrix whose kinetic block is the D-ILU P_d.
 
-        With U = a couple xi sqrt(mu) and V = a couple <xi sqrt(mu), .>, that matrix is
+        With U = a sqrt2 xi sqrt(mu) and V = a sqrt2 <xi sqrt(mu), .>, that matrix is
         [[P_d, -U, 0], [V, I, -i a k x], [0, i a k x, I]]; its Schur complement on
         (E, B) is S = [[I + V W, -i a k x], [i a k x, I]] with W = P_d^-1 U
         (Benzi, Golub & Liesen, Acta Numerica 14, 2005).  So y = P_d^-1 x_d,
@@ -350,20 +349,19 @@ class _ModeSolve:
         EB = Sinv @ np.concatenate([x[n3:n3 + 3] - V @ y, x[n3 + 3:]])
         return np.concatenate([y + EB[:3] @ W, EB])
 
-    def solve(self, gen, rhs: np.ndarray, guess: np.ndarray,
-              gen_guess: Optional[np.ndarray] = None, restart: int = 50):
+    def solve(self, gen, rhs: np.ndarray, guess: np.ndarray, gen_guess: np.ndarray):
         """GMRES for (I - a gen) x = rhs from ``guess``; returns (x, iterations, relative residual).
 
-        ``gen_guess``, if given, is gen(guess), so the initial residual
-        rhs - guess + a gen(guess) costs no application of gen.  It raises
-        RuntimeError, with the residual, after _MAX_CYCLES cycles of ``restart``.
+        ``gen_guess`` is gen(guess), so the initial residual rhs - guess +
+        a gen(guess) costs no application of gen.  It raises RuntimeError, with
+        the residual, after _MAX_CYCLES cycles of _RESTART iterations.
         """
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        a, target = self.a, self.lin_tol * bnorm
+        a, target, restart = self.a, self.lin_tol * bnorm, _RESTART
         x = guess
-        r = rhs - (x - a * gen(x)) if gen_guess is None else rhs - x + a * gen_guess
+        r = rhs - x + a * gen_guess
         beta = np.linalg.norm(r)
         iters = cycles = 0
         while beta > target:
@@ -473,8 +471,7 @@ def _one_blas_thread():
 @_one_blas_thread()
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                    op: LinearizedOperator, *, sample_interval: float = 0.0,
-                   checkpoint=None, checkpoint_interval: float = 0.0,
-                   couple_kinetic: bool = True) -> ModeHistory:
+                   checkpoint=None, checkpoint_interval: float = 0.0) -> ModeHistory:
     """Evolve a mode to time T at uniform dt; returns per-step scalars and frames.
 
     Each step solves (I - a M) x = u^n, a = cfg.implicit_weight(), sum block then
@@ -485,13 +482,9 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     ``append(ModeState)``, such as a CheckpointWriter), records on the
     checkpoint interval's; both hold the first and the last
     state, and a 0 interval only those.
-    Initial data must satisfy the Gauss constraints to within
-    cfg.constraint_tol, which at k = 0 asks for charge-neutral data.
-    Constraint drift during the run is recorded in the gauss_E and gauss_B
-    series without aborting.  ``couple_kinetic=False`` drops the
-    field-kinetic coupling terms (E.xi sqrt(mu) q1 and the current), leaving
-    the decoupled Maxwell rotation plus collisional transport; that subsystem
-    has closed-form oscillatory solutions used by conservation tests.
+    Initial data must satisfy the Gauss constraints to within CONSTRAINT_TOL,
+    which at k = 0 asks for charge-neutral data.  Constraint drift during the
+    run is recorded in the gauss_E and gauss_B series without aborting.
 
     The run holds every loaded OpenBLAS at one thread, restoring the caller's
     counts on return: OpenBLAS threads dot products and norms above 10^4
@@ -501,9 +494,9 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     g = op.grid
     k = state0.k
     res_e, res_b = state0.gauss_residuals()
-    if res_e > cfg.constraint_tol or res_b > cfg.constraint_tol:
+    if res_e > CONSTRAINT_TOL or res_b > CONSTRAINT_TOL:
         raise ValueError(f"initial Gauss residuals ({res_e:.2e}, {res_b:.2e}) "
-                         f"exceed constraint tolerance {cfg.constraint_tol:.2e}")
+                         f"exceed constraint tolerance {CONSTRAINT_TOL:.2e}")
 
     nsteps = cfg.steps(T)
     if nsteps > _MAX_STEPS:
@@ -511,7 +504,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     sample_every = cfg.steps(sample_interval, "sample_interval") or nsteps
     ckpt_every = cfg.steps(checkpoint_interval, "checkpoint_interval") or nsteps
     n3 = g.size
-    ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol, _SQRT2 if couple_kinetic else 0.0)
+    ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol)
 
     u = state0.flat()
     times, energy, diss, gauss_e, gauss_b = (np.empty(nsteps + 1) for _ in range(5))

@@ -48,10 +48,10 @@ def op11_soft(grid11, params_soft):
     return assemble_L(grid11, params_soft)
 
 
-def stepper(dt, scheme="imex-midpoint", lin_tol=1e-10, constraint_tol=1e-6):
-    """The step controls of the unit tests: StepperConfig with these tolerances
-    unless a test names its own."""
-    return StepperConfig(dt=dt, scheme=scheme, lin_tol=lin_tol, constraint_tol=constraint_tol)
+def stepper(dt, scheme="imex-midpoint", lin_tol=1e-10):
+    """The step controls of the unit tests: StepperConfig with this solver
+    tolerance unless a test names its own."""
+    return StepperConfig(dt=dt, scheme=scheme, lin_tol=lin_tol)
 
 
 def random_field(grid, rng, decay=0.25):

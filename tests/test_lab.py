@@ -119,12 +119,14 @@ class TestRunSweep:
 
     @needs_openblas
     def test_archive_bytes_do_not_depend_on_caller_blas_threads(self, tmp_path, monkeypatch):
-        # op=None: each sweep assembles its own operator, under the caller's BLAS count
+        # each sweep's operator is assembled under the caller's BLAS count too
         monkeypatch.setenv("VML_THREADS", "1")
         archives = {}
         for count in (1, 2):
             with _blas_threads(count):
-                archives[count] = lab.run_sweep(_tiny_cfg(tmp_path / f"blas{count}"))
+                cfg = _tiny_cfg(tmp_path / f"blas{count}")
+                op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
+                archives[count] = lab.run_sweep(cfg, op)
         assert not archives[1].failures and not archives[2].failures
         names = sorted(os.path.basename(p)
                        for p in archives[1].mode_csvs + archives[1].checkpoints)
@@ -207,9 +209,13 @@ class TestRunSweep:
         outdir = tmp_path / "run"
         manifest = lab.report(lab.run_sweep(_two_shell_cfg(outdir), op9))
         # both members of the failed orbit; the solved one, +e3, with the checkpoint it opened
+        traces = [f.pop("traceback") for f in manifest["failures"]]
         assert manifest["failures"] == [
             {"mode": idx, "error": "RuntimeError: solve failed", "checkpoint": ckpt}
             for idx, ckpt in ((2, "mode_0002.ckpt"), (3, None))]
+        for trace in traces:   # down to the function that raised
+            assert re.search(r'line \d+, in failing\n +raise RuntimeError\("solve failed"\)\n'
+                             r'RuntimeError: solve failed\n$', trace), trace
         assert manifest["n_modes"] == 2
         on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
         assert sorted(manifest["files"]) == on_disk
@@ -236,8 +242,10 @@ class TestRunSweep:
             err = capsys.readouterr().err
             # the shell 1.0 carries 1^2 / (0.5^2 + 1^2) of the weight
             assert "modes [2, 3] have no series; they carry 0.8 " in err
-            assert "mode 2 failed: RuntimeError: solve failed" in err
-            assert "mode 3 failed: RuntimeError: solve failed" in err
+            for idx in (2, 3):   # each failure's line, then its traceback, indented
+                assert re.search(rf"  mode {idx} failed: RuntimeError: solve failed\n"
+                                 r"    Traceback \(most recent call last\):\n(    .*\n)*"
+                                 r"    RuntimeError: solve failed\n", err), err
         assert (outdir / "manifest.json").read_bytes() == saved
 
     def test_stale_checkpoint_of_a_mode_that_never_opened_one_is_not_claimed(
@@ -255,6 +263,7 @@ class TestRunSweep:
         outdir.mkdir()
         (outdir / "mode_0003.ckpt").write_bytes(b"from an earlier run")
         manifest = lab.report(lab.run_sweep(_two_shell_cfg(outdir), op9))
+        assert all("in failing" in f.pop("traceback") for f in manifest["failures"])
         assert manifest["failures"] == [{"mode": idx, "error": "RuntimeError: bad data",
                                          "checkpoint": None} for idx in (2, 3)]
         assert "mode_0003.ckpt" not in manifest["files"]
@@ -305,6 +314,53 @@ class TestCli:
                              "--out", str(out)])
         assert code == 0
         _same_mode_files(sweeps["1"].outdir, out, ["mode_0000.csv", "mode_0000.ckpt"])
+
+    @pytest.mark.parametrize("leave_out", [None, "manifest.json"], ids=["finished", "unfinished"])
+    def test_mode_run_refuses_another_runs_directory(self, sweeps, tmp_path, monkeypatch, capsys,
+                                                     leave_out):
+        # its mode_0000.* would replace the sweep's, which load_archive still reads
+        def refuse(cfg):
+            raise AssertionError("operator built")
+
+        monkeypatch.setattr(cli, "_operator", refuse)
+        outdir = tmp_path / "run"
+        shutil.copytree(sweeps["1"].outdir, outdir)
+        if leave_out:
+            (outdir / leave_out).unlink()
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["mode-run", "--k", "0,0,2", "--n", "9", "--T", "0.5", "--dt", "0.25",
+                         "--save-interval", "0.25", "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"vml: {outdir} holds another run (config.cfg")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum-check", "--n", "9", "8"], "points_per_axis must be an odd integer >= 3, got 8"),
+        (["sigma-table", "--gamma", "-1"], "gamma must satisfy -3 <= gamma < -2, got -1.0"),
+        (["sigma-table", "--n", "35"], "n = 35: 2*n^6 = 3.68e+09 exceeds the desk budget"),
+        (["mode-run", "--k", "0,0,0.5", "--n", "35"], "n = 35: 2*n^6"),
+        (["decay-sweep"], "sweep.cfg:1: n = 35: 2*n^6"),
+    ], ids=["spectrum-check-even-n", "sigma-table-gamma", "sigma-table-n", "mode-run-n",
+            "decay-sweep-n"])
+    def test_grid_or_kernel_that_cannot_be_built_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                                  capsys, argv, message):
+        # one stderr line and exit 2, before any work: no grid, no file, no directory
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        for name in ("build_grid", "assemble_L", "spectrum_suite"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"n = 35\noutdir = {out}\n")
+        flags = {"mode-run": ["--out", str(out)], "sigma-table": ["--out", str(out)],
+                 "decay-sweep": ["--config", str(config)]}.get(argv[0], [])
+        assert cli.main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vml: ") and message in err and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
     def test_mode_run_flags_left_out_take_the_config_defaults(self, tmp_path, monkeypatch):
         seen = []
@@ -638,7 +694,7 @@ class TestSynthesizeNorms:
         _write_run(cfg, times, lambda k: np.exp(-float(k @ k) - 2.0 * float(k @ k) * times))
         window = cli.build_parser().parse_args(["fit", "--archive", str(tmp_path)]).window
         got_t, got = lab.synthesize_norms(lab.load_archive(tmp_path), m)
-        fit = lab.decay_fit(got_t, got, window, m=m)
+        fit = lab.decay_fit(got_t, got, window, m=m, shells_used=len(cfg.shells))
         assert fit.conclusive
         assert abs(fit.sigma_hat - (0.75 + 0.5 * m)) <= 0.02
 
@@ -707,6 +763,7 @@ class TestConfigText:
         ("tau = 0.0", "unknown key 'tau'"),
         ("amplitude = 1.0", "unknown key 'amplitude'"),
         ("max_steps = 10", "unknown key 'max_steps'"),
+        ("constraint_tol = 1e-06", "unknown key 'constraint_tol'"),
         ("dt = 0.25", "key 'dt' repeats line 2"),
     ])
     def test_bad_line_names_its_number(self, tmp_path, line, message):
@@ -756,6 +813,7 @@ class TestConfigText:
         ("R", -7.0, "half_width must be positive"),
         ("gamma", -1.5, "gamma must satisfy -3 <= gamma < -2"),
         ("c_phi", 0.0, "c_phi must be positive"),
+        ("n", 35, r"n = 35: 2\*n\^6 = 3\.68e\+09 exceeds the desk budget"),
     ])
     def test_grid_or_kernel_that_cannot_be_built_names_its_line(self, tmp_path, capsys, key,
                                                                value, message):
@@ -815,17 +873,17 @@ class TestDecayFit:
 
     def test_too_little_decay_is_inconclusive(self):
         series = (1.0 + self.times) ** -0.1   # falls by 1.6x inside the window
-        fit = lab.decay_fit(self.times, series, self.window, min_decay=5.0)
+        fit = lab.decay_fit(self.times, series, self.window, m=0, shells_used=3, min_decay=5.0)
         assert not fit.conclusive
         assert np.isnan(fit.sigma_hat)
 
     def test_reports_the_window_it_fitted(self):
         times = self.times[self.times <= 100.0]
-        fit = lab.decay_fit(times, (1.0 + times) ** -2.0, self.window)
+        fit = lab.decay_fit(times, (1.0 + times) ** -2.0, self.window, m=0, shells_used=3)
         assert fit.conclusive
         assert fit.window == (20.0, 100.0)
 
     @pytest.mark.parametrize("window", [(200.0, 20.0), (50.0, 50.0)])
     def test_empty_window_rejected(self, window):
         with pytest.raises(ValueError, match="t2 > t1"):
-            lab.decay_fit(self.times, np.ones_like(self.times), window)
+            lab.decay_fit(self.times, np.ones_like(self.times), window, m=0, shells_used=3)

@@ -141,45 +141,40 @@ class TestIntegrateMode:
         assert h.frames[-1].fhat.norm() == 0.0
 
     @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
-    def test_vacuum_maxwell_conservation_and_rotation(self, op11, grid11, scheme):
-        # decoupled Maxwell subsystem u' = A u on (E1, E2, B1, B2): a step is the
-        # rational map R(dt A), (I - dt A)^-1 for imex-euler and the Cayley
-        # factor (I - dt/2 A)^-1 (I + dt/2 A) for imex-midpoint, to the solver
-        # tolerance.  Midpoint conserves |E|^2 + |B|^2 and follows the
-        # closed-form rotation at second order; euler loses energy every step.
-        k = np.array([0.0, 0.0, 1.0])
-        E0 = np.array([1.0, 0.5j, 0.0])
-        B0 = np.cross(k, E0)
-        st = ModeState(k, TwoSpeciesField.zero(grid11), E0, B0, 0.0)
-        T, dt, lin_tol = 5.0, 0.01, 1e-13
-        h = integrate_mode(st, stepper(dt=dt, scheme=scheme, lin_tol=lin_tol), T, op11,
-                           couple_kinetic=False)
-        kz = k[2]
-        # dE = i k x B; dB = -i k x E with all z-components zero
-        A = np.array([[0, 0, 0, -1j * kz],
-                      [0, 0, 1j * kz, 0],
-                      [0, 1j * kz, 0, 0],
-                      [-1j * kz, 0, 0, 0]], dtype=complex)
-        assert np.allclose(A, -A.conj().T)
-        eye = np.eye(4)
-        if scheme == "imex-euler":
-            R = np.linalg.solve(eye - dt * A, eye)
-        else:
-            R = np.linalg.solve(eye - 0.5 * dt * A, eye + 0.5 * dt * A)
-        nsteps = len(h.times) - 1
-        u0 = np.array([E0[0], E0[1], B0[0], B0[1]])
-        got = np.concatenate([h.frames[-1].Ehat[:2], h.frames[-1].Bhat[:2]])
-        # each step's solve errs by at most lin_tol |u^n| (twice that for
-        # midpoint's 2x - u^n), and R is a contraction
-        discrete = np.linalg.matrix_power(R, nsteps) @ u0
-        assert np.abs(got - discrete).max() <= 2 * nsteps * lin_tol * np.abs(u0).max()
-        if scheme == "imex-euler":
-            assert np.all(np.diff(h.energy) < 0.0)
-        else:
-            drift = np.abs(h.energy - h.energy[0]).max()
-            assert drift < 1e-10 * h.energy[0] * T
-            exact = scipy.linalg.expm(A * T) @ u0
-            assert np.abs(got - exact).max() < 5.0 * dt ** 2 * T * np.abs(u0).max()
+    def test_steps_are_the_rational_map_of_the_generator(self, params, scheme):
+        # M, the 2 n^3 + 6 generator, column by column from mode_rhs.  A step is
+        # the rational map R(a M): the Cayley factor (I - a M)^-1 (I + a M),
+        # a = dt/2, for imex-midpoint, (I - dt M)^-1 for imex-euler, each to the
+        # solver tolerance; midpoint follows exp(M T) at second order
+        from vmlandau.lab import ExperimentConfig, init_data
+        g = build_grid(4.0, 5)
+        op = assemble_L(g, params)
+        k = np.array([0.0, 0.0, 0.5])
+        u0 = init_data(ExperimentConfig(R=g.R, n=g.n, shells=(0.5,)), k, g)
+        flat0 = u0.flat()
+        eye = np.eye(flat0.size)
+        M = np.empty((flat0.size, flat0.size), dtype=complex)
+        for j, e in enumerate(eye.astype(complex)):
+            df, dE, dB = mode_rhs(ModeState.from_flat(k, e, g, 0.0), op)
+            M[:, j] = np.concatenate([df.values.reshape(-1), dE, dB])
+        T, lin_tol, scale = 2.0, 1e-10, np.linalg.norm(flat0)
+        exact = scipy.linalg.expm(M * T) @ flat0
+        errors = []
+        for dt in (0.1, 0.05):
+            h = integrate_mode(u0, stepper(dt=dt, scheme=scheme, lin_tol=lin_tol), T, op)
+            got, nsteps = h.frames[-1].flat(), len(h.times) - 1
+            if scheme == "imex-midpoint":
+                R = np.linalg.solve(eye - 0.5 * dt * M, eye + 0.5 * dt * M)
+            else:
+                R = np.linalg.solve(eye - dt * M, eye)
+            # each solve errs by at most lin_tol |u^n| (twice that in midpoint's
+            # 2x - u^n), and R does not amplify: measured 1.5e-10 against 4e-9
+            discrete = np.linalg.matrix_power(R, nsteps) @ flat0
+            assert np.linalg.norm(got - discrete) <= 2 * nsteps * lin_tol * scale
+            errors.append(np.linalg.norm(got - exact) / (dt ** 2 * T * scale))
+        if scheme == "imex-midpoint":
+            # measured 0.073 at both steps: the error is C dt^2 T
+            assert max(errors) <= 0.15
 
     def test_micro_only_data_monotone_strict_decay(self, op11, grid11):
         st = _micro_state(grid11, [0.0, 0.0, 0.0])
@@ -276,7 +271,7 @@ class TestIntegrateMode:
         st = _zero_state(grid11, [0.0, 0.0, 1.0])
         st.Ehat = np.array([0.0, 0.0, 1.0], dtype=complex)  # i k.E != 0, no charge
         with pytest.raises(ValueError):
-            integrate_mode(st, stepper(dt=0.1, constraint_tol=1e-8), 1.0, op11)
+            integrate_mode(st, stepper(dt=0.1), 1.0, op11)
 
 
 class TestSolverGuards:
@@ -308,7 +303,7 @@ class TestSolverGuards:
             path = {str(tmp_path / "m.ckpt")!r}
             with CheckpointWriter(path, g, -3.0, 1.0) as w:
                 try:
-                    stepper = StepperConfig(0.1, "imex-midpoint", 1e-10, 1e-6)
+                    stepper = StepperConfig(0.1, "imex-midpoint", 1e-10)
                     h = integrate_mode(st, stepper, 0.2, op, checkpoint=w, {kwargs})
                 except ValueError as exc:
                     print(exc)
@@ -450,7 +445,7 @@ class TestOneBlasThread:
 
 class TestBlockSolver:
     def _sum_solver(self, op, a, lin_tol=1e-8):
-        solver = mode._ModeSolve(op, np.array([0.0, 0.3, 0.4]), a, lin_tol, mode._SQRT2)
+        solver = mode._ModeSolve(op, np.array([0.0, 0.3, 0.4]), a, lin_tol)
         return solver, solver.sum_block
 
     def _counted(self, monkeypatch, solver):
@@ -473,21 +468,21 @@ class TestBlockSolver:
         rhs = rng.standard_normal(n3) + 1j * rng.standard_normal(n3)
         guess = 0.5 * rhs
         for restart in (50, 3):
-            for gen_guess in (None, gen(guess)):
-                calls[0] = 0
-                x, iters, relres = solver.solve(gen, rhs, guess, gen_guess, restart=restart)
-                res = np.linalg.norm(rhs - (x - a * gen(x)))
-                assert res <= 1e-8 * np.linalg.norm(rhs)
-                assert iters == calls[0]
-                assert relres <= 1e-8
-                if restart == 3:
-                    assert calls[0] > restart   # needed at least one restart cycle
+            monkeypatch.setattr(mode, "_RESTART", restart)
+            calls[0] = 0
+            x, iters, relres = solver.solve(gen, rhs, guess, gen(guess))
+            res = np.linalg.norm(rhs - (x - a * gen(x)))
+            assert res <= 1e-8 * np.linalg.norm(rhs)
+            assert iters == calls[0]
+            assert relres <= 1e-8
+            if restart == 3:
+                assert calls[0] > restart   # needed at least one restart cycle
 
     def test_zero_rhs_returns_zeros_without_iterating(self, op9, monkeypatch):
         solver, _ = self._sum_solver(op9, 0.5)
         calls = self._counted(monkeypatch, solver)
         zero = np.zeros(op9.grid.size, dtype=complex)
-        x, iters, relres = solver.solve(None, zero, zero)   # any application would raise
+        x, iters, relres = solver.solve(None, zero, zero, zero)   # any application would raise
         assert calls[0] == 0
         assert np.array_equal(x, zero) and (iters, relres) == (0, 0.0)
 
@@ -556,12 +551,11 @@ class TestDiagonalILU:
 
 
 class TestFieldClosure:
-    @pytest.mark.parametrize("couple", [mode._SQRT2, 0.0])
-    def test_precondition_inverts_the_difference_block_matrix(self, op9, couple):
+    def test_precondition_inverts_the_difference_block_matrix(self, op9):
         # P is I - a G_d with the D-ILU P_d in place of its kinetic block
         # M_d = I + a (A + i xi.k): P z = z - a G_d z + (P_d - M_d) z_d
         a = 0.5
-        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), a, 1e-8, couple)
+        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), a, 1e-8)
         n3 = op9.grid.size
         ilu, A = solver.ilu, op9.A_sparse
         D = sp.diags_array(ilu.d)
@@ -576,7 +570,7 @@ class TestFieldClosure:
         assert np.linalg.norm(Pz - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_sum_block_keeps_the_plain_d_ilu(self, op9):
-        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), 0.5, 1e-8, mode._SQRT2)
+        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), 0.5, 1e-8)
         x = np.random.default_rng(12).standard_normal(op9.grid.size).astype(complex)
         assert np.array_equal(solver.precondition(x), solver.ilu.solve(x))
 
