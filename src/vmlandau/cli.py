@@ -189,9 +189,13 @@ def _decay_fits(args, ms):
         norms = [synthesize_norms(archive, m) for m in ms]
     except ValueError as exc:
         print(f"cannot synthesize the norms of {archive.outdir}: {exc}", file=sys.stderr)
+        modes = {}   # the members of a failed orbit share one failure
         for f in archive.failures:
-            print(f"  mode {f['mode']} failed: {f['error']}", file=sys.stderr)
-            print(textwrap.indent(f["traceback"].rstrip("\n"), "    "), file=sys.stderr)
+            modes.setdefault((f["error"], f["traceback"]), []).append(str(f["mode"]))
+        for (error, trace), idx in modes.items():
+            print(f"  mode{'s' * (len(idx) > 1)} {', '.join(idx)} failed: {error}",
+                  file=sys.stderr)
+            print(textwrap.indent(trace.rstrip("\n"), "    "), file=sys.stderr)
         return archive, None
     last = float(norms[0][0][-1])
     if args.window[1] > last:

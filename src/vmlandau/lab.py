@@ -25,14 +25,9 @@ Fit summary schema:
 Parallelism: orbits, not modes, are farmed to forked worker processes (the
 assembled operator is shared copy-on-write); VML_THREADS caps the worker count,
 which is otherwise the number of CPUs this process may run on.
-Each orbit runs on one OpenBLAS thread (``mode._one_blas_thread``, held by
-``run_orbit`` and by ``mode.integrate_mode``), so workers x BLAS threads never
-exceeds the worker count, and archive bytes depend neither on scheduling
-order, nor on the worker count, nor on the caller's BLAS thread count.
-The workers are forked inside that block too, so they start at a count of 1
-and never call the OpenBLAS setter: in a forked process the setter starts the
-library's thread pool again, even at count 1, and those idle threads spin on
-the cores the orbits need.
+No sum over n^3 entries on the run path runs in BLAS (``mode._dot``), so
+archive bytes depend neither on scheduling order, nor on the worker count, nor
+on the BLAS thread count, and a forked worker starts no BLAS thread.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from .checkpoint import CheckpointWriter
 from .collision import CollisionParams, LinearizedOperator, ResourceBudgetError, _check_budget
 from .grid import TwoSpeciesField, VelocityGrid, check_grid_parameters
 from .macro import _projector, project_P
-from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, _one_blas_thread,
+from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, _dot,
                    integrate_mode, mode_energy_report)
 
 __all__ = [
@@ -269,7 +264,7 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     k = np.asarray(k, dtype=float).reshape(3)
     amp = _envelope(k)
     R = _frame(k)
-    xi = R.T @ grid.xi
+    xi = _dot(R.T, grid.xi)
     smu = grid.sqrt_mu
     proj = _projector(grid)
     zero3 = np.zeros(3, dtype=complex)
@@ -375,7 +370,6 @@ def _is_lattice_image(kvec: np.ndarray, k: np.ndarray) -> bool:
                 and np.abs(Qi @ k - kvec).max() <= 1e-12 * np.linalg.norm(k))
 
 
-@_one_blas_thread()
 def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
     """Integrate the configured data at ``k`` to cfg.T once; write every member's CSV from it.
 
@@ -387,7 +381,8 @@ def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
     ``_mode_file(outdir, idx, "ckpt")`` as the run goes and, per member,
     ``_mode_file(outdir, idx, "csv")``: the run's report with only k changed,
     every other column being rotation-invariant.  Returns the run's report at
-    k.  Runs on one BLAS thread.
+    k.  Its bits do not depend on the BLAS thread count: no sum over n^3
+    entries runs in BLAS (``mode._dot``).
     """
     k = np.asarray(k, dtype=float).reshape(3)
     targets = [(idx, np.asarray(kvec, dtype=float).reshape(3)) for idx, kvec in members]
@@ -462,9 +457,10 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator) -> RunArchive:
     CSV from it, so the members of a shell share one solve and succeed or fail
     together.  Deterministic: identical configs on the same build produce
     byte-identical archives regardless of worker scheduling and count and of
-    the caller's BLAS thread count: each ``run_orbit`` runs on one BLAS
-    thread.  Per-mode failures are recorded in the archive (and manifest), with
-    their traceback and the partial checkpoint a failed solve leaves, without
+    the BLAS thread count, since no sum over n^3 entries in ``run_orbit``
+    runs in BLAS; the forked workers inherit the caller's BLAS settings.
+    Per-mode failures are recorded in the archive (and manifest), with their
+    traceback and the partial checkpoint a failed solve leaves, without
     aborting the sweep.
     It first deletes the directory's manifest.json and mode files, so every
     file it lists is this run's, and writes its manifest last, through
@@ -488,9 +484,7 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator) -> RunArchive:
     if nproc > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
-        # forked at one BLAS thread, so that no worker calls a setter (module docstring)
-        with _one_blas_thread(), ctx.Pool(nproc, initializer=_worker_init,
-                                          initargs=(cfg, op)) as pool:
+        with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
             batches = list(pool.imap_unordered(_run_one_orbit, jobs))
     else:
         _worker_init(cfg, op)

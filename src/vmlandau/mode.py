@@ -49,10 +49,7 @@ ModeState.flat() = (f_+, f_-, E, B).
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,9 +162,24 @@ def _xi_dot(g, v) -> np.ndarray:
     return g.xi[0] * v[0] + g.xi[1] * v[1] + g.xi[2] * v[2]
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b for 1- or 2-D operands, summed by np.einsum's own loop.
+
+    np.einsum without ``optimize`` never calls BLAS, whereas OpenBLAS splits a
+    long dot product among its threads, so that the bits of a sum over n^3
+    entries would depend on the BLAS thread count.  Here they do not.
+    """
+    return np.einsum(("j", "ij")[a.ndim - 1] + "," + ("j", "jk")[b.ndim - 1], a, b)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a vector, summed by _dot."""
+    return float(np.sqrt(_dot(x.conj(), x).real))
+
+
 def _charge(g, f: np.ndarray) -> complex:
     """Charge <sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
-    return complex(_moment_rows(g)[0] @ (f[0] - f[1]))
+    return complex(_dot(_moment_rows(g)[0], f[0] - f[1]))
 
 
 def _gauss(g, k: np.ndarray, f: np.ndarray, E: np.ndarray, B: np.ndarray):
@@ -184,7 +196,7 @@ def _cross(k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _current(g, d: np.ndarray) -> np.ndarray:
     """<xi sqrt(mu), d> of one n^3 block; the current is sqrt2 times it at d = (f_+ - f_-)/sqrt2."""
-    return _moment_rows(g)[1:4] @ d
+    return _dot(_moment_rows(g)[1:4], d)
 
 
 def _sum_diff(u: np.ndarray, n3: int) -> np.ndarray:
@@ -305,7 +317,7 @@ class _ModeSolve:
         W = np.array([self.ilu.solve(u.astype(complex)) for u in U])
         V = (a * _SQRT2) * _moment_rows(g)[1:4].astype(complex)
         kx = _cross(k, np.eye(3))
-        S = np.block([[np.eye(3) + V @ W.T, -1j * a * kx], [1j * a * kx, np.eye(3)]])
+        S = np.block([[np.eye(3) + _dot(V, W.T), -1j * a * kx], [1j * a * kx, np.eye(3)]])
         return W, V, np.linalg.inv(S)
 
     def sparse_block(self, x: np.ndarray, Ax: Optional[np.ndarray] = None) -> np.ndarray:
@@ -346,8 +358,8 @@ class _ModeSolve:
         if x.size == n3:
             return y
         W, V, Sinv = self.closure
-        EB = Sinv @ np.concatenate([x[n3:n3 + 3] - V @ y, x[n3 + 3:]])
-        return np.concatenate([y + EB[:3] @ W, EB])
+        EB = Sinv @ np.concatenate([x[n3:n3 + 3] - _dot(V, y), x[n3 + 3:]])
+        return np.concatenate([y + _dot(EB[:3], W), EB])
 
     def solve(self, gen, rhs: np.ndarray, guess: np.ndarray, gen_guess: np.ndarray):
         """GMRES for (I - a gen) x = rhs from ``guess``; returns (x, iterations, relative residual).
@@ -356,13 +368,13 @@ class _ModeSolve:
         a gen(guess) costs no application of gen.  It raises RuntimeError, with
         the residual, after _MAX_CYCLES cycles of _RESTART iterations.
         """
-        bnorm = np.linalg.norm(rhs)
+        bnorm = _norm(rhs)
         if bnorm == 0.0:
             return np.zeros_like(rhs), 0, 0.0
         a, target, restart = self.a, self.lin_tol * bnorm, _RESTART
         x = guess
         r = rhs - x + a * gen_guess
-        beta = np.linalg.norm(r)
+        beta = _norm(r)
         iters = cycles = 0
         while beta > target:
             if cycles == _MAX_CYCLES:
@@ -380,9 +392,9 @@ class _ModeSolve:
                 w = z - a * gen(z)
                 iters += 1
                 for i, vi in enumerate(V):
-                    H[i, j] = np.vdot(vi, w)
+                    H[i, j] = _dot(vi.conj(), w)
                     w -= H[i, j] * vi
-                hnext = np.linalg.norm(w)
+                hnext = _norm(w)
                 for i, (c, s) in enumerate(rot):
                     H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
                                             -np.conj(s) * H[i, j] + c * H[i + 1, j])
@@ -404,71 +416,10 @@ class _ModeSolve:
             if abs(g[m]) <= target:
                 return x, iters, abs(g[m]) / bnorm
             r = rhs - (x - a * gen(x))
-            beta = np.linalg.norm(r)
+            beta = _norm(r)
         return x, iters, beta / bnorm
 
 
-# thread-count (setter, getter) symbols of the OpenBLAS builds numpy and scipy
-# bundle (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS, tried in order
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_controls() -> tuple:
-    """(set_threads, get_threads) of every OpenBLAS copy mapped into this process.
-
-    numpy and scipy each bundle their own copy, so there can be several; both
-    are loaded by this module's imports, so the first answer is kept.
-    Empty where no OpenBLAS is loaded or /proc/self/maps cannot be read.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            mapped = {line.rstrip("\n").split(maxsplit=5)[-1] for line in fh}
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one thread of every loaded OpenBLAS; restore the counts after.
-
-    Only a library whose count is not 1 is set, and only it is restored.
-    OpenBLAS's fork handler shuts its thread pool down, and its setter starts
-    the pool again whatever the count, so a setter called at count 1 in a
-    forked worker would start threads that the worker never uses and that
-    spin on the cores its orbits need; ``lab.run_sweep`` forks its workers
-    inside this block, so they inherit a count of 1 and call no setter.
-    """
-    changed = [(set_threads, count) for set_threads, get_threads in _openblas_controls()
-               if (count := get_threads()) != 1]
-    for set_threads, _ in changed:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in changed:
-            set_threads(count)
-
-
-@_one_blas_thread()
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                    op: LinearizedOperator, *, sample_interval: float = 0.0,
                    checkpoint=None, checkpoint_interval: float = 0.0) -> ModeHistory:
@@ -486,9 +437,8 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     which at k = 0 asks for charge-neutral data.  Constraint drift during the
     run is recorded in the gauss_E and gauss_B series without aborting.
 
-    The run holds every loaded OpenBLAS at one thread, restoring the caller's
-    counts on return: OpenBLAS threads dot products and norms above 10^4
-    entries, which would make the bits at n >= 23 depend on the caller.
+    Every sum over n^3 entries runs in _dot or _norm, never in BLAS, so the
+    run's bits do not depend on the caller's BLAS thread count.
     """
     op.grid.check_same(state0.fhat.grid)
     g = op.grid

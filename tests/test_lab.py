@@ -2,10 +2,12 @@ import contextlib
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from vmlandau import cli, lab, mode
 from vmlandau.checkpoint import read_checkpoint
 from vmlandau.collision import CollisionParams, LinearizedOperator, assemble_L, sigma_field
 from vmlandau.grid import build_grid
-from vmlandau.mode import ModeEnergyReport, ModeState, _openblas_controls, mode_rhs
+from vmlandau.mode import ModeEnergyReport, ModeState, mode_rhs
 
 from conftest import lattice_image, profile_frame
 
@@ -48,22 +50,72 @@ def _write_run(cfg, times, series) -> None:
     lab.report(lab._archive(outdir, cfg, []))   # the manifest marks the run finished
 
 
-def _blas_counts(controls) -> list:
-    return [get_threads() for _, get_threads in controls]
+def _at_blas_threads(count, fn, *args):
+    """fn(*args), in a child that its parent started with OPENBLAS_NUM_THREADS=count."""
+    assert os.environ["OPENBLAS_NUM_THREADS"] == str(count)
+    return fn(*args)
 
 
-@contextlib.contextmanager
-def _blas_threads(count):
-    """Set every loaded OpenBLAS to ``count`` threads; restore the old counts after."""
-    controls = _openblas_controls()
-    saved = _blas_counts(controls)
-    for set_threads, _ in controls:
-        set_threads(count)
-    try:
-        yield controls
-    finally:
-        for (set_threads, _), old in zip(controls, saved):
-            set_threads(old)
+def _in_children(children, fn, outdir, *args) -> dict:
+    """{count: fn(outdir / f"blas{count}", *args)} from each of the ``blas_children``, run
+    at once."""
+    jobs = {count: child.submit(_at_blas_threads, count, fn, Path(outdir) / f"blas{count}",
+                                *args)
+            for count, child in children.items()}
+    return {count: job.result(timeout=300) for count, job in jobs.items()}
+
+
+def _tiny_sweep(outdir) -> list:
+    """The tiny sweep's file names, serial, operator assembly included."""
+    cfg = _tiny_cfg(outdir)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("VML_THREADS", "1")
+        archive = lab.run_sweep(cfg, assemble_L(build_grid(cfg.R, cfg.n),
+                                                cfg.collision_params()))
+    assert not archive.failures
+    return sorted(os.path.basename(p) for p in archive.mode_csvs + archive.checkpoints)
+
+
+def _threads_per_call(outdir, op, workers) -> list:
+    """The OS threads of the process that made each call of init_data, of the D-ILU set-up
+    and of mode_energy_report in the two-shell sweep on ``workers`` workers: once per
+    solve, and two shells make two solves (on two workers, with workers = "2")."""
+    outdir.mkdir()
+
+    def recording(fn):
+        # forked workers inherit these wrappers, so each call writes its own record
+        def wrapper(*args, **kwargs):
+            fd, _ = tempfile.mkstemp(dir=outdir, prefix=fn.__name__)
+            os.write(fd, str(len(os.listdir("/proc/self/task"))).encode())
+            os.close(fd)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("VML_THREADS", workers)
+        mp.setattr(lab, "init_data", recording(lab.init_data))
+        mp.setattr(mode, "_DiagonalILU", recording(mode._DiagonalILU))
+        mp.setattr(lab, "mode_energy_report", recording(lab.mode_energy_report))
+        archive = lab.run_sweep(_two_shell_cfg(outdir / "run"), op)
+    assert not archive.failures and len(archive.mode_csvs) == 4
+    return [int(p.read_text()) for p in outdir.iterdir() if p.is_file()]
+
+
+def _final_state(outdir, op) -> None:
+    """Two midpoint steps at k = 0.5 e3; writes the final state's bytes to outdir/final."""
+    cfg = lab.ExperimentConfig(n=op.grid.n, T=0.5, dt=0.25)
+    state0 = lab.init_data(cfg, [0.0, 0.0, 0.5], op.grid)
+    outdir.mkdir()
+    final = mode.integrate_mode(state0, cfg.stepper(), cfg.T, op).frames[-1]
+    (outdir / "final").write_bytes(final.flat().tobytes())
+
+
+def _orbit_files(outdir, op) -> None:
+    """run_orbit's CSV and checkpoint at k = 0.5 e3, two midpoint steps, in outdir."""
+    outdir.mkdir()
+    cfg = lab.ExperimentConfig(n=op.grid.n, T=0.5, dt=0.25, save_interval=0.25,
+                               outdir=str(outdir))
+    lab.run_orbit(cfg, [0.0, 0.0, 0.5], [(0, [0.0, 0.0, 0.5])], op)
 
 
 def _same_mode_files(dir_a, dir_b, names):
@@ -73,11 +125,6 @@ def _same_mode_files(dir_a, dir_b, names):
         assert a == b, name
 
 
-needs_openblas = pytest.mark.skipif(
-    not _openblas_controls(),
-    reason="no OpenBLAS is loaded, so there is no BLAS thread count to hold")
-
-
 @pytest.fixture(scope="module")
 def op9(params):
     return assemble_L(build_grid(7.0, 9), params)
@@ -85,8 +132,27 @@ def op9(params):
 
 @pytest.fixture(scope="module")
 def op23(params):
-    # OpenBLAS threads vdot and norm above 10^4 entries; a block at n = 23 has 23^3
+    # OpenBLAS splits a dot product above 10^4 entries among its threads, and a block
+    # at n = 23 has 23^3: the bit tests' size, at which a run-path sum in BLAS would show
     return assemble_L(build_grid(7.0, 23), params)
+
+
+@pytest.fixture(scope="class")
+def blas_children():
+    """{count: a fresh interpreter whose OpenBLAS starts at ``count`` threads} for count = 1
+    and 2; OPENBLAS_NUM_THREADS is read when the library loads.  One pair serves every
+    test of the class, so the interpreters start once."""
+    ctx = multiprocessing.get_context("spawn")
+    with contextlib.ExitStack() as stack:
+        children = {}
+        for count in (1, 2):
+            children[count] = stack.enter_context(ProcessPoolExecutor(1, mp_context=ctx))
+            with pytest.MonkeyPatch.context() as mp:
+                # a spawning pool starts its process at the first submit, so under this
+                # setting; its workers, unlike a multiprocessing.Pool's, may fork their own
+                mp.setenv("OPENBLAS_NUM_THREADS", str(count))
+                children[count].submit(int)
+        yield children
 
 
 @pytest.fixture(scope="module")
@@ -117,84 +183,36 @@ class TestRunSweep:
         assert names == sorted(os.path.basename(p) for p in forked.mode_csvs + forked.checkpoints)
         _same_mode_files(serial.outdir, forked.outdir, names)
 
-    @needs_openblas
-    def test_archive_bytes_do_not_depend_on_caller_blas_threads(self, tmp_path, monkeypatch):
+    def test_archive_bytes_do_not_depend_on_caller_blas_threads(self, blas_children, tmp_path):
         # each sweep's operator is assembled under the caller's BLAS count too
-        monkeypatch.setenv("VML_THREADS", "1")
-        archives = {}
-        for count in (1, 2):
-            with _blas_threads(count):
-                cfg = _tiny_cfg(tmp_path / f"blas{count}")
-                op = assemble_L(build_grid(cfg.R, cfg.n), cfg.collision_params())
-                archives[count] = lab.run_sweep(cfg, op)
-        assert not archives[1].failures and not archives[2].failures
-        names = sorted(os.path.basename(p)
-                       for p in archives[1].mode_csvs + archives[1].checkpoints)
-        assert names == ["mode_0000.ckpt", "mode_0000.csv", "mode_0001.csv"]
-        _same_mode_files(archives[1].outdir, archives[2].outdir, names)
+        names = _in_children(blas_children, _tiny_sweep, tmp_path)
+        assert names[1] == names[2] == ["mode_0000.ckpt", "mode_0000.csv", "mode_0001.csv"]
+        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", names[1])
 
-    @needs_openblas
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="no /proc/self/task to count a process's threads")
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_each_mode_runs_on_one_blas_thread(self, workers, op9, tmp_path, monkeypatch):
-        monkeypatch.setenv("VML_THREADS", workers)
-        log = tmp_path / "threads"
-        log.mkdir()
-
-        def recording(fn):
-            # forked workers inherit these wrappers, so each call writes its own
-            # record: the BLAS counts, then the OS threads of the calling process
-            def wrapper(*args, **kwargs):
-                fd, _ = tempfile.mkstemp(dir=log, prefix=fn.__name__)
-                counts = ",".join(map(str, _blas_counts(_openblas_controls())))
-                os.write(fd, f"{counts};{len(os.listdir('/proc/self/task'))}".encode())
-                os.close(fd)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        # the initial data, the preconditioner built inside integrate_mode, the
-        # report: once per solve, and two shells make two solves (on two workers)
-        monkeypatch.setattr(lab, "init_data", recording(lab.init_data))
-        monkeypatch.setattr(mode, "_DiagonalILU", recording(mode._DiagonalILU))
-        monkeypatch.setattr(lab, "mode_energy_report", recording(lab.mode_energy_report))
-        with _blas_threads(2) as controls:
-            archive = lab.run_sweep(_two_shell_cfg(tmp_path / "run"), op9)
-            after = _blas_counts(controls)
-        assert not archive.failures and len(archive.mode_csvs) == 4
-        records = [p.read_text().split(";") for p in log.iterdir()]
-        assert len(records) == 3 * 2
-        for counts, threads in records:
-            assert [int(c) for c in counts.split(",")] == [1] * len(controls)
+    def test_forked_workers_start_no_blas_threads(self, workers, blas_children, op9, tmp_path):
+        # the caller runs at 1 and at 2 BLAS threads, and its workers inherit that count
+        for threads in _in_children(blas_children, _threads_per_call, tmp_path, op9,
+                                    workers).values():
+            assert len(threads) == 3 * 2
             if workers == "2":
                 # a forked worker that starts no BLAS thread pool has its main thread only
-                assert int(threads) == 1
-        assert after == [2] * len(controls)
+                assert threads == [1] * 6
 
-    @needs_openblas
-    def test_mode_bits_do_not_depend_on_caller_blas_threads(self, op23):
-        cfg = lab.ExperimentConfig(n=23, T=0.5, dt=0.25)
-        state0 = lab.init_data(cfg, [0.0, 0.0, 0.5], op23.grid)
-        final = {}
-        for count in (1, 2):
-            with _blas_threads(count):
-                final[count] = mode.integrate_mode(state0, cfg.stepper(), cfg.T,
-                                                   op23).frames[-1].flat()
-        assert np.array_equal(final[1], final[2])
+    def test_mode_bits_do_not_depend_on_caller_blas_threads(self, blas_children, op23,
+                                                            tmp_path):
+        _in_children(blas_children, _final_state, tmp_path, op23)
+        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", ["final"])
 
-    @needs_openblas
-    def test_mode_files_do_not_depend_on_caller_blas_threads(self, op23, tmp_path):
+    def test_mode_files_do_not_depend_on_caller_blas_threads(self, blas_children, op23,
+                                                             tmp_path):
         # run_orbit also builds the initial data and the report (its gauss_E
         # charge is a dot product over n^3 entries) outside integrate_mode
-        names = ("mode_0000.csv", "mode_0000.ckpt")
-        for count in (1, 2):
-            outdir = tmp_path / f"blas{count}"
-            outdir.mkdir()
-            cfg = lab.ExperimentConfig(n=23, T=0.5, dt=0.25, save_interval=0.25,
-                                       outdir=str(outdir))
-            with _blas_threads(count):
-                lab.run_orbit(cfg, [0.0, 0.0, 0.5], [(0, [0.0, 0.0, 0.5])], op23)
-        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", names)
+        _in_children(blas_children, _orbit_files, tmp_path, op23)
+        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2",
+                         ["mode_0000.csv", "mode_0000.ckpt"])
 
     def test_failed_mode_checkpoint_is_in_the_manifest(self, op9, tmp_path, monkeypatch):
         monkeypatch.setenv("VML_THREADS", "1")
@@ -242,10 +260,11 @@ class TestRunSweep:
             err = capsys.readouterr().err
             # the shell 1.0 carries 1^2 / (0.5^2 + 1^2) of the weight
             assert "modes [2, 3] have no series; they carry 0.8 " in err
-            for idx in (2, 3):   # each failure's line, then its traceback, indented
-                assert re.search(rf"  mode {idx} failed: RuntimeError: solve failed\n"
-                                 r"    Traceback \(most recent call last\):\n(    .*\n)*"
-                                 r"    RuntimeError: solve failed\n", err), err
+            # the orbit's one failure under its modes, then its traceback, indented, once
+            assert re.search(r"  modes 2, 3 failed: RuntimeError: solve failed\n"
+                             r"    Traceback \(most recent call last\):\n(    .*\n)*"
+                             r"    RuntimeError: solve failed\n", err), err
+            assert err.count("Traceback (most recent call last)") == 1, err
         assert (outdir / "manifest.json").read_bytes() == saved
 
     def test_stale_checkpoint_of_a_mode_that_never_opened_one_is_not_claimed(
@@ -308,10 +327,9 @@ class TestCli:
 
     def test_mode_run_writes_the_sweep_mode(self, sweeps, tmp_path):
         out = tmp_path / "mode"
-        with _blas_threads(1):
-            code = cli.main(["mode-run", "--k", "0,0,0.5", "--family", "mixed", "--n", "9",
-                             "--T", "0.5", "--dt", "0.25", "--save-interval", "0.25",
-                             "--out", str(out)])
+        code = cli.main(["mode-run", "--k", "0,0,0.5", "--family", "mixed", "--n", "9",
+                         "--T", "0.5", "--dt", "0.25", "--save-interval", "0.25",
+                         "--out", str(out)])
         assert code == 0
         _same_mode_files(sweeps["1"].outdir, out, ["mode_0000.csv", "mode_0000.ckpt"])
 

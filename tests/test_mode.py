@@ -411,38 +411,6 @@ class TestSolverGuards:
         assert on_z[0] == s_calls
 
 
-class TestOneBlasThread:
-    def _fake_controls(self, counts):
-        """(setter, getter) pairs of fake libraries at ``counts``; setter i logs to calls[i]."""
-        calls = [[] for _ in counts]
-        current = list(counts)
-
-        def control(i):
-            def set_threads(n):
-                calls[i].append(n)
-                current[i] = n
-            return set_threads, lambda: current[i]
-        return tuple(control(i) for i in range(len(counts))), calls, current
-
-    def test_only_a_library_not_at_one_thread_is_set_and_restored(self, monkeypatch):
-        controls, calls, current = self._fake_controls((1, 2))
-        monkeypatch.setattr(mode, "_openblas_controls", lambda: controls)
-        with mode._one_blas_thread():
-            assert current == [1, 1]
-            assert calls == [[], [1]]
-        assert calls == [[], [1, 2]]
-        assert current == [1, 2]
-
-    def test_counts_are_restored_when_the_block_raises(self, monkeypatch):
-        controls, calls, current = self._fake_controls((1, 2))
-        monkeypatch.setattr(mode, "_openblas_controls", lambda: controls)
-        with pytest.raises(RuntimeError, match="body failed"):
-            with mode._one_blas_thread():
-                raise RuntimeError("body failed")
-        assert calls == [[], [1, 2]]
-        assert current == [1, 2]
-
-
 class TestBlockSolver:
     def _sum_solver(self, op, a, lin_tol=1e-8):
         solver = mode._ModeSolve(op, np.array([0.0, 0.3, 0.4]), a, lin_tol)
