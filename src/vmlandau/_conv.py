@@ -17,6 +17,8 @@ identities of the assembled operator rely on.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.fft as sfft
 from scipy.special import gamma as _gamma_fn
@@ -91,6 +93,11 @@ def kernel_tables(grid, gamma: float, c_phi: float, pad: int) -> np.ndarray:
     return tabs
 
 
+def _single_view(buf: np.ndarray) -> np.ndarray:
+    """A complex64 array of buf's shape over the first half of the complex128 buf's memory."""
+    return buf.reshape(-1).view(np.complex64)[:buf.size].reshape(buf.shape)
+
+
 class LatticeConvolver:
     """Applies the 3x3 kernel convolution (out_i = sum_j phi^ij * v_j) via FFT.
 
@@ -109,6 +116,13 @@ class LatticeConvolver:
     unscaled and the 1/pad^3 factor is applied right after the axis-1 pass,
     where ``ifftn`` applies it, so results equal the full 3-D transforms bit
     for bit.  Results are fresh arrays and never alias the buffers.
+
+    ``apply_vector`` follows its input's precision.  On complex64 it runs in
+    single precision, in complex64 views of the same buffers, against a
+    float32 copy of the kernel spectra built on its first such call: about
+    half the time of a double call, at about 2e-7 relative error.  Every call
+    writes each buffer entry it reads, so a double call gives the same bits
+    after a single one.
     """
 
     def __init__(self, grid, gamma: float, c_phi: float):
@@ -123,6 +137,11 @@ class LatticeConvolver:
         self._spec = np.empty((3,) + (self.pad,) * 3, dtype=complex)
         self._prod = np.empty_like(self._spec)
         self._tmp = np.empty_like(self._spec[0])
+
+    @functools.cached_property
+    def _hat32(self) -> np.ndarray:
+        """The kernel spectra in float32, for complex64 calls of apply_vector."""
+        return self.hat.astype(np.float32)
 
     def _forward(self, x: np.ndarray) -> None:
         """DFT of x[:, :n, :n, :n], zero-padded to pad^3, in place over all of x."""
@@ -140,16 +159,19 @@ class LatticeConvolver:
         sfft.ifft(y, axis=1, norm="forward", overwrite_x=True)
         top = y[:, :n]
         # ifftn's 1/pad^3, where ifftn applies it, on real and imaginary parts apart
-        flat = top.view(np.float64)
+        flat = top.view(top.real.dtype)
         np.multiply(flat, 1.0 / self.pad ** 3, out=flat)
         sfft.ifft(top, axis=2, norm="forward", overwrite_x=True)
         sfft.ifft(top[:, :, :n], axis=3, norm="forward", overwrite_x=True)
         out[...] = top[:, :, :n, :n]
 
     def apply_vector(self, v3: np.ndarray) -> np.ndarray:
-        """Convolve a 3-component complex field (3, n, n, n) -> (3, n, n, n)."""
+        """Convolve a 3-component complex field (3, n, n, n) -> (3, n, n, n), in v3's
+        precision: complex128, or complex64 (see the class notes)."""
         n = self.grid.n
         a, prod, tmp, H = self._spec, self._prod, self._tmp, self.hat
+        if v3.dtype == np.complex64:
+            a, prod, tmp, H = _single_view(a), _single_view(prod), _single_view(tmp), self._hat32
         a[:, :n, :n, :n] = v3
         self._forward(a)
         for i, row in enumerate(_PACK):
@@ -157,7 +179,7 @@ class LatticeConvolver:
             for j in (1, 2):
                 np.multiply(H[row[j]], a[j], out=tmp)
                 prod[i] += tmp
-        out = np.empty((3, n, n, n), dtype=complex)
+        out = np.empty((3, n, n, n), dtype=a.dtype)
         self._inverse(prod, out)
         return out
 

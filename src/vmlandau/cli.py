@@ -6,7 +6,8 @@ Subcommands:
                    micro-coercivity ratios on the 14 odd-even fields, per n;
                    exits 1 when a null residual or the symmetry defect
                    exceeds 1e-12
-    mode-run       integrate a single Fourier mode and archive its series
+    mode-run       integrate a single Fourier mode and archive its series; prints
+                   its GMRES iterations, residuals and refinement passes
     decay-sweep    run a full k-set sweep from a config file
                    (mode-run and decay-sweep print the operator's set-up time)
     fit            synthesize whole-space norms from an archive and fit decay
@@ -157,11 +158,24 @@ def cmd_mode_run(args) -> int:
         raise ConfigError(f"{out} holds another run ({', '.join(foreign)}); "
                           "mode-run needs a directory of its own")
     out.mkdir(parents=True, exist_ok=True)
-    rep = run_orbit(cfg, args.k, [(0, args.k)], _operator(cfg))   # an orbit of one
+    rep, hist = run_orbit(cfg, args.k, [(0, args.k)], _operator(cfg))   # an orbit of one
     energy = rep.f_l2sq + rep.em_sq
     print(f"mode k={args.k} integrated to T={cfg.T}; "
           f"energy {energy[0]:.6g} -> {energy[-1]:.6g}; series in {_mode_file(args.out, 0, 'csv')}")
+    print(_solver_line(hist, cfg.lin_tol))
     return 0
+
+
+def _solver_line(hist, lin_tol: float) -> str:
+    """How a run's solves behaved: GMRES iterations a step per block (mean and max), the
+    largest recorded residual over lin_tol and the sum block's refinement passes."""
+    iters = hist.solve_iters
+    mean = iters.sum(axis=0) / max(len(iters), 1)
+    most = iters.max(axis=0, initial=0)
+    return (f"solver: GMRES iterations a step, sum block {mean[0]:.2f} (max {most[0]}), "
+            f"difference block {mean[1]:.2f} (max {most[1]}); largest residual "
+            f"{hist.solve_residual.max(initial=0.0) / lin_tol:.3g} lin_tol; "
+            f"{hist.refinements.sum()} refinement passes")
 
 
 def cmd_decay_sweep(args) -> int:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._conv import _PACK, LatticeConvolver
+from ._conv import _PACK, LatticeConvolver, _single_view
 from .grid import TwoSpeciesField, VelocityGrid
 from .macro import _projector
 
@@ -210,10 +210,12 @@ class LinearizedOperator:
                                                     shape=T.shape)) for T in GT)
         self._kbuf = np.empty((3, n, n, n), dtype=complex)
 
-    def k_part(self, h: np.ndarray) -> np.ndarray:
-        """Nonlocal part: W^{-1} K_B h for the species sum h = f_+ + f_-."""
+    def k_part(self, h: np.ndarray, dtype=np.complex128) -> np.ndarray:
+        """Nonlocal part: W^{-1} K_B h for the species sum h = f_+ + f_-, its convolution in
+        ``dtype`` (complex128, or complex64 in a view of the same buffer; see
+        LatticeConvolver); the sparse products and the result stay double."""
         n = self.grid.n
-        buf = self._kbuf
+        buf = _single_view(self._kbuf) if np.dtype(dtype) == np.complex64 else self._kbuf
         for j in range(3):
             buf[j] = (self._Gw[j] @ h).reshape(n, n, n)
         y = self._conv.apply_vector(buf)

@@ -209,6 +209,21 @@ class TwoSpeciesField:
         return float(np.sqrt(inner_product(self, self).real))
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b for 1- or 2-D operands, summed by np.einsum's own loop.
+
+    np.einsum without ``optimize`` never calls BLAS, whereas OpenBLAS splits a
+    long dot product among its threads, so that the bits of a sum over n^3
+    entries would depend on the BLAS thread count.  Here they do not.
+    """
+    return np.einsum(("j", "ij")[a.ndim - 1] + "," + ("j", "jk")[b.ndim - 1], a, b)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a vector, summed by _dot."""
+    return float(np.sqrt(_dot(x.conj(), x).real))
+
+
 def inner_product(f: TwoSpeciesField, g: TwoSpeciesField) -> complex:
     """Sesquilinear quadrature inner product, conjugating the second argument."""
     f.grid.check_same(g.grid)

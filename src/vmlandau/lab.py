@@ -25,7 +25,7 @@ Fit summary schema:
 Parallelism: orbits, not modes, are farmed to forked worker processes (the
 assembled operator is shared copy-on-write); VML_THREADS caps the worker count,
 which is otherwise the number of CPUs this process may run on.
-No sum over n^3 entries on the run path runs in BLAS (``mode._dot``), so
+No sum over n^3 entries on the run path runs in BLAS (``grid._dot``), so
 archive bytes depend neither on scheduling order, nor on the worker count, nor
 on the BLAS thread count, and a forked worker starts no BLAS thread.
 """
@@ -43,10 +43,10 @@ import numpy as np
 
 from .checkpoint import CheckpointWriter
 from .collision import CollisionParams, LinearizedOperator, ResourceBudgetError, _check_budget
-from .grid import TwoSpeciesField, VelocityGrid, check_grid_parameters
+from .grid import TwoSpeciesField, VelocityGrid, _dot, check_grid_parameters
 from .macro import _projector, project_P
-from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, _dot,
-                   integrate_mode, mode_energy_report)
+from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, integrate_mode,
+                   mode_energy_report)
 
 __all__ = [
     "ExperimentConfig",
@@ -381,8 +381,8 @@ def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
     ``_mode_file(outdir, idx, "ckpt")`` as the run goes and, per member,
     ``_mode_file(outdir, idx, "csv")``: the run's report with only k changed,
     every other column being rotation-invariant.  Returns the run's report at
-    k.  Its bits do not depend on the BLAS thread count: no sum over n^3
-    entries runs in BLAS (``mode._dot``).
+    k and its ModeHistory.  Its bits do not depend on the BLAS thread count:
+    no sum over n^3 entries runs in BLAS (``grid._dot``).
     """
     k = np.asarray(k, dtype=float).reshape(3)
     targets = [(idx, np.asarray(kvec, dtype=float).reshape(3)) for idx, kvec in members]
@@ -401,7 +401,7 @@ def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
     rep = mode_energy_report(hist, cfg.ell, op)
     for idx, kvec in targets:
         _mode_file(cfg.outdir, idx, "csv").write_text(_mode_csv_text(replace(rep, k=kvec)))
-    return rep
+    return rep, hist
 
 
 _WORKER_CTX: dict = {}

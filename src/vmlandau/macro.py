@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import TwoSpeciesField, VelocityGrid
+from .grid import TwoSpeciesField, VelocityGrid, _dot
 
 __all__ = [
     "MacroState",
@@ -189,10 +189,11 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
         out[0::2], out[1::2] = P.real, P.imag[:-1]
     own = -(1j * (k @ g.xi) * rows + w * Aphi)                   # <phi, -i (xi.k) f - A f>
     shared = -w * Kphi                                           # <phi, -K (f_+ + f_-)>
-    field = rows @ (g.xi * g.sqrt_mu).T                          # <phi, xi_i sqrt(mu)>
-    moms = np.array([s.fhat.values @ rows.T for s in frames])
-    rhs = np.array([s.fhat.values @ own.T + (s.fhat.values[0] + s.fhat.values[1]) @ shared.T
-                    + np.outer([1.0, -1.0], field @ s.Ehat) for s in frames[1:-1]])
+    field = _dot(rows, (g.xi * g.sqrt_mu).T)                     # <phi, xi_i sqrt(mu)>
+    moms = np.array([_dot(s.fhat.values, rows.T) for s in frames])
+    rhs = np.array([_dot(s.fhat.values, own.T)
+                    + _dot(s.fhat.values[0] + s.fhat.values[1], shared.T)
+                    + np.outer([1.0, -1.0], _dot(field, s.Ehat)) for s in frames[1:-1]])
     res = np.abs((moms[2:] - moms[:-2]) / (2.0 * dt) - rhs)   # (frames-2, 2, moments)
     nt = len(frames) - 2
     series = {name: res[:, :, sl].reshape(nt, -1).max(axis=1)

@@ -34,13 +34,25 @@ preconditioner also closes the six field entries: it inverts exactly the block
 matrix whose kinetic block is the D-ILU, through its 6 x 6 Schur complement on
 (E, B), built once per _ModeSolve from three D-ILU solves.  Right
 preconditioning leaves the residual unpreconditioned, so the Givens recurrence
-gives the true residual and each iteration costs one block application and two
-sparse triangular solves.  The per-step ledger applies K once to s^n and A
-once to s^n and d^n for the dissipation <L f, f> = <(A + 2K) s, s> + <A d, d>,
-and the same products give both blocks' initial residuals a (G u^n), so a step
-applies K once per sum-block iteration plus once.  Every value carried across a
-step is a function of u^n alone, so a restarted run reproduces an
-uninterrupted one bitwise.
+gives the residual of the system GMRES iterates on, and each iteration costs
+one block application and two sparse triangular solves.  The per-step ledger
+applies K once to s^n and A once to s^n and d^n for the dissipation
+<L f, f> = <(A + 2K) s, s> + <A d, d>, and the same products give both
+blocks' initial residuals a (G u^n).
+
+Inside the sum block's GMRES, K's convolution runs in single precision (about
+half the cost, 2e-7 relative error).  The Krylov vectors build only the
+correction x - s^n, so that error enters scaled by the correction: an inexact
+Krylov method (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003).  Its Givens
+recurrence is then the residual of the single-precision system, so each step
+checks the solve in double with the K the ledger applies anyway: at u^{n+1}
+it gives G_s x (imex-euler, x = s^{n+1}; imex-midpoint, x = (s^{n+1} + s^n)/2
+and G_s x = (G_s s^{n+1} + G_s s^n)/2), so |s^n - x + a G_s x| is the step's
+true residual.  A step that misses lin_tol continues the solve from x and
+redoes the ledger, at most _MAX_PASSES times.  So a step applies K in single
+precision once per sum-block iteration and in double once per ledger.  Every
+value carried across a step is a function of u^n alone, so a restarted run
+reproduces an uninterrupted one bitwise.
 
 A run records by step index, StepperConfig.steps being the one time-to-steps
 rule, and its solver vector, frames and checkpoint records share one layout,
@@ -59,7 +71,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .collision import LinearizedOperator
-from .grid import TwoSpeciesField
+from .grid import TwoSpeciesField, _dot, _norm
 from .macro import _moment_rows, project_P
 from .weights import dissipation_norm
 
@@ -80,6 +92,7 @@ _SQRT2 = np.sqrt(2.0)
 _LARTG = scipy.linalg.get_lapack_funcs("lartg", dtype=complex)
 _RESTART = 50        # GMRES iterations per restart cycle
 _MAX_CYCLES = 200    # GMRES restart cycles before a solve is reported as failed
+_MAX_PASSES = 3      # sum-block solves a step may add after its double check fails
 _MAX_SWEEPS = 100    # Jacobi sweeps for the D-ILU diagonal before its set-up is reported as failed
 _MAX_STEPS = 10_000_000   # steps of one run before integrate_mode refuses it as a runaway
 
@@ -162,21 +175,6 @@ def _xi_dot(g, v) -> np.ndarray:
     return g.xi[0] * v[0] + g.xi[1] * v[1] + g.xi[2] * v[2]
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a @ b for 1- or 2-D operands, summed by np.einsum's own loop.
-
-    np.einsum without ``optimize`` never calls BLAS, whereas OpenBLAS splits a
-    long dot product among its threads, so that the bits of a sum over n^3
-    entries would depend on the BLAS thread count.  Here they do not.
-    """
-    return np.einsum(("j", "ij")[a.ndim - 1] + "," + ("j", "jk")[b.ndim - 1], a, b)
-
-
-def _norm(x: np.ndarray) -> float:
-    """The 2-norm of a vector, summed by _dot."""
-    return float(np.sqrt(_dot(x.conj(), x).real))
-
-
 def _charge(g, f: np.ndarray) -> complex:
     """Charge <sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
     return complex(_dot(_moment_rows(g)[0], f[0] - f[1]))
@@ -228,7 +226,10 @@ class ModeHistory:
     gauss_B: np.ndarray
     frames: list                 # ModeState samples (always includes first/last)
     solve_iters: np.ndarray      # (steps, 2) GMRES iterations of the sum and difference blocks
-    solve_residual: np.ndarray   # (steps, 2) their final relative residuals
+    # (steps, 2) their final relative residuals: the sum block's is the double-precision
+    # residual that integrate_mode checks, the difference block's GMRES's own
+    solve_residual: np.ndarray
+    refinements: np.ndarray      # (steps,) sum-block solves added after a failed check
 
 
 class _DiagonalILU:
@@ -292,10 +293,12 @@ class _ModeSolve:
     (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
     restarted every _RESTART iterations, with modified Gram-Schmidt and
     Givens rotations, and keeps z_j = M^-1 v_j so that x = x0 + Z y costs no
-    further preconditioner solve.  With M^-1 on the right the residual is the
-    true one, so the recurrence's |g_{m+1}| <= lin_tol |rhs| is the block's
-    stopping test; the residual is recomputed from x only at a restart and on
-    failure.
+    further preconditioner solve.  With M^-1 on the right the residual is
+    that of the generator it is given, so the recurrence's |g_{m+1}| <=
+    lin_tol |rhs| is the block's stopping test; the residual is recomputed
+    from x only at a restart and on failure.  integrate_mode solves the sum
+    block with K in single precision (sum_block's ``dtype``) and checks the
+    solution in double.
     """
 
     def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float):
@@ -325,9 +328,9 @@ class _ModeSolve:
         ``Ax``, if given, is A x."""
         return -1j * self.xik * x - (self.op.A_sparse @ x if Ax is None else Ax)
 
-    def sum_block(self, s: np.ndarray) -> np.ndarray:
-        """The sum block's generator -(i xi.k + A + 2K) s."""
-        return self.sparse_block(s) - 2.0 * self.op.k_part(s)
+    def sum_block(self, s: np.ndarray, dtype=np.complex128) -> np.ndarray:
+        """The sum block's generator -(i xi.k + A + 2K) s, K's convolution in ``dtype``."""
+        return self.sparse_block(s) - 2.0 * self.op.k_part(s, dtype)
 
     def diff_block(self, v: np.ndarray, Ad: Optional[np.ndarray] = None) -> np.ndarray:
         """The difference block's generator on v = (d, E, B); ``Ad``, if given, is A d."""
@@ -437,6 +440,12 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     which at k = 0 asks for charge-neutral data.  Constraint drift during the
     run is recorded in the gauss_E and gauss_B series without aborting.
 
+    The sum block's solve, K in single precision, is checked in double by the
+    step's own ledger (see the module notes): solve_residual[:, 0] holds that
+    residual, ``refinements`` the passes that brought a step under lin_tol,
+    and a step still above it after _MAX_PASSES passes raises RuntimeError
+    with its residual, as a GMRES solve that does not converge does.
+
     Every sum over n^3 entries runs in _dot or _norm, never in BLAS, so the
     run's bits do not depend on the caller's BLAS thread count.
     """
@@ -456,10 +465,14 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     n3 = g.size
     ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol)
 
+    midpoint = cfg.scheme == "imex-midpoint"
+    gen_single = functools.partial(ms.sum_block, dtype=np.complex64)
+
     u = state0.flat()
     times, energy, diss, gauss_e, gauss_b = (np.empty(nsteps + 1) for _ in range(5))
     iters = np.zeros((nsteps, 2), dtype=int)
     resid = np.zeros((nsteps, 2))
+    passes = np.zeros(nsteps, dtype=int)
 
     def scalars(idx, uvec, t):
         """Record step idx's scalars; return uvec in (s, d, E, B) form, G_s s and G_d (d, E, B)."""
@@ -482,13 +495,28 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         checkpoint.append(state0)
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
-        s, iters[step - 1, 0], resid[step - 1, 0] = ms.solve(ms.sum_block, v[:n3], v[:n3], gen_s)
-        dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, v[n3:], v[n3:],
+        rhs, gen_rhs = v, gen_s
+        bnorm = _norm(rhs[:n3])
+        x_s, iters[step - 1, 0], _ = ms.solve(gen_single, rhs[:n3], rhs[:n3], gen_rhs)
+        dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, rhs[n3:], rhs[n3:],
                                                                gen_d)
-        x = np.concatenate([s, dEB])
-        v = 2.0 * x - v if cfg.scheme == "imex-midpoint" else x
-        u = _sum_diff(v, n3)
-        v, gen_s, gen_d = scalars(step, u, t_new)
+        while True:
+            x = np.concatenate([x_s, dEB])
+            u = _sum_diff(2.0 * x - rhs if midpoint else x, n3)
+            v, gen_s, gen_d = scalars(step, u, t_new)
+            # the sum block's solution and G_s of it, in double, from the ledger's K
+            x_s = 0.5 * (v[:n3] + rhs[:n3]) if midpoint else v[:n3]
+            gen_x = 0.5 * (gen_s + gen_rhs) if midpoint else gen_s
+            resid[step - 1, 0] = _norm(rhs[:n3] - x_s + ms.a * gen_x) / bnorm if bnorm else 0.0
+            if resid[step - 1, 0] <= cfg.lin_tol:
+                break
+            if passes[step - 1] == _MAX_PASSES:
+                raise RuntimeError(f"implicit solve failed to converge: relative residual "
+                                   f"{resid[step - 1, 0]:.3e} against rtol {cfg.lin_tol:.1e} "
+                                   f"after {_MAX_PASSES} refinement passes")
+            passes[step - 1] += 1
+            x_s, more, _ = ms.solve(gen_single, rhs[:n3], x_s, gen_x)
+            iters[step - 1, 0] += more
         sample = step % sample_every == 0 or step == nsteps
         record = checkpoint is not None and (step % ckpt_every == 0 or step == nsteps)
         if sample or record:
@@ -499,7 +527,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
                 checkpoint.append(state)
     return ModeHistory(k=k.copy(), times=times, energy=energy, dissipation=diss,
                        gauss_E=gauss_e, gauss_B=gauss_b, frames=frames,
-                       solve_iters=iters, solve_residual=resid)
+                       solve_iters=iters, solve_residual=resid, refinements=passes)
 
 
 @dataclass

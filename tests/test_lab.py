@@ -18,6 +18,7 @@ from vmlandau import cli, lab, mode
 from vmlandau.checkpoint import read_checkpoint
 from vmlandau.collision import CollisionParams, LinearizedOperator, assemble_L, sigma_field
 from vmlandau.grid import build_grid
+from vmlandau.macro import macro_residuals
 from vmlandau.mode import ModeEnergyReport, ModeState, mode_rhs
 
 from conftest import lattice_image, profile_frame
@@ -102,12 +103,15 @@ def _threads_per_call(outdir, op, workers) -> list:
 
 
 def _final_state(outdir, op) -> None:
-    """Two midpoint steps at k = 0.5 e3; writes the final state's bytes to outdir/final."""
+    """Two midpoint steps at k = 0.5 e3, a frame each; writes the final state's bytes to
+    outdir/final and those of macro_residuals' series to outdir/series."""
     cfg = lab.ExperimentConfig(n=op.grid.n, T=0.5, dt=0.25)
     state0 = lab.init_data(cfg, [0.0, 0.0, 0.5], op.grid)
     outdir.mkdir()
-    final = mode.integrate_mode(state0, cfg.stepper(), cfg.T, op).frames[-1]
-    (outdir / "final").write_bytes(final.flat().tobytes())
+    hist = mode.integrate_mode(state0, cfg.stepper(), cfg.T, op, sample_interval=cfg.dt)
+    (outdir / "final").write_bytes(hist.frames[-1].flat().tobytes())
+    series = macro_residuals(hist.frames, hist.k, op).series
+    (outdir / "series").write_bytes(b"".join(series[name].tobytes() for name in sorted(series)))
 
 
 def _orbit_files(outdir, op) -> None:
@@ -116,6 +120,14 @@ def _orbit_files(outdir, op) -> None:
     cfg = lab.ExperimentConfig(n=op.grid.n, T=0.5, dt=0.25, save_interval=0.25,
                                outdir=str(outdir))
     lab.run_orbit(cfg, [0.0, 0.0, 0.5], [(0, [0.0, 0.0, 0.5])], op)
+
+
+def _printed_run():
+    """What mode-run prints of a run_orbit result: a report's energy columns and a
+    one-step history's solver figures."""
+    return (SimpleNamespace(f_l2sq=np.ones(1), em_sq=np.zeros(1)),
+            SimpleNamespace(solve_iters=np.ones((1, 2), dtype=int),
+                            solve_residual=np.zeros((1, 2)), refinements=np.zeros(1, dtype=int)))
 
 
 def _same_mode_files(dir_a, dir_b, names):
@@ -204,7 +216,7 @@ class TestRunSweep:
     def test_mode_bits_do_not_depend_on_caller_blas_threads(self, blas_children, op23,
                                                             tmp_path):
         _in_children(blas_children, _final_state, tmp_path, op23)
-        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", ["final"])
+        _same_mode_files(tmp_path / "blas1", tmp_path / "blas2", ["final", "series"])
 
     def test_mode_files_do_not_depend_on_caller_blas_threads(self, blas_children, op23,
                                                              tmp_path):
@@ -333,6 +345,27 @@ class TestCli:
         assert code == 0
         _same_mode_files(sweeps["1"].outdir, out, ["mode_0000.csv", "mode_0000.ckpt"])
 
+    def test_mode_run_prints_how_its_solvers_behaved(self, op9, tmp_path, capsys):
+        # the line's figures against an integrate_mode run of the same config
+        argv = ["mode-run", "--k", "0,0,0.5", "--n", "9", "--T", "1", "--dt",
+                "0.25", "--save-interval", "0.25", "--out", str(tmp_path / "mode")]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        cfg = lab.ExperimentConfig(n=9, T=1.0, dt=0.25, shells=(0.5,))
+        hist = mode.integrate_mode(lab.init_data(cfg, [0.0, 0.0, 0.5], op9.grid),
+                                   cfg.stepper(), cfg.T, op9)
+        iters, resid = hist.solve_iters, hist.solve_residual
+        assert out.splitlines()[-1] == (
+            f"solver: GMRES iterations a step, sum block {iters[:, 0].mean():.2f} "
+            f"(max {iters[:, 0].max()}), difference block {iters[:, 1].mean():.2f} "
+            f"(max {iters[:, 1].max()}); largest residual {resid.max() / cfg.lin_tol:.3g} "
+            f"lin_tol; {hist.refinements.sum()} refinement passes")
+        assert iters.shape == (4, 2) and resid.max() <= cfg.lin_tol
+        # the CSV keeps its columns
+        assert (tmp_path / "mode" / "mode_0000.csv").read_text().splitlines()[0] == \
+            lab.MODE_CSV_HEADER
+
     @pytest.mark.parametrize("leave_out", [None, "manifest.json"], ids=["finished", "unfinished"])
     def test_mode_run_refuses_another_runs_directory(self, sweeps, tmp_path, monkeypatch, capsys,
                                                      leave_out):
@@ -383,9 +416,9 @@ class TestCli:
     def test_mode_run_flags_left_out_take_the_config_defaults(self, tmp_path, monkeypatch):
         seen = []
 
-        def capture(cfg, k, members, op):   # no run: the energy columns mode-run prints
+        def capture(cfg, k, members, op):   # no run: the report and history mode-run prints
             seen.append(cfg)
-            return SimpleNamespace(f_l2sq=np.ones(1), em_sq=np.zeros(1))
+            return _printed_run()
 
         monkeypatch.setattr(cli, "run_orbit", capture)
         out = str(tmp_path / "mode")
@@ -395,9 +428,9 @@ class TestCli:
     def test_runs_print_the_operator_set_up_time(self, tmp_path, monkeypatch, capsys):
         ops = []
 
-        def orbit(cfg, k, members, op):   # no run: the energy columns mode-run prints
+        def orbit(cfg, k, members, op):   # no run: the report and history mode-run prints
             ops.append(op)
-            return SimpleNamespace(f_l2sq=np.ones(1), em_sq=np.zeros(1))
+            return _printed_run()
 
         def sweep(cfg, op):
             ops.append(op)
@@ -412,7 +445,7 @@ class TestCli:
         assert cli.main(["decay-sweep", "--config", str(config)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [bool(re.fullmatch(r"operator set-up: \d+\.\d{3}s at n = 9", line))
-                for line in lines] == [True, False, True, False]
+                for line in lines] == [True, False, False, True, False]
         params = CollisionParams(gamma=-3.0, c_phi=1.0)
         assert [(op.grid.n, op.params) for op in ops] == [(9, params)] * 2
 
@@ -655,7 +688,7 @@ class TestOrbits:
         # %.17g round-trips: the CSVs give the in-process reports' quadrature exactly
         archive = orbit_sweeps["imex-midpoint", 1]
         cfg = dataclasses.replace(lab.parse_config(archive.config_path), outdir=str(tmp_path))
-        reports = [lab.run_orbit(cfg, k, [(idx, k)], op9)
+        reports = [lab.run_orbit(cfg, k, [(idx, k)], op9)[0]
                    for idx, (k, _w) in enumerate(archive.k_set)]
         for m in (0, 1):
             want = sum(w * float(k @ k) ** m * (rep.f_l2sq + rep.em_sq)

@@ -379,7 +379,7 @@ class TestSolverGuards:
         pre_calls = [0]
         last_z = [None]
         on_z = [0]
-        conv_calls = [0]
+        conv_calls = {"complex64": 0, "complex128": 0}
         precondition = mode._ModeSolve.precondition
         k_part = type(op11).k_part
         apply_vector = LatticeConvolver.apply_vector
@@ -389,12 +389,12 @@ class TestSolverGuards:
             last_z[0] = precondition(self, x)
             return last_z[0]
 
-        def counted_k_part(self, h):
-            on_z[0] += h is last_z[0]
-            return k_part(self, h)
+        def counted_k_part(self, h, dtype=np.complex128):
+            on_z[0] += h is last_z[0] and dtype == np.complex64
+            return k_part(self, h, dtype)
 
         def counted_apply_vector(self, v3):
-            conv_calls[0] += 1
+            conv_calls[v3.dtype.name] += 1
             return apply_vector(self, v3)
 
         monkeypatch.setattr(mode._ModeSolve, "precondition", counted_precondition)
@@ -406,9 +406,80 @@ class TestSolverGuards:
         assert pre_calls[0] == h.solve_iters.sum()
         s_calls = h.solve_iters[:, 0].sum()
         assert s_calls >= steps
-        assert conv_calls[0] == s_calls + steps + 1
+        assert not h.refinements.any()
+        # single precision on each preconditioned vector, double once per ledger
+        assert conv_calls == {"complex64": s_calls, "complex128": steps + 1}
         # each K inside a solve acts on the vector its ILU solve just returned
         assert on_z[0] == s_calls
+
+
+def _sum_block_residuals(h, op, a, midpoint):
+    """Each step's |s^n - x + a G_s x| / |s^n| and its roundoff allowance, rebuilt from
+    the frames through mode_rhs: s = (f_+ + f_-)/sqrt2, x = s^{n+1} (imex-euler) or
+    (s^n + s^{n+1})/2 (imex-midpoint), and G_s x the species sum of mode_rhs at x over
+    sqrt2, in which the field terms cancel."""
+    out = []
+    for s0, s1 in zip(h.frames, h.frames[1:]):
+        fx = 0.5 * (s0.fhat.values + s1.fhat.values) if midpoint else s1.fhat.values
+        df, _, _ = mode_rhs(ModeState(s0.k, TwoSpeciesField(fx, op.grid), s0.Ehat, s0.Bhat,
+                                      s0.t), op)
+        sn = (s0.fhat.values[0] + s0.fhat.values[1]) / np.sqrt(2.0)
+        x = (fx[0] + fx[1]) / np.sqrt(2.0)
+        agx = a * (df.values[0] + df.values[1]) / np.sqrt(2.0)
+        bnorm = np.linalg.norm(sn)
+        roundoff = 1e3 * np.finfo(float).eps * (np.linalg.norm(x) + np.linalg.norm(agx))
+        out.append((np.linalg.norm(sn - x + agx) / bnorm, roundoff / bnorm))
+    return np.array(out).T
+
+
+class TestSumBlockCheck:
+    """The sum block's GMRES applies K in single precision; each step's ledger checks
+    that solve in double, records the double residual, and refines a step that misses."""
+
+    def _run(self, op, scheme, dt, lin_tol):
+        from vmlandau.lab import ExperimentConfig, init_data
+        cfg = ExperimentConfig(R=op.grid.R, n=op.grid.n, family="mixed", shells=(0.5,),
+                               outdir="/tmp/unused")
+        scfg = stepper(dt=dt, scheme=scheme, lin_tol=lin_tol)
+        h = integrate_mode(init_data(cfg, [0.0, 0.3, 0.4], op.grid), scfg, 4 * dt, op,
+                           sample_interval=dt)
+        want, roundoff = _sum_block_residuals(h, op, scfg.implicit_weight(),
+                                              scheme == "imex-midpoint")
+        got = h.solve_residual[:, 0]
+        assert np.all(np.abs(got - want) <= roundoff), (got, want)
+        assert np.all(got <= lin_tol)
+        return h
+
+    @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
+    @pytest.mark.parametrize("opname", ["op9", "op11"])
+    @pytest.mark.parametrize("lin_tol", [1e-8, 1e-11])
+    def test_recorded_residual_is_the_double_residual_of_the_step(self, request, scheme,
+                                                                 opname, lin_tol):
+        self._run(request.getfixturevalue(opname), scheme, 0.25, lin_tol)
+
+    def test_a_step_that_misses_is_refined(self, op11):
+        # a = 1: the first solve's double residual was measured at about 3 lin_tol
+        h = self._run(op11, "imex-midpoint", 2.0, 1e-8)
+        assert np.all(h.refinements >= 1)
+
+    @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
+    def test_perturbed_single_precision_spectra_are_refined_to_lin_tol(self, op11, monkeypatch,
+                                                                       scheme):
+        from vmlandau._conv import LatticeConvolver
+        monkeypatch.setattr(LatticeConvolver, "_hat32", property(
+            lambda self: (self.hat * (1.0 + 1e-4)).astype(np.float32)))
+        h = self._run(op11, scheme, 0.25, 1e-8)
+        assert np.all(h.refinements >= 1)
+
+    @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
+    def test_zero_single_precision_spectra_raise(self, op11, monkeypatch, scheme):
+        from vmlandau._conv import LatticeConvolver
+        monkeypatch.setattr(LatticeConvolver, "_hat32", property(
+            lambda self: np.zeros(self.hat.shape, dtype=np.float32)))
+        with pytest.raises(RuntimeError, match=r"implicit solve failed to converge: relative "
+                                               r"residual \S+ against rtol 1\.0e-08 after 3 "
+                                               r"refinement passes"):
+            self._run(op11, scheme, 0.25, 1e-8)
 
 
 class TestBlockSolver:
