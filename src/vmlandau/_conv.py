@@ -115,14 +115,15 @@ class LatticeConvolver:
     Axis order and scaling follow ``fftn``/``ifftn``: the inverse passes are
     unscaled and the 1/pad^3 factor is applied right after the axis-1 pass,
     where ``ifftn`` applies it, so results equal the full 3-D transforms bit
-    for bit.  Results are fresh arrays and never alias the buffers.
+    for bit.  Results are fresh arrays and never alias the buffers.  Nothing
+    caches a convolver: a ``LinearizedOperator`` builds one and keeps it, and
+    ``sigma_field`` and ``apply_Q`` each build their own.
 
-    ``apply_vector`` follows its input's precision.  On complex64 it runs in
-    single precision, in complex64 views of the same buffers, against a
-    float32 copy of the kernel spectra built on its first such call: about
-    half the time of a double call, at about 2e-7 relative error.  Every call
-    writes each buffer entry it reads, so a double call gives the same bits
-    after a single one.
+    ``apply_vector`` runs in the precision its ``dtype`` names.  In complex64
+    it runs in complex64 views of the same buffers, against a float32 copy of
+    the kernel spectra built on its first such call: about half the time of a
+    double call, at about 2e-7 relative error.  Every call writes each buffer
+    entry it reads, so a double call gives the same bits after a single one.
     """
 
     def __init__(self, grid, gamma: float, c_phi: float):
@@ -165,14 +166,16 @@ class LatticeConvolver:
         sfft.ifft(top[:, :, :n], axis=3, norm="forward", overwrite_x=True)
         out[...] = top[:, :, :n, :n]
 
-    def apply_vector(self, v3: np.ndarray) -> np.ndarray:
-        """Convolve a 3-component complex field (3, n, n, n) -> (3, n, n, n), in v3's
-        precision: complex128, or complex64 (see the class notes)."""
+    def apply_vector(self, v3, dtype=np.complex128) -> np.ndarray:
+        """Convolve a 3-component field -> (3, n, n, n) in ``dtype``: complex128, or
+        complex64 (see the class notes).  Each component of v3 holds n^3 values and is
+        written, cast to ``dtype``, straight into the zero-padded transform buffer."""
         n = self.grid.n
         a, prod, tmp, H = self._spec, self._prod, self._tmp, self.hat
-        if v3.dtype == np.complex64:
+        if np.dtype(dtype) == np.complex64:
             a, prod, tmp, H = _single_view(a), _single_view(prod), _single_view(tmp), self._hat32
-        a[:, :n, :n, :n] = v3
+        for aj, vj in zip(a, v3, strict=True):
+            aj[:n, :n, :n] = vj.reshape(n, n, n)
         self._forward(a)
         for i, row in enumerate(_PACK):
             np.multiply(H[row[0]], a[0], out=prod[i])

@@ -74,7 +74,10 @@ def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        R, n, gamma, c_phi = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        R, n, gamma, c_phi = _HEADER.unpack(header)
         if grid is None:
             grid = build_grid(R, n)
         elif grid.n != n or grid.R != R:

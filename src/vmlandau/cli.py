@@ -20,7 +20,6 @@ import argparse
 import sys
 import textwrap
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -270,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("mode-run", help="integrate a single Fourier mode; a setting left "
                                         "out takes the ExperimentConfig default")
     s.add_argument("--k", type=_parse_vec, required=True)
-    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     for name in _MODE_RUN_SETTINGS:
-        s.add_argument(f"--{name.replace('_', '-')}", type=parsers[name])
+        s.add_argument(f"--{name.replace('_', '-')}", type=_PARSERS[name])
     s.add_argument("--out", default="runs/mode")
     s.set_defaults(func=cmd_mode_run)
 

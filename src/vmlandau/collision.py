@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._conv import _PACK, LatticeConvolver, _single_view
+from ._conv import _PACK, LatticeConvolver
 from .grid import TwoSpeciesField, VelocityGrid
 from .macro import _projector
 
@@ -83,20 +82,20 @@ class CollisionFrequencyField:
         return self.packed[:, node][_PACK]
 
 
-@lru_cache(maxsize=8)
-def _convolver(grid: VelocityGrid, params: CollisionParams) -> LatticeConvolver:
-    return LatticeConvolver(grid, params.gamma, params.c_phi)
-
-
 def sigma_field(grid: VelocityGrid, params: CollisionParams) -> CollisionFrequencyField:
-    """Collision frequency sigma^ij(xi) by weighted lattice convolution with mu.
+    """Collision frequency sigma^ij(xi) by weighted lattice convolution with mu, through a
+    convolver of its own (``LinearizedOperator`` computes sigma with the one it keeps).
 
     One ``apply_all_components(w mu)``: one forward transform, six products and
     two inverse passes, equal bit for bit to three ``apply_vector`` calls with
     w mu in one component each.
     """
-    wmu = (grid.weights * grid.mu).reshape((grid.n,) * 3)
-    six = _convolver(grid, params).apply_all_components(wmu)
+    return _sigma(grid, LatticeConvolver(grid, params.gamma, params.c_phi))
+
+
+def _sigma(grid: VelocityGrid, conv: LatticeConvolver) -> CollisionFrequencyField:
+    """sigma_field's sigma, by ``conv``."""
+    six = conv.apply_all_components((grid.weights * grid.mu).reshape((grid.n,) * 3))
     packed = np.ascontiguousarray(six.real.reshape(6, grid.size))
     packed.setflags(write=False)
     return CollisionFrequencyField(grid=grid, packed=packed)
@@ -131,7 +130,7 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G) -> np.ndarray:
     through the lattice identity phi^ij(d) d_j = 0.  Desk scale only.
     """
     _check_budget(grid.n)
-    conv = _convolver(grid, params)
+    conv = LatticeConvolver(grid, params.gamma, params.c_phi)
     n = grid.n
     D = grid.gradient_matrices
     F = np.asarray(F, dtype=complex).reshape(-1)
@@ -159,19 +158,18 @@ def _complex_csr(M: sp.csr_array) -> sp.csr_array:
 class LinearizedOperator:
     """Discrete linearized collision operator L acting on two-species fields.
 
-    L f_pm = 2 A f_pm + K (f_+ + f_-), with A the local (sparse) sigma-form
-    part and K the nonlocal compact part applied by FFT convolution.  Exactly
-    symmetric and positive semidefinite in the quadrature inner product;
-    annihilates the discrete null-space basis to roundoff.
+    L f_pm = A f_pm + K (f_+ + f_-), with A = ``A_sparse`` = 2 W^-1 B_A the local
+    (sparse) sigma-form part and K the nonlocal compact part applied by FFT
+    convolution.  Exactly symmetric and positive semidefinite in the quadrature
+    inner product; annihilates the discrete null-space basis to roundoff.  It
+    builds one convolver, which computes ``sigma`` and applies K.
     """
 
-    def __init__(self, grid: VelocityGrid, params: CollisionParams,
-                 sigma: CollisionFrequencyField):
+    def __init__(self, grid: VelocityGrid, params: CollisionParams):
         self.grid = grid
         self.params = params
-        self.sigma = sigma
-        self._conv = _convolver(grid, params)
-        n = grid.n
+        self._conv = LatticeConvolver(grid, params.gamma, params.c_phi)
+        self.sigma = sigma = _sigma(grid, self._conv)
         w = grid.weights
         smu = grid.sqrt_mu
         ws = w * smu
@@ -208,17 +206,12 @@ class LinearizedOperator:
         self._Gw = tuple(_complex_csr(Gi) for Gi in Gw)
         self._GwT = tuple(_complex_csr(sp.csr_array((T.data * ws[T.indices], T.indices, T.indptr),
                                                     shape=T.shape)) for T in GT)
-        self._kbuf = np.empty((3, n, n, n), dtype=complex)
 
     def k_part(self, h: np.ndarray, dtype=np.complex128) -> np.ndarray:
         """Nonlocal part: W^{-1} K_B h for the species sum h = f_+ + f_-, its convolution in
-        ``dtype`` (complex128, or complex64 in a view of the same buffer; see
-        LatticeConvolver); the sparse products and the result stay double."""
-        n = self.grid.n
-        buf = _single_view(self._kbuf) if np.dtype(dtype) == np.complex64 else self._kbuf
-        for j in range(3):
-            buf[j] = (self._Gw[j] @ h).reshape(n, n, n)
-        y = self._conv.apply_vector(buf)
+        ``dtype`` (complex128, or complex64; see LatticeConvolver); the sparse products
+        and the result stay double."""
+        y = self._conv.apply_vector([Gw @ h for Gw in self._Gw], dtype)
         acc = self._GwT[0] @ y[0].reshape(-1)
         acc += self._GwT[1] @ y[1].reshape(-1)
         acc += self._GwT[2] @ y[2].reshape(-1)
@@ -258,5 +251,4 @@ class LinearizedOperator:
 def assemble_L(grid: VelocityGrid, params: CollisionParams) -> LinearizedOperator:
     """Assemble the linearized operator once per (grid, params)."""
     _check_budget(grid.n)
-    sigma = sigma_field(grid, params)
-    return LinearizedOperator(grid, params, sigma)
+    return LinearizedOperator(grid, params)

@@ -137,21 +137,22 @@ class ExperimentConfig:
         return StepperConfig(dt=self.dt, scheme=self.scheme, lin_tol=self.lin_tol)
 
 
-# value parsers keyed by the field annotations, which are strings under
+# each field's value parser, by its annotation, which is a string under
 # ``from __future__ import annotations``
-_PARSERS = {
-    "float": float,
-    "int": int,
-    "str": str,
-    "tuple": lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
-}
+_PARSERS = {f.name: {"float": float, "int": int, "str": str,
+                     "tuple": lambda s: tuple(float(x) for x in s.split(",") if x.strip())}[f.type]
+            for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse the line-oriented ``key = value`` config file; unknown keys are errors."""
-    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+    """Parse the line-oriented ``key = value`` config file; unknown keys are errors, and so
+    is a file that cannot be read."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     values, lines = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -159,12 +160,12 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in parsers:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in lines:
             raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
         try:
-            values[key] = parsers[key](val)
+            values[key] = _PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno

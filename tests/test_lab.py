@@ -413,6 +413,13 @@ class TestCli:
         assert err.startswith("vml: ") and message in err and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
+    def test_sweep_config_that_cannot_be_read_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert cli.main(["decay-sweep", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"vml: {missing}: cannot read: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_mode_run_flags_left_out_take_the_config_defaults(self, tmp_path, monkeypatch):
         seen = []
 

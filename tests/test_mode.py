@@ -393,9 +393,9 @@ class TestSolverGuards:
             on_z[0] += h is last_z[0] and dtype == np.complex64
             return k_part(self, h, dtype)
 
-        def counted_apply_vector(self, v3):
-            conv_calls[v3.dtype.name] += 1
-            return apply_vector(self, v3)
+        def counted_apply_vector(self, v3, dtype=np.complex128):
+            conv_calls[np.dtype(dtype).name] += 1
+            return apply_vector(self, v3, dtype)
 
         monkeypatch.setattr(mode._ModeSolve, "precondition", counted_precondition)
         monkeypatch.setattr(type(op11), "k_part", counted_k_part)
@@ -456,6 +456,15 @@ class TestSumBlockCheck:
     def test_recorded_residual_is_the_double_residual_of_the_step(self, request, scheme,
                                                                  opname, lin_tol):
         self._run(request.getfixturevalue(opname), scheme, 0.25, lin_tol)
+
+    @pytest.mark.parametrize("scheme", ["imex-midpoint", "imex-euler"])
+    @pytest.mark.parametrize("opname", ["op9", "op11"])
+    @pytest.mark.parametrize("lin_tol", [1e-8, 1e-10, 1e-12])
+    def test_a_step_refines_at_most_once(self, request, scheme, opname, lin_tol):
+        # the cost of the single-precision K at a tight lin_tol: at most one more sum-block
+        # solve and ledger a step (measured at n = 9 to 13 down to lin_tol 1e-12)
+        h = self._run(request.getfixturevalue(opname), scheme, 0.25, lin_tol)
+        assert h.refinements.max() <= 1
 
     def test_a_step_that_misses_is_refined(self, op11):
         # a = 1: the first solve's double residual was measured at about 3 lin_tol
@@ -736,6 +745,14 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError, match="truncated record"):
             read_checkpoint(path, grid11)
+
+    def test_truncated_header_rejected(self, grid11, tmp_path):
+        path = tmp_path / "mode.ckpt"
+        with CheckpointWriter(path, grid11, -3.0, 1.0):
+            pass
+        path.write_bytes(path.read_bytes()[:8 + 5])   # the magic and 5 of 28 header bytes
+        with pytest.raises(ValueError, match="truncated header"):
+            read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
