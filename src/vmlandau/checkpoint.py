@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import VelocityGrid, build_grid
+from .collision import ResourceBudgetError, _check_budget
+from .grid import VelocityGrid, build_grid, check_grid_parameters
 from .mode import ModeState
 
 __all__ = ["CheckpointWriter", "read_checkpoint", "CheckpointFile"]
@@ -69,7 +70,8 @@ class CheckpointFile:
 
 
 def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
-    """Read every record; builds (or validates) the grid from the header."""
+    """Read every record; builds (or validates) the grid from the header, whose (R, n) must
+    be a grid the program can build."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -78,6 +80,11 @@ def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
         if len(header) != _HEADER.size:
             raise ValueError(f"{path}: truncated header")
         R, n, gamma, c_phi = _HEADER.unpack(header)
+        try:
+            check_grid_parameters(R, n)
+            _check_budget(n)
+        except (ValueError, ResourceBudgetError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if grid is None:
             grid = build_grid(R, n)
         elif grid.n != n or grid.R != R:

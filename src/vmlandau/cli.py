@@ -7,7 +7,8 @@ Subcommands:
                    exits 1 when a null residual or the symmetry defect
                    exceeds 1e-12
     mode-run       integrate a single Fourier mode and archive its series; prints
-                   its GMRES iterations, residuals and refinement passes
+                   its GMRES iterations and true residuals per block and its
+                   refinement passes
     decay-sweep    run a full k-set sweep from a config file
                    (mode-run and decay-sweep print the operator's set-up time)
     fit            synthesize whole-space norms from an archive and fit decay
@@ -167,7 +168,7 @@ def cmd_mode_run(args) -> int:
 
 def _solver_line(hist, lin_tol: float) -> str:
     """How a run's solves behaved: GMRES iterations a step per block (mean and max), the
-    largest recorded residual over lin_tol and the sum block's refinement passes."""
+    largest recorded true residual over lin_tol and the refinement passes."""
     iters = hist.solve_iters
     mean = iters.sum(axis=0) / max(len(iters), 1)
     most = iters.max(axis=0, initial=0)

@@ -56,8 +56,8 @@ class CollisionParams:
     def __post_init__(self):
         if not (-3.0 <= self.gamma < -2.0):
             raise ValueError(f"gamma must satisfy -3 <= gamma < -2, got {self.gamma}")
-        if not self.c_phi > 0:
-            raise ValueError(f"c_phi must be positive, got {self.c_phi}")
+        if not 0 < self.c_phi < np.inf:
+            raise ValueError(f"c_phi must be positive and finite, got {self.c_phi}")
 
 
 def _check_budget(n: int) -> None:

@@ -133,11 +133,11 @@ class VelocityGrid:
 
 
 def check_grid_parameters(R: float, n: int) -> None:
-    """Raise GridParameterError unless R > 0 and n is an odd integer >= 3."""
+    """Raise GridParameterError unless R is positive and finite and n is an odd integer >= 3."""
     if not (isinstance(n, (int, np.integer)) and n % 2 == 1 and n >= 3):
         raise GridParameterError(f"points_per_axis must be an odd integer >= 3, got {n}")
-    if not R > 0:
-        raise GridParameterError(f"half_width must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise GridParameterError(f"half_width must be positive and finite, got {R}")
 
 
 def build_grid(R: float, n: int) -> VelocityGrid:

@@ -105,8 +105,8 @@ class ExperimentConfig:
         if len(self.shells) == 0:
             raise ConfigError("shell list must not be empty")
         radii = tuple(float(r) for r in self.shells)
-        if any(r <= 0 for r in radii):
-            raise ConfigError("shell radii must be positive")
+        if not all(0 < r < np.inf for r in radii):
+            raise ConfigError("shell radii must be positive and finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("shell radii must be strictly increasing")
         object.__setattr__(self, "shells", radii)

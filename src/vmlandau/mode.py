@@ -27,32 +27,30 @@ inverse, so it keeps the energy norm: the blocks' tests on the true residual
 |r_b| <= lin_tol |rhs_b| add up to lin_tol |rhs| on the whole state.  Between
 steps the state stays in species form.  One _ModeSolve per (mode, a) holds
 both blocks' generators, which mode_rhs applies too, and their solves.  Each
-block runs restarted GMRES from the current state, right-preconditioned by the
+block runs one GMRES cycle from the current state, right-preconditioned by the
 mode's one diagonal ILU (D-ILU) of I + a (A + i xi.k), built on the first
 solve so that evaluating M builds none.  On the difference block the
 preconditioner also closes the six field entries: it inverts exactly the block
 matrix whose kinetic block is the D-ILU, through its 6 x 6 Schur complement on
-(E, B), built once per _ModeSolve from three D-ILU solves.  Right
-preconditioning leaves the residual unpreconditioned, so the Givens recurrence
-gives the residual of the system GMRES iterates on, and each iteration costs
-one block application and two sparse triangular solves.  The per-step ledger
-applies K once to s^n and A once to s^n and d^n for the dissipation
-<L f, f> = <(A + 2K) s, s> + <A d, d>, and the same products give both
-blocks' initial residuals a (G u^n).
+(E, B), built once per _ModeSolve from three D-ILU solves.  Each iteration
+costs one block application and two sparse triangular solves.
 
 Inside the sum block's GMRES, K's convolution runs in single precision (about
 half the cost, 2e-7 relative error).  The Krylov vectors build only the
 correction x - s^n, so that error enters scaled by the correction: an inexact
-Krylov method (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003).  Its Givens
-recurrence is then the residual of the single-precision system, so each step
-checks the solve in double with the K the ledger applies anyway: at u^{n+1}
-it gives G_s x (imex-euler, x = s^{n+1}; imex-midpoint, x = (s^{n+1} + s^n)/2
-and G_s x = (G_s s^{n+1} + G_s s^n)/2), so |s^n - x + a G_s x| is the step's
-true residual.  A step that misses lin_tol continues the solve from x and
-redoes the ledger, at most _MAX_PASSES times.  So a step applies K in single
-precision once per sum-block iteration and in double once per ledger.  Every
-value carried across a step is a function of u^n alone, so a restarted run
-reproduces an uninterrupted one bitwise.
+Krylov method (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003).
+
+One rule ends a step's solves, on both blocks.  The per-step ledger applies K
+once to s^{n+1} and A once to s^{n+1} and d^{n+1} for the dissipation
+<L f, f> = <(A + 2K) s, s> + <A d, d>, and those products give G u^{n+1} in
+double, so G x too (imex-euler, x = u^{n+1}; imex-midpoint, x = (u^{n+1} +
+u^n)/2 and G x = (G u^{n+1} + G u^n)/2).  So |rhs_b - x_b + a G_b x_b| is
+each block's true residual, at no further K.  A block above lin_tol |rhs_b|,
+because its cycle ran out of iterations or its Givens estimate was the
+single-precision system's, continues from x, and the ledger is redone, at most
+_MAX_PASSES times.  The same products give the next step's initial residuals
+a (G u^n).  Every value carried across a step is a function of u^n alone, so a
+restarted run reproduces an uninterrupted one bitwise.
 
 A run records by step index, StepperConfig.steps being the one time-to-steps
 rule, and its solver vector, frames and checkpoint records share one layout,
@@ -90,9 +88,8 @@ __all__ = [
 CONSTRAINT_TOL = 1e-5   # largest initial Gauss residual integrate_mode accepts
 _SQRT2 = np.sqrt(2.0)
 _LARTG = scipy.linalg.get_lapack_funcs("lartg", dtype=complex)
-_RESTART = 50        # GMRES iterations per restart cycle
-_MAX_CYCLES = 200    # GMRES restart cycles before a solve is reported as failed
-_MAX_PASSES = 3      # sum-block solves a step may add after its double check fails
+_MAX_ITERS = 50      # GMRES iterations of one solve (one cycle)
+_MAX_PASSES = 3      # solves a step may add after its ledger finds a block above lin_tol
 _MAX_SWEEPS = 100    # Jacobi sweeps for the D-ILU diagonal before its set-up is reported as failed
 _MAX_STEPS = 10_000_000   # steps of one run before integrate_mode refuses it as a runaway
 
@@ -147,12 +144,12 @@ class StepperConfig:
     lin_tol: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in ("imex-midpoint", "imex-euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.lin_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.lin_tol < np.inf:
+            raise ValueError("tolerances must be positive and finite")
 
     def implicit_weight(self) -> float:
         """Weight a of the step's solve (I - a M) x = u^n: dt/2 for imex-midpoint, dt
@@ -162,6 +159,8 @@ class StepperConfig:
 
     def steps(self, x: float, name: str = "T") -> int:
         """x / dt, which must be a whole (to 1e-9 relative), non-negative count, else ValueError."""
+        if not np.isfinite(x):
+            raise ValueError(f"{name} = {x!r} must be finite")
         if x < 0:
             raise ValueError(f"{name} = {x!r} must not be negative")
         nsteps = int(round(x / self.dt))
@@ -226,10 +225,8 @@ class ModeHistory:
     gauss_B: np.ndarray
     frames: list                 # ModeState samples (always includes first/last)
     solve_iters: np.ndarray      # (steps, 2) GMRES iterations of the sum and difference blocks
-    # (steps, 2) their final relative residuals: the sum block's is the double-precision
-    # residual that integrate_mode checks, the difference block's GMRES's own
-    solve_residual: np.ndarray
-    refinements: np.ndarray      # (steps,) sum-block solves added after a failed check
+    solve_residual: np.ndarray   # (steps, 2) their final true relative residuals, in double
+    refinements: np.ndarray      # (steps,) passes a step added for a block above lin_tol
 
 
 class _DiagonalILU:
@@ -273,16 +270,13 @@ class _ModeSolve:
     M^-1 (see precondition) is built on the first solve from the mode's one
     _DiagonalILU of I + a (A + i xi.k): on the sum block it is the D-ILU; on
     the difference block it closes the field entries exactly through their
-    Schur complement.  Both depend only on (op, k, a).  GMRES runs on
-    (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
-    restarted every _RESTART iterations, with modified Gram-Schmidt and
-    Givens rotations, and keeps z_j = M^-1 v_j so that x = x0 + Z y costs no
-    further preconditioner solve.  With M^-1 on the right the residual is
-    that of the generator it is given, so the recurrence's |g_{m+1}| <=
-    lin_tol |rhs| is the block's stopping test; the residual is recomputed
-    from x only at a restart and on failure.  integrate_mode solves the sum
-    block with K in single precision (sum_block's ``dtype``) and checks the
-    solution in double.
+    Schur complement.  Both depend only on (op, k, a).  GMRES runs one cycle
+    on (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
+    with modified Gram-Schmidt and Givens rotations, and keeps z_j = M^-1 v_j
+    so that x = x0 + Z y costs no further preconditioner solve.  With M^-1 on
+    the right the residual is that of the generator it is given, so the
+    recurrence's |g_{m+1}| <= lin_tol |rhs| ends the cycle; integrate_mode
+    checks every solution on its true residual in double.
     """
 
     def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float):
@@ -349,62 +343,48 @@ class _ModeSolve:
         return np.concatenate([y + _dot(EB[:3], W), EB])
 
     def solve(self, gen, rhs: np.ndarray, guess: np.ndarray, gen_guess: np.ndarray):
-        """GMRES for (I - a gen) x = rhs from ``guess``; returns (x, iterations, relative residual).
+        """One GMRES cycle for (I - a gen) x = rhs from ``guess``; returns (x, iterations).
 
         ``gen_guess`` is gen(guess), so the initial residual rhs - guess +
-        a gen(guess) costs no application of gen.  It raises RuntimeError, with
-        the residual, after _MAX_CYCLES cycles of _RESTART iterations.
+        a gen(guess) costs no application of gen.  The cycle stops once the
+        Givens residual is <= lin_tol |rhs|, or after _MAX_ITERS iterations;
+        integrate_mode checks x on the true residual and continues from it.
         """
         bnorm = _norm(rhs)
         if bnorm == 0.0:
-            return np.zeros_like(rhs), 0, 0.0
-        a, target, restart = self.a, self.lin_tol * bnorm, _RESTART
-        x = guess
-        r = rhs - x + a * gen_guess
+            return np.zeros_like(rhs), 0
+        a, target = self.a, self.lin_tol * bnorm
+        r = rhs - guess + a * gen_guess
         beta = _norm(r)
-        iters = cycles = 0
-        while beta > target:
-            if cycles == _MAX_CYCLES:
-                raise RuntimeError(f"implicit solve failed to converge: relative residual "
-                                   f"{beta / bnorm:.3e} against rtol {self.lin_tol:.1e} after "
-                                   f"{iters} iterations")
-            cycles += 1
-            V, Z, rot = [r / beta], [], []
-            H = np.zeros((restart + 1, restart), dtype=complex)
-            g = np.zeros(restart + 1, dtype=complex)
-            g[0] = beta
-            m = 0
-            for j in range(restart):
-                z = self.precondition(V[j])
-                w = z - a * gen(z)
-                iters += 1
-                for i, vi in enumerate(V):
-                    H[i, j] = _dot(vi.conj(), w)
-                    w -= H[i, j] * vi
-                hnext = _norm(w)
-                for i, (c, s) in enumerate(rot):
-                    H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
-                                            -np.conj(s) * H[i, j] + c * H[i + 1, j])
-                c, s, rjj = _LARTG(H[j, j], hnext)
-                if rjj == 0.0:
-                    break  # (I - a G) z_j adds no direction: keep the first j columns
-                Z.append(z)
-                rot.append((c, s))
-                H[j, j] = rjj
-                g[j + 1] = -np.conj(s) * g[j]
-                g[j] *= c
-                m = j + 1
-                if abs(g[m]) <= target:
-                    break
-                V.append(w / hnext)
-            if m:
-                y = scipy.linalg.solve_triangular(H[:m, :m], g[:m])
-                x = x + sum(yi * zi for yi, zi in zip(y, Z))
-            if abs(g[m]) <= target:
-                return x, iters, abs(g[m]) / bnorm
-            r = rhs - (x - a * gen(x))
-            beta = _norm(r)
-        return x, iters, beta / bnorm
+        if beta <= target:
+            return guess, 0
+        V, Z, rot = [r / beta], [], []
+        H = np.zeros((_MAX_ITERS + 1, _MAX_ITERS), dtype=complex)
+        g = np.zeros(_MAX_ITERS + 1, dtype=complex)
+        g[0] = beta
+        for j in range(_MAX_ITERS):
+            z = self.precondition(V[j])
+            w = z - a * gen(z)
+            for i, vi in enumerate(V):
+                H[i, j] = _dot(vi.conj(), w)
+                w -= H[i, j] * vi
+            hnext = _norm(w)
+            for i, (c, s) in enumerate(rot):
+                H[i, j], H[i + 1, j] = (c * H[i, j] + s * H[i + 1, j],
+                                        -np.conj(s) * H[i, j] + c * H[i + 1, j])
+            c, s, rjj = _LARTG(H[j, j], hnext)
+            if rjj == 0.0:
+                break  # (I - a G) z_j adds no direction: keep the first j columns
+            Z.append(z)
+            rot.append((c, s))
+            H[j, j] = rjj
+            g[j + 1] = -np.conj(s) * g[j]
+            g[j] *= c
+            if abs(g[j + 1]) <= target:
+                break
+            V.append(w / hnext)
+        y = scipy.linalg.solve_triangular(H[:len(Z), :len(Z)], g[:len(Z)]) if Z else ()
+        return guess + sum(yi * zi for yi, zi in zip(y, Z)), j + 1
 
 
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
@@ -424,16 +404,17 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     which at k = 0 asks for charge-neutral data.  Constraint drift during the
     run is recorded in the gauss_E and gauss_B series without aborting.
 
-    The sum block's solve, K in single precision, is checked in double by the
-    step's own ledger (see the module notes): solve_residual[:, 0] holds that
-    residual, ``refinements`` the passes that brought a step under lin_tol,
-    and a step still above it after _MAX_PASSES passes raises RuntimeError
-    with its residual, as a GMRES solve that does not converge does.  At
-    lin_tol 1e-8 a step seldom refines; at lin_tol <= 1e-10 every step refines
-    once, and none twice down to 1e-12 (measured at n = 9 to 13, both schemes),
-    so there a step pays one more ledger, double K included, and the iterations
-    that continue its sum-block solve: 5, 7, 9 and 10 sum-block iterations a
-    step at lin_tol 1e-8, 1e-10, 1e-11 and 1e-12 (n = 13, imex-midpoint).
+    Both blocks' solves are checked in double by the step's own ledger (see the
+    module notes): solve_residual holds each block's true residual,
+    ``refinements`` the passes that brought a step's blocks under lin_tol, and a
+    step with a block still above it after _MAX_PASSES passes raises
+    RuntimeError naming those blocks and their residuals.  At lin_tol 1e-8 a
+    step seldom refines; at lin_tol <= 1e-10 every step refines once, for the
+    sum block's single-precision K, and none twice down to 1e-12 (measured at
+    n = 9 to 13, both schemes), so there a step pays one more ledger, double K
+    included, and the iterations that continue its sum-block solve: 5, 7, 9 and
+    10 sum-block iterations a step at lin_tol 1e-8, 1e-10, 1e-11 and 1e-12
+    (n = 13, imex-midpoint).
 
     Every sum over n^3 entries runs in _dot or _norm, never in BLAS, so the
     run's bits do not depend on the caller's BLAS thread count.
@@ -455,7 +436,9 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol)
 
     midpoint = cfg.scheme == "imex-midpoint"
-    gen_single = functools.partial(ms.sum_block, dtype=np.complex64)
+    # each block's entries of the (s, d, E, B) vector, its generator in the solve, its name
+    blocks = ((slice(None, n3), functools.partial(ms.sum_block, dtype=np.complex64),
+               "sum block"), (slice(n3, None), ms.diff_block, "difference block"))
 
     u = state0.flat()
     times, energy, diss, gauss_e, gauss_b = (np.empty(nsteps + 1) for _ in range(5))
@@ -464,7 +447,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     passes = np.zeros(nsteps, dtype=int)
 
     def scalars(idx, uvec, t):
-        """Record step idx's scalars; return uvec in (s, d, E, B) form, G_s s and G_d (d, E, B)."""
+        """Record step idx's scalars; return uvec in (s, d, E, B) form and G of it."""
         v = _sum_diff(uvec, n3)
         s, d = v[:n3], v[n3:2 * n3]
         Ad = op.A_sparse @ d
@@ -476,36 +459,42 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         # <L f, f> in (s, d) form: the map is orthogonal
         diss[idx] = float(np.sum(g.weights * (Ls * np.conj(s) + Ad * np.conj(d))).real)
         gauss_e[idx], gauss_b[idx] = _gauss(g, k, f, uvec[2 * n3:2 * n3 + 3], uvec[2 * n3 + 3:])
-        return v, -1j * ms.xik * s - Ls, ms.diff_block(v[n3:], Ad)
+        return v, np.concatenate([-1j * ms.xik * s - Ls, ms.diff_block(v[n3:], Ad)])
 
-    v, gen_s, gen_d = scalars(0, u, state0.t)
+    v, gen_v = scalars(0, u, state0.t)
     frames = [state0.copy()]
     if checkpoint is not None:
         checkpoint.append(state0)
     for step in range(1, nsteps + 1):
         t_new = state0.t + step * cfg.dt
-        rhs, gen_rhs = v, gen_s
-        bnorm = _norm(rhs[:n3])
-        x_s, iters[step - 1, 0], _ = ms.solve(gen_single, rhs[:n3], rhs[:n3], gen_rhs)
-        dEB, iters[step - 1, 1], resid[step - 1, 1] = ms.solve(ms.diff_block, rhs[n3:], rhs[n3:],
-                                                               gen_d)
+        rhs, gen_rhs = v, gen_v
+        bnorm = [_norm(rhs[b]) for b, _, _ in blocks]
+        x, gen_x, missed = rhs, gen_rhs, range(2)
         while True:
-            x = np.concatenate([x_s, dEB])
+            parts = [x[b] for b, _, _ in blocks]
+            for i in missed:
+                b, gen, _ = blocks[i]
+                parts[i], more = ms.solve(gen, rhs[b], x[b], gen_x[b])
+                iters[step - 1, i] += more
+            x = np.concatenate(parts)
             u = _sum_diff(2.0 * x - rhs if midpoint else x, n3)
-            v, gen_s, gen_d = scalars(step, u, t_new)
-            # the sum block's solution and G_s of it, in double, from the ledger's K
-            x_s = 0.5 * (v[:n3] + rhs[:n3]) if midpoint else v[:n3]
-            gen_x = 0.5 * (gen_s + gen_rhs) if midpoint else gen_s
-            resid[step - 1, 0] = _norm(rhs[:n3] - x_s + ms.a * gen_x) / bnorm if bnorm else 0.0
-            if resid[step - 1, 0] <= cfg.lin_tol:
+            v, gen_v = scalars(step, u, t_new)
+            # the solution and G of it, in double, from the ledger's products
+            x = 0.5 * (v + rhs) if midpoint else v
+            gen_x = 0.5 * (gen_v + gen_rhs) if midpoint else gen_v
+            r = rhs - x + ms.a * gen_x
+            for i, (b, _, _) in enumerate(blocks):
+                resid[step - 1, i] = _norm(r[b]) / bnorm[i] if bnorm[i] else 0.0
+            missed = [i for i in range(2) if resid[step - 1, i] > cfg.lin_tol]
+            if not missed:
                 break
             if passes[step - 1] == _MAX_PASSES:
-                raise RuntimeError(f"implicit solve failed to converge: relative residual "
-                                   f"{resid[step - 1, 0]:.3e} against rtol {cfg.lin_tol:.1e} "
-                                   f"after {_MAX_PASSES} refinement passes")
+                raise RuntimeError(
+                    "implicit solve failed to converge: relative residual "
+                    f"{', '.join(f'{resid[step - 1, i]:.3e}' for i in missed)} against rtol "
+                    f"{cfg.lin_tol:.1e} after {_MAX_PASSES} refinement passes on the "
+                    f"{' and the '.join(blocks[i][2] for i in missed)}")
             passes[step - 1] += 1
-            x_s, more, _ = ms.solve(gen_single, rhs[:n3], x_s, gen_x)
-            iters[step - 1, 0] += more
         sample = step % sample_every == 0 or step == nsteps
         record = checkpoint is not None and (step % ckpt_every == 0 or step == nsteps)
         if sample or record:

@@ -882,6 +882,27 @@ class TestConfigText:
         assert re.match(f"vml: \\S*bad.cfg:2: {message}", capsys.readouterr().err)
         assert not run.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lin_tol", "nan", "tolerances must be positive and finite"),
+        ("lin_tol", "inf", "tolerances must be positive and finite"),
+        ("dt", "inf", "dt must be positive and finite"),
+        ("R", "inf", "half_width must be positive and finite, got inf"),
+        ("c_phi", "inf", "c_phi must be positive and finite, got inf"),
+        ("shells", "0.25,inf", "shell radii must be positive and finite"),
+        ("shells", "nan", "shell radii must be positive and finite"),
+        ("T", "inf", "T = inf must be finite"),
+        ("T", "nan", "T = nan must be finite"),
+        ("save_interval", "inf", "save_interval = inf must be finite"),
+    ])
+    def test_non_finite_value_names_its_line(self, tmp_path, capsys, key, value, message):
+        # lin_tol = inf stepped a state that never moved; T = inf raised OverflowError
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# a comment\nn = 9\n{key} = {value}\n")
+        with pytest.raises(lab.ConfigError, match=f"bad.cfg:3: {message}"):
+            lab.parse_config(path)
+        assert cli.main(["decay-sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"vml: {path}:3: ")
+
     def test_weighted_ell_names_its_line(self, tmp_path):
         # the mode CSVs hold unweighted series, so ell is the constant 0, not a setting
         assert lab.ExperimentConfig().ell == 0.0
