@@ -6,7 +6,7 @@ diagnostics, and algebraic decay-rate experiments.
 """
 
 from .collision import (CollisionFrequencyField, CollisionParams, LinearizedOperator,
-                        ResourceBudgetError, apply_Q, assemble_L, sigma_field)
+                        apply_Q, assemble_L, sigma_field)
 from .grid import (GridMismatchError, GridParameterError, TwoSpeciesField,
                    VelocityGrid, build_grid, inner_product, maxwellian,
                    velocity_gradient)

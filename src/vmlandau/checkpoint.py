@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import ResourceBudgetError, _check_budget
 from .grid import VelocityGrid, build_grid, check_grid_parameters
 from .mode import ModeState
 
@@ -82,8 +81,7 @@ def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
         R, n, gamma, c_phi = _HEADER.unpack(header)
         try:
             check_grid_parameters(R, n)
-            _check_budget(n)
-        except (ValueError, ResourceBudgetError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         if grid is None:
             grid = build_grid(R, n)

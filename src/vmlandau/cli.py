@@ -37,10 +37,10 @@ FIT_WINDOW = (20.0, 200.0)   # fit and report's default --window
 
 
 def _parse_vec(text: str) -> np.ndarray:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    return np.array(parts)
+    parts = np.array([float(x) for x in text.split(",")])
+    if parts.size != 3 or not np.isfinite(parts).all():
+        raise argparse.ArgumentTypeError(f"expected three finite numbers x,y,z, got {text!r}")
+    return parts
 
 
 def _parse_window(text: str) -> tuple:

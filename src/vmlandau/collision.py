@@ -29,22 +29,12 @@ from .macro import _projector
 
 __all__ = [
     "CollisionParams",
-    "ResourceBudgetError",
     "CollisionFrequencyField",
     "LinearizedOperator",
-    "DEFAULT_DESK_BUDGET",
     "sigma_field",
     "apply_Q",
     "assemble_L",
 ]
-
-# 2 n^6 at the largest supported production resolution (n = 33)
-DEFAULT_DESK_BUDGET = 2 * 33 ** 6
-
-
-class ResourceBudgetError(RuntimeError):
-    """Operation would exceed the desk-scale budget."""
-
 
 @dataclass(frozen=True)
 class CollisionParams:
@@ -58,13 +48,6 @@ class CollisionParams:
             raise ValueError(f"gamma must satisfy -3 <= gamma < -2, got {self.gamma}")
         if not 0 < self.c_phi < np.inf:
             raise ValueError(f"c_phi must be positive and finite, got {self.c_phi}")
-
-
-def _check_budget(n: int) -> None:
-    if 2 * n ** 6 > DEFAULT_DESK_BUDGET:
-        raise ResourceBudgetError(
-            f"n = {n}: 2*n^6 = {2 * n ** 6:.3g} exceeds the desk budget {DEFAULT_DESK_BUDGET:.3g}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +110,8 @@ def apply_Q(grid: VelocityGrid, params: CollisionParams, F, G) -> np.ndarray:
     with centered-difference gradients and the summation-by-parts divergence,
     so the discrete mass moment of Q vanishes identically and the momentum and
     energy moments of the symmetrized pair Q(F,G) + Q(G,F) cancel exactly
-    through the lattice identity phi^ij(d) d_j = 0.  Desk scale only.
+    through the lattice identity phi^ij(d) d_j = 0.
     """
-    _check_budget(grid.n)
     conv = LatticeConvolver(grid, params.gamma, params.c_phi)
     n = grid.n
     D = grid.gradient_matrices
@@ -250,5 +232,4 @@ class LinearizedOperator:
 
 def assemble_L(grid: VelocityGrid, params: CollisionParams) -> LinearizedOperator:
     """Assemble the linearized operator once per (grid, params)."""
-    _check_budget(grid.n)
     return LinearizedOperator(grid, params)

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "MAX_N",
     "GridParameterError",
     "GridMismatchError",
     "VelocityGrid",
@@ -28,8 +29,11 @@ __all__ = [
 ]
 
 
+MAX_N = 33   # the largest supported points per axis
+
+
 class GridParameterError(ValueError):
-    """Invalid lattice parameters (non-odd n, non-positive R, ...)."""
+    """Invalid lattice parameters (non-odd n, n > MAX_N, non-positive R, ...)."""
 
 
 class GridMismatchError(ValueError):
@@ -133,9 +137,12 @@ class VelocityGrid:
 
 
 def check_grid_parameters(R: float, n: int) -> None:
-    """Raise GridParameterError unless R is positive and finite and n is an odd integer >= 3."""
+    """Raise GridParameterError unless R is positive and finite and n is an odd integer
+    with 3 <= n <= MAX_N: the one rule for every grid the program builds or reads."""
     if not (isinstance(n, (int, np.integer)) and n % 2 == 1 and n >= 3):
         raise GridParameterError(f"points_per_axis must be an odd integer >= 3, got {n}")
+    if n > MAX_N:
+        raise GridParameterError(f"points_per_axis must be at most {MAX_N}, got {n}")
     if not 0 < R < np.inf:
         raise GridParameterError(f"half_width must be positive and finite, got {R}")
 
@@ -143,8 +150,8 @@ def check_grid_parameters(R: float, n: int) -> None:
 def build_grid(R: float, n: int) -> VelocityGrid:
     """Build the truncated velocity lattice.
 
-    R must be positive and n odd with n >= 3 so that xi = 0 is a node.  n >= 9
-    is the supported production range; smaller odd n is allowed for unit tests.
+    R must be positive and finite and n odd, so that xi = 0 is a node, with 9 <= n <=
+    MAX_N in production and n >= 3 for unit tests: check_grid_parameters.
     """
     check_grid_parameters(R, n)
     n = int(n)

@@ -22,9 +22,10 @@ Mode CSV schema (exact header):
 Fit summary schema:
     m,sigma_hat,sigma_target,resid,t1,t2,n_shells
 
-Parallelism: orbits, not modes, are farmed to forked worker processes (the
-assembled operator is shared copy-on-write); VML_THREADS caps the worker count,
-which is otherwise the number of CPUs this process may run on.
+Parallelism: orbits, not modes, are farmed to forked worker processes, which
+inherit the one worker context (config and operator, shared copy-on-write) that
+run_sweep sets before it forks or runs serially; VML_THREADS caps the worker
+count, which is otherwise the number of CPUs this process may run on.
 No sum over n^3 entries on the run path runs in BLAS (``grid._dot``), so
 archive bytes depend neither on scheduling order, nor on the worker count, nor
 on the BLAS thread count, and a forked worker starts no BLAS thread.
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointWriter
-from .collision import CollisionParams, LinearizedOperator, ResourceBudgetError, _check_budget
+from .collision import CollisionParams, LinearizedOperator
 from .grid import TwoSpeciesField, VelocityGrid, _dot, check_grid_parameters
 from .macro import _projector, project_P
 from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, integrate_mode,
@@ -119,11 +120,10 @@ class ExperimentConfig:
         try:
             self.collision_params()
             check_grid_parameters(self.R, self.n)
-            _check_budget(self.n)
             stepper = self.stepper()
             for name in ("T", "save_interval", "checkpoint_interval"):
                 stepper.steps(getattr(self, name), name)
-        except (ValueError, ResourceBudgetError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def collision_params(self) -> CollisionParams:
@@ -405,12 +405,7 @@ def run_orbit(cfg: ExperimentConfig, k, members, op: LinearizedOperator):
     return rep, hist
 
 
-_WORKER_CTX: dict = {}
-
-
-def _worker_init(cfg, op):
-    _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["op"] = op
+_WORKER_CTX: dict = {}   # run_sweep's cfg and op, set before its forked workers start
 
 
 def _run_one_orbit(job) -> list:
@@ -482,13 +477,12 @@ def run_sweep(cfg: ExperimentConfig, op: LinearizedOperator) -> RunArchive:
     (outdir / "config.cfg").write_text(config_to_text(cfg))
     jobs = _orbits(cfg, build_k_set(cfg))
     nproc = min(workers, len(jobs))
+    _WORKER_CTX.update(cfg=cfg, op=op)
     if nproc > 1:
         import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        with ctx.Pool(nproc, initializer=_worker_init, initargs=(cfg, op)) as pool:
+        with mp.get_context("fork").Pool(nproc) as pool:
             batches = list(pool.imap_unordered(_run_one_orbit, jobs))
     else:
-        _worker_init(cfg, op)
         batches = list(map(_run_one_orbit, jobs))
     failures = sorted((f for batch in batches for f in batch), key=lambda f: f["mode"])
     archive = _archive(outdir, cfg, failures)

@@ -25,32 +25,33 @@ couples to (E, B) through sqrt2 (E.xi) sqrt(mu) and the current
 sqrt2 <xi sqrt(mu), d>.  The sqrt2 makes the map orthogonal and its own
 inverse, so it keeps the energy norm: the blocks' tests on the true residual
 |r_b| <= lin_tol |rhs_b| add up to lin_tol |rhs| on the whole state.  Between
-steps the state stays in species form.  One _ModeSolve per (mode, a) holds
-both blocks' generators, which mode_rhs applies too, and their solves.  Each
-block runs one GMRES cycle from the current state, right-preconditioned by the
-mode's one diagonal ILU (D-ILU) of I + a (A + i xi.k), built on the first
-solve so that evaluating M builds none.  On the difference block the
-preconditioner also closes the six field entries: it inverts exactly the block
-matrix whose kinetic block is the D-ILU, through its 6 x 6 Schur complement on
-(E, B), built once per _ModeSolve from three D-ILU solves.  Each iteration
-costs one block application and two sparse triangular solves.
+steps the state stays in species form.  One _ModeSolve per (mode, a) holds both
+blocks' generators, which mode_rhs applies too, and their solves: one GMRES
+cycle each for a correction (I - a G_b) dx = r_b to the step's target, right-
+preconditioned by the mode's one diagonal ILU (D-ILU) of I + a (A + i xi.k),
+built on the first solve so that evaluating M builds none.  On the difference
+block the preconditioner also closes the six field entries: it inverts exactly
+the block matrix whose kinetic block is the D-ILU, through its 6 x 6 Schur
+complement on (E, B), built once per _ModeSolve from three D-ILU solves.  Each
+iteration costs one block application and two sparse triangular solves.
 
 Inside the sum block's GMRES, K's convolution runs in single precision (about
 half the cost, 2e-7 relative error).  The Krylov vectors build only the
 correction x - s^n, so that error enters scaled by the correction: an inexact
 Krylov method (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003).
 
-One rule ends a step's solves, on both blocks.  The per-step ledger applies K
-once to s^{n+1} and A once to s^{n+1} and d^{n+1} for the dissipation
-<L f, f> = <(A + 2K) s, s> + <A d, d>, and those products give G u^{n+1} in
-double, so G x too (imex-euler, x = u^{n+1}; imex-midpoint, x = (u^{n+1} +
-u^n)/2 and G x = (G u^{n+1} + G u^n)/2).  So |rhs_b - x_b + a G_b x_b| is
-each block's true residual, at no further K.  A block above lin_tol |rhs_b|,
-because its cycle ran out of iterations or its Givens estimate was the
-single-precision system's, continues from x, and the ledger is redone, at most
-_MAX_PASSES times.  The same products give the next step's initial residuals
-a (G u^n).  Every value carried across a step is a function of u^n alone, so a
-restarted run reproduces an uninterrupted one bitwise.
+One rule ends a step's solves, on both blocks, and the step owns it: it sets
+each block's target lin_tol |rhs_b| once, and its residual r_b = rhs_b - x_b +
+a G_b x_b once a pass.  The per-step ledger applies K once to s^{n+1} and A
+once to s^{n+1} and d^{n+1} for the dissipation <L f, f> = <(A + 2K) s, s> +
+<A d, d>, and those products give G u^{n+1} in double, so G x too (imex-euler,
+x = u^{n+1}; imex-midpoint, x = (u^{n+1} + u^n)/2): r_b is the true residual at
+no further K, and at x = u^n, before the first pass, the last ledger's.  Each
+solve adds its correction to x in place; a block still above its target,
+because its cycle ran out of iterations or its Givens estimate was the single-
+precision system's, is solved again, at most _MAX_PASSES times.  Every value
+carried across a step is a function of u^n alone, so a restarted run
+reproduces an uninterrupted one bitwise.
 
 A run records by step index, StepperConfig.steps being the one time-to-steps
 rule, and its solver vector, frames and checkpoint records share one layout,
@@ -114,6 +115,8 @@ class ModeState:
         self.k = np.asarray(self.k, dtype=float).reshape(3)
         self.Ehat = np.asarray(self.Ehat, dtype=complex).reshape(3)
         self.Bhat = np.asarray(self.Bhat, dtype=complex).reshape(3)
+        if not all(np.isfinite(x).all() for x in (self.k, self.Ehat, self.Bhat)):
+            raise ValueError("k, Ehat and Bhat must be finite")
 
     def gauss_residuals(self):
         """|i k.E - charge| and |i k.B|."""
@@ -206,7 +209,7 @@ def mode_rhs(state: ModeState, op: LinearizedOperator):
     """Time derivative (dfhat, dEhat, dBhat) of the mode equations."""
     op.grid.check_same(state.fhat.grid)
     n3 = op.grid.size
-    ms = _ModeSolve(op, state.k, 0.0, 0.0)   # never solves: builds no D-ILU
+    ms = _ModeSolve(op, state.k, 0.0)   # never solves: builds no D-ILU
     u = _sum_diff(state.flat(), n3)
     du = np.concatenate([ms.sum_block(u[:n3]), ms.diff_block(u[n3:])])
     d = ModeState.from_flat(state.k, _sum_diff(du, n3), state.fhat.grid, state.t)
@@ -263,27 +266,26 @@ class _DiagonalILU:
 
 
 class _ModeSolve:
-    """The generator blocks of one mode and the solves of (I - a G) x = rhs on them.
+    """The generator blocks of one mode and the solves of (I - a G) dx = r on them.
 
-    Holds xi.k and the weight a.  A block is x = (n^3 kinetic entries,
-    fields) and G is the block's part of the generator.  The preconditioner
-    M^-1 (see precondition) is built on the first solve from the mode's one
-    _DiagonalILU of I + a (A + i xi.k): on the sum block it is the D-ILU; on
-    the difference block it closes the field entries exactly through their
-    Schur complement.  Both depend only on (op, k, a).  GMRES runs one cycle
+    Holds xi.k and the weight a; each solve is given its r and target.  A block
+    is x = (n^3 kinetic entries, fields), G the block's part of the generator.
+    The preconditioner M^-1 (see precondition) is built on the first solve from
+    the mode's one _DiagonalILU of I + a (A + i xi.k): on the sum block it is
+    the D-ILU; on the difference block it closes the field entries exactly
+    through their Schur complement, both fixed by (op, k, a).  GMRES runs one cycle
     on (I - a G) M^-1 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
     with modified Gram-Schmidt and Givens rotations, and keeps z_j = M^-1 v_j
-    so that x = x0 + Z y costs no further preconditioner solve.  With M^-1 on
-    the right the residual is that of the generator it is given, so the
-    recurrence's |g_{m+1}| <= lin_tol |rhs| ends the cycle; integrate_mode
-    checks every solution on its true residual in double.
+    so that dx = Z y costs no further preconditioner solve.  With M^-1 on the
+    right the residual is that of the generator it is given, so the
+    recurrence's |g_{m+1}| <= target ends the cycle; integrate_mode checks
+    every solution on its true residual in double.
     """
 
-    def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float, lin_tol: float):
+    def __init__(self, op: LinearizedOperator, k: np.ndarray, a: float):
         self.op = op
         self.k = k
         self.a = a
-        self.lin_tol = lin_tol
         self.xik = _xi_dot(op.grid, k)
 
     @functools.cached_property
@@ -342,29 +344,24 @@ class _ModeSolve:
         EB = Sinv @ np.concatenate([x[n3:n3 + 3] - _dot(V, y), x[n3 + 3:]])
         return np.concatenate([y + _dot(EB[:3], W), EB])
 
-    def solve(self, gen, rhs: np.ndarray, guess: np.ndarray, gen_guess: np.ndarray):
-        """One GMRES cycle for (I - a gen) x = rhs from ``guess``; returns (x, iterations).
+    def solve(self, gen, r: np.ndarray, target: float):
+        """One GMRES cycle for the correction (I - a gen) dx = r from dx = 0; returns
+        (dx, iterations), or (None, 0) when |r| <= target.
 
-        ``gen_guess`` is gen(guess), so the initial residual rhs - guess +
-        a gen(guess) costs no application of gen.  The cycle stops once the
-        Givens residual is <= lin_tol |rhs|, or after _MAX_ITERS iterations;
-        integrate_mode checks x on the true residual and continues from it.
+        The caller gives the residual r of its current x and the target; the
+        cycle stops once the Givens residual is <= target, or after _MAX_ITERS
+        iterations, and integrate_mode checks x + dx on the true residual.
         """
-        bnorm = _norm(rhs)
-        if bnorm == 0.0:
-            return np.zeros_like(rhs), 0
-        a, target = self.a, self.lin_tol * bnorm
-        r = rhs - guess + a * gen_guess
         beta = _norm(r)
         if beta <= target:
-            return guess, 0
+            return None, 0
         V, Z, rot = [r / beta], [], []
         H = np.zeros((_MAX_ITERS + 1, _MAX_ITERS), dtype=complex)
         g = np.zeros(_MAX_ITERS + 1, dtype=complex)
         g[0] = beta
         for j in range(_MAX_ITERS):
             z = self.precondition(V[j])
-            w = z - a * gen(z)
+            w = z - self.a * gen(z)
             for i, vi in enumerate(V):
                 H[i, j] = _dot(vi.conj(), w)
                 w -= H[i, j] * vi
@@ -384,7 +381,7 @@ class _ModeSolve:
                 break
             V.append(w / hnext)
         y = scipy.linalg.solve_triangular(H[:len(Z), :len(Z)], g[:len(Z)]) if Z else ()
-        return guess + sum(yi * zi for yi, zi in zip(y, Z)), j + 1
+        return sum(yi * zi for yi, zi in zip(y, Z)), j + 1
 
 
 def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
@@ -398,14 +395,15 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     _MAX_STEPS of them (a runaway guard).  Frames fall on the multiples of the
     sample interval's steps, and, given a ``checkpoint`` (any object with
     ``append(ModeState)``, such as a CheckpointWriter), records on the
-    checkpoint interval's; both hold the first and the last
-    state, and a 0 interval only those.
-    Initial data must satisfy the Gauss constraints to within CONSTRAINT_TOL,
-    which at k = 0 asks for charge-neutral data.  Constraint drift during the
-    run is recorded in the gauss_E and gauss_B series without aborting.
+    checkpoint interval's; both hold the first and the last state, and a 0
+    interval only those.  Initial data must satisfy the Gauss constraints to
+    within CONSTRAINT_TOL (a NaN residual does not), which at k = 0 asks for
+    charge-neutral data.  Constraint drift during the run is recorded in the
+    gauss_E and gauss_B series without aborting.
 
-    Both blocks' solves are checked in double by the step's own ledger (see the
-    module notes): solve_residual holds each block's true residual,
+    The step sets each block's GMRES target lin_tol |rhs_b| and residual, and
+    checks both blocks' solves in double by its own ledger (see the module
+    notes): solve_residual holds each block's true residual,
     ``refinements`` the passes that brought a step's blocks under lin_tol, and a
     step with a block still above it after _MAX_PASSES passes raises
     RuntimeError naming those blocks and their residuals.  At lin_tol 1e-8 a
@@ -423,7 +421,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     g = op.grid
     k = state0.k
     res_e, res_b = state0.gauss_residuals()
-    if res_e > CONSTRAINT_TOL or res_b > CONSTRAINT_TOL:
+    if not (res_e <= CONSTRAINT_TOL and res_b <= CONSTRAINT_TOL):   # a NaN fails too
         raise ValueError(f"initial Gauss residuals ({res_e:.2e}, {res_b:.2e}) "
                          f"exceed constraint tolerance {CONSTRAINT_TOL:.2e}")
 
@@ -433,7 +431,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
     sample_every = cfg.steps(sample_interval, "sample_interval") or nsteps
     ckpt_every = cfg.steps(checkpoint_interval, "checkpoint_interval") or nsteps
     n3 = g.size
-    ms = _ModeSolve(op, k, cfg.implicit_weight(), cfg.lin_tol)
+    ms = _ModeSolve(op, k, cfg.implicit_weight())
 
     midpoint = cfg.scheme == "imex-midpoint"
     # each block's entries of the (s, d, E, B) vector, its generator in the solve, its name
@@ -469,14 +467,16 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         t_new = state0.t + step * cfg.dt
         rhs, gen_rhs = v, gen_v
         bnorm = [_norm(rhs[b]) for b, _, _ in blocks]
-        x, gen_x, missed = rhs, gen_rhs, range(2)
+        target = [cfg.lin_tol * bn for bn in bnorm]
+        x, missed = rhs.copy(), range(2)
+        r = rhs - x + ms.a * gen_rhs   # x's residual, from the incoming ledger's products
         while True:
-            parts = [x[b] for b, _, _ in blocks]
             for i in missed:
                 b, gen, _ = blocks[i]
-                parts[i], more = ms.solve(gen, rhs[b], x[b], gen_x[b])
+                dx, more = ms.solve(gen, r[b], target[i])
+                if more:
+                    x[b] += dx
                 iters[step - 1, i] += more
-            x = np.concatenate(parts)
             u = _sum_diff(2.0 * x - rhs if midpoint else x, n3)
             v, gen_v = scalars(step, u, t_new)
             # the solution and G of it, in double, from the ledger's products

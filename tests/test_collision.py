@@ -5,9 +5,8 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from vmlandau._conv import _PACK, LatticeConvolver, sigma_iso_origin
-from vmlandau.collision import (CollisionParams, ResourceBudgetError, apply_Q,
-                                assemble_L, sigma_field)
-from vmlandau.grid import build_grid, inner_product
+from vmlandau.collision import CollisionParams, apply_Q, assemble_L, sigma_field
+from vmlandau.grid import GridParameterError, build_grid, inner_product
 from vmlandau.macro import project_P
 from vmlandau.weights import dissipation_norm
 
@@ -176,13 +175,11 @@ class TestApplyQ:
         rhs = apply_Q(grid11, params, F, G) + 2.0 * apply_Q(grid11, params, F, H)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-14)
 
-    def test_resource_guard(self, params):
-        # 2 n^6 at n = 35 exceeds the desk budget; both entry points refuse before any work
-        grid = build_grid(7.0, 35)
-        with pytest.raises(ResourceBudgetError):
-            apply_Q(grid, params, grid.mu, grid.mu)
-        with pytest.raises(ResourceBudgetError):
-            assemble_L(grid, params)
+    def test_resource_guard(self):
+        # n = 35 is past the supported lattice: refused before any grid exists, so neither
+        # apply_Q nor assemble_L can be given one
+        with pytest.raises(GridParameterError, match="points_per_axis must be at most 33, got 35"):
+            build_grid(7.0, 35)
 
 
 class TestLinearizedOperator:

@@ -273,6 +273,23 @@ class TestIntegrateMode:
         with pytest.raises(ValueError):
             integrate_mode(st, stepper(dt=0.1), 1.0, op11)
 
+    @pytest.mark.parametrize("name", ["k", "Ehat", "Bhat"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, grid11, name, bad):
+        st = _zero_state(grid11, [0.0, 0.0, 1.0])
+        value = getattr(st, name).copy()
+        value[0] = bad
+        with pytest.raises(ValueError, match="k, Ehat and Bhat must be finite"):
+            ModeState(**{"k": st.k, "fhat": st.fhat, "Ehat": st.Ehat, "Bhat": st.Bhat,
+                         name: value})
+
+    def test_nan_gauss_residual_fails_the_constraint_check(self, op11, grid11):
+        # E set after construction: the Gauss residual is NaN, which must not pass
+        st = _zero_state(grid11, [0.0, 0.0, 1.0])
+        st.Ehat[0] = np.nan
+        with pytest.raises(ValueError, match=r"initial Gauss residuals \(nan, 0\.00e\+00\)"):
+            integrate_mode(st, stepper(dt=0.1), 1.0, op11)
+
 
 class TestSolverGuards:
     def test_T_not_a_multiple_of_dt_rejected(self, op11, grid11):
@@ -510,8 +527,8 @@ class TestSumBlockCheck:
 
 
 class TestBlockSolver:
-    def _sum_solver(self, op, a, lin_tol=1e-8):
-        return mode._ModeSolve(op, np.array([0.0, 0.3, 0.4]), a, lin_tol)
+    def _solver(self, op, a):
+        return mode._ModeSolve(op, np.array([0.0, 0.3, 0.4]), a)
 
     def _counted(self, monkeypatch, solver):
         calls = [0]
@@ -535,12 +552,27 @@ class TestBlockSolver:
         assert np.all(h.solve_iters > 3)
 
     def test_zero_rhs_returns_zeros_without_iterating(self, op9, monkeypatch):
-        solver = self._sum_solver(op9, 0.5)
+        solver = self._solver(op9, 0.5)
         calls = self._counted(monkeypatch, solver)
         zero = np.zeros(op9.grid.size, dtype=complex)
-        x, iters = solver.solve(None, zero, zero, zero)   # any application would raise
+        assert solver.solve(None, zero, 0.0) == (None, 0)   # any application would raise
         assert calls[0] == 0
-        assert np.array_equal(x, zero) and iters == 0
+
+    def test_solve_stops_at_the_callers_target(self, op9):
+        # the difference block runs in double throughout, so its Givens residual is the
+        # true one to roundoff: a looser target stops sooner, and each meets its own
+        a = 0.5
+        solver = self._solver(op9, a)
+        rng = np.random.default_rng(13)
+        r = rng.standard_normal(op9.grid.size + 6) + 1j * rng.standard_normal(op9.grid.size + 6)
+        r[:op9.grid.size] *= op9.grid.sqrt_mu
+        iters = []
+        for rtol in (0.1, 1e-8):
+            target = rtol * np.linalg.norm(r)
+            dx, more = solver.solve(solver.diff_block, r, target)
+            assert np.linalg.norm(r - dx + a * solver.diff_block(dx)) <= 1.001 * target
+            iters.append(more)
+        assert 0 < iters[0] < iters[1], iters
 
 
 class TestDiagonalILU:
@@ -611,7 +643,7 @@ class TestFieldClosure:
         # P is I - a G_d with the D-ILU P_d in place of its kinetic block
         # M_d = I + a (A + i xi.k): P z = z - a G_d z + (P_d - M_d) z_d
         a = 0.5
-        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), a, 1e-8)
+        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), a)
         n3 = op9.grid.size
         ilu, A = solver.ilu, op9.A_sparse
         D = sp.diags_array(ilu.d)
@@ -626,7 +658,7 @@ class TestFieldClosure:
         assert np.linalg.norm(Pz - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_sum_block_keeps_the_plain_d_ilu(self, op9):
-        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), 0.5, 1e-8)
+        solver = mode._ModeSolve(op9, np.array([0.3, -0.2, 0.5]), 0.5)
         x = np.random.default_rng(12).standard_normal(op9.grid.size).astype(complex)
         assert np.array_equal(solver.precondition(x), solver.ilu.solve(x))
 
@@ -763,8 +795,8 @@ class TestCheckpoint:
             read_checkpoint(path)
 
     @pytest.mark.parametrize("R, n, message", [
-        (7.0, 35, r"n = 35: 2\*n\^6 = 3\.68e\+09 exceeds the desk budget"),
-        (7.0, 2 ** 31 - 1, r"n = 2147483647: 2\*n\^6 = .* exceeds the desk budget"),
+        (7.0, 35, "points_per_axis must be at most 33, got 35"),
+        (7.0, 2 ** 31 - 1, "points_per_axis must be at most 33, got 2147483647"),
         (7.0, 12, "points_per_axis must be an odd integer >= 3, got 12"),
         (float("inf"), 9, "half_width must be positive and finite, got inf"),
     ])
