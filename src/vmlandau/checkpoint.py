@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collision import CollisionParams
 from .grid import VelocityGrid, build_grid, check_grid_parameters
 from .mode import ModeState
 
@@ -69,8 +70,8 @@ class CheckpointFile:
 
 
 def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
-    """Read every record; builds (or validates) the grid from the header, whose (R, n) must
-    be a grid the program can build."""
+    """Read every record; builds (or validates) the grid from the header, whose (R, n, gamma,
+    c_phi) must be a grid and kernel the program can build.  Errors name the file and record."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -81,6 +82,7 @@ def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
         R, n, gamma, c_phi = _HEADER.unpack(header)
         try:
             check_grid_parameters(R, n)
+            CollisionParams(gamma, c_phi)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         if grid is None:
@@ -91,7 +93,10 @@ def read_checkpoint(path, grid: VelocityGrid | None = None) -> CheckpointFile:
         states = []
         while blob := fh.read(rec.itemsize):
             if len(blob) != rec.itemsize:
-                raise ValueError(f"{path}: truncated record")
+                raise ValueError(f"{path}: truncated record {len(states)}")
             r = np.frombuffer(blob, dtype=rec)[0]
-            states.append(ModeState.from_flat(r["k"], r["u"], grid, float(r["t"])))
+            try:
+                states.append(ModeState.from_flat(r["k"], r["u"], grid, float(r["t"])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: record {len(states)}: {exc}") from exc
     return CheckpointFile(R=R, n=n, gamma=gamma, c_phi=c_phi, states=states)

@@ -54,15 +54,13 @@ def _parse_window(text: str) -> tuple:
 def cmd_sigma_table(args) -> int:
     # ExperimentConfig's checks: a ConfigError unless the grid and kernel can be built
     ExperimentConfig(R=args.rmax, n=args.n, gamma=args.gamma, c_phi=args.c_phi)
-    grid = build_grid(args.rmax, args.n)
-    params = CollisionParams(gamma=args.gamma, c_phi=args.c_phi)
-    sigma = sigma_field(grid, params)
     ray = args.ray
     step = np.round(ray).astype(int)
     if np.all(step == 0) or not np.allclose(ray, step):
-        print("ray must be a nonzero integer lattice direction, e.g. 1,0,0 or 1,1,0",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("ray must be a nonzero integer lattice direction, e.g. 1,0,0 or 1,1,0")
+    grid = build_grid(args.rmax, args.n)
+    params = CollisionParams(gamma=args.gamma, c_phi=args.c_phi)
+    sigma = sigma_field(grid, params)
     n = grid.n
     mid = (n - 1) // 2
     lines = [SIGMA_CSV_HEADER]

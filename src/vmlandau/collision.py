@@ -25,7 +25,6 @@ import scipy.sparse as sp
 
 from ._conv import _PACK, LatticeConvolver
 from .grid import TwoSpeciesField, VelocityGrid
-from .macro import _projector
 
 __all__ = [
     "CollisionParams",
@@ -210,9 +209,9 @@ class LinearizedOperator:
         return TwoSpeciesField(self.apply_raw(f.values), self.grid)
 
     def nullspace_basis(self):
-        """The six null vectors, macro's basis: [1,0] and [0,1] sqrt(mu) (mass),
+        """The six null vectors, the grid's macro basis: [1,0] and [0,1] sqrt(mu) (mass),
         [1,1] xi_i sqrt(mu) (momentum) and [1,1](|xi|^2 - 3) sqrt(mu) (energy)."""
-        return [TwoSpeciesField(v, self.grid) for v in _projector(self.grid).basis]
+        return [TwoSpeciesField(v, self.grid) for v in self.grid.moments.basis]
 
     def odd_even_basis(self):
         """The 14 odd-even fields sqrt(mu) (-1)^(p.(i,j,l)), p in {0,1}^3 minus 0, on the

@@ -4,7 +4,9 @@ The velocity domain [-R, R]^3 is discretized on a uniform tensor lattice with an
 odd number of points per axis, so the origin is a node and the lattice is
 symmetric under xi -> -xi.  Quadrature is tensor trapezoid: interior nodes carry
 weight h^3, faces/edges/corners carry the corresponding halved products.  All
-other modules consume velocities, weights and gradients from here.
+other modules read velocities, weights and the per-grid tables from here; a grid
+builds each table on first use and owns it: mu, sqrt(mu), the gradient matrices
+and ``moments``, the macro basis and every moment row.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "MAX_N",
     "GridParameterError",
     "GridMismatchError",
+    "MomentTable",
     "VelocityGrid",
     "TwoSpeciesField",
     "build_grid",
@@ -68,6 +71,45 @@ def _d1_matrix(n: int, h: float) -> sp.csr_array:
     cols += [n - 1, n - 2, n - 3]
     vals += [1.5 / h, -2.0 / h, 0.5 / h]
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+
+
+class MomentTable:
+    """One grid's macro ``basis`` (6, 2, n^3), L's null space (see macro), its quadrature
+    ``gram`` matrix and inverse, and the 17 quadrature-weighted balance-law test
+    functions ``rows``, in the order of macro's families: sqrt(mu); xi_i sqrt(mu);
+    (|xi|^2 - 3) sqrt(mu) / 6; (xi_i xi_j - 1) sqrt(mu) with (i, j) row-major;
+    (|xi|^2 - 5) xi_i sqrt(mu) / 10.  ``values @ rows.T`` gives every moment of a
+    (2, n^3) field at once.
+
+    The Theta rows subtract 1 for every i, j, not only on the diagonal, so off
+    the diagonal Theta_ij(P f_pm) = -a_pm in exact integrals.  Written in
+    macro/micro variables, the off-diagonal Theta law therefore carries
+    -d/dt a_pm, which the mass law turns into
+    i k.b + i k.<xi sqrt(mu), {I-P} f_pm>; the second of these is the
+    i k.<xi sqrt(mu), m_pm> term of that law.
+    """
+
+    def __init__(self, grid: VelocityGrid):
+        smu = grid.sqrt_mu
+        zero = np.zeros_like(smu)
+        xi = grid.xi
+        r2 = np.sum(xi ** 2, axis=0)
+        shared = [xi[i] * smu for i in range(3)] + [(r2 - 3.0) * smu]
+        self.basis = np.array([np.stack([smu, zero]), np.stack([zero, smu])]
+                              + [np.stack([v, v]) for v in shared])
+        self.weights = w = grid.weights   # not the grid: no cycle keeps a grid alive
+        self.gram = np.einsum("akl,bkl,l->ab", self.basis, self.basis, w)
+        self.gram_inv = np.linalg.inv(self.gram)
+        phis = [smu] + shared[:3] + [shared[3] / 6.0]
+        phis += [(xi[i] * xi[j] - 1.0) * smu for i in range(3) for j in range(3)]
+        phis += [0.1 * (r2 - 5.0) * xi[i] * smu for i in range(3)]
+        self.rows = np.array(phis) * w
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        return self.gram_inv @ np.einsum("akl,kl,l->a", self.basis, values, self.weights)
+
+    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.einsum("a,akl->kl", coeffs, self.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +167,11 @@ class VelocityGrid:
             cols = rows + (D.indices[entry] - digit[rows]) * stride
             mats.append(sp.csr_array((D.data[entry], cols, indptr), shape=(self.size,) * 2))
         return tuple(mats)
+
+    @cached_property
+    def moments(self) -> MomentTable:
+        """This grid's macro basis and moment rows, built on first use."""
+        return MomentTable(self)
 
     def same_grid(self, other: "VelocityGrid") -> bool:
         return self.n == other.n and self.R == other.R

@@ -45,7 +45,7 @@ import numpy as np
 from .checkpoint import CheckpointWriter
 from .collision import CollisionParams, LinearizedOperator
 from .grid import TwoSpeciesField, VelocityGrid, _dot, check_grid_parameters
-from .macro import _projector, project_P
+from .macro import project_P
 from .mode import (CONSTRAINT_TOL, ModeEnergyReport, ModeState, StepperConfig, integrate_mode,
                    mode_energy_report)
 
@@ -267,7 +267,7 @@ def init_data(cfg: ExperimentConfig, k, grid: VelocityGrid) -> ModeState:
     R = _frame(k)
     xi = _dot(R.T, grid.xi)
     smu = grid.sqrt_mu
-    proj = _projector(grid)
+    proj = grid.moments
     zero3 = np.zeros(3, dtype=complex)
     knorm = float(np.linalg.norm(k))
     # the profile's frame at e3 is (e3, e2, -e1): its image under R

@@ -7,9 +7,10 @@ orthogonal only in exact integrals, so the projection is built through the
 Gram matrix of the sampled basis under the quadrature inner product; this
 keeps idempotence and the coefficient round trip at roundoff level.
 
-This module owns that basis and every velocity moment of the program: one
-_Projector per grid builds them, and L's null space, the initial data, the
-charge and the current read them from it.
+The grid owns that basis and every velocity moment of the program: its
+``moments`` table (grid.MomentTable) builds them once, and this module's
+projection and residuals, L's null space, the initial data, the charge and the
+current read them from it.
 
 Moment functionals here are linear in the field (no conjugation): for one
 spatial Fourier mode they are the transforms of real-space moments and must
@@ -19,11 +20,10 @@ commute with d/dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import TwoSpeciesField, VelocityGrid, _dot
+from .grid import TwoSpeciesField, _dot
 
 __all__ = [
     "MacroState",
@@ -46,46 +46,13 @@ class MacroState:
         return np.concatenate([[self.a_plus, self.a_minus], self.b, [self.c]])
 
 
-class _Projector:
-    """The macro ``basis`` (6, 2, n^3) of one grid, its quadrature ``gram`` matrix
-    and the 17 weighted balance-law test functions ``rows`` (see _moment_rows)."""
-
-    def __init__(self, grid: VelocityGrid):
-        smu = grid.sqrt_mu
-        zero = np.zeros_like(smu)
-        xi = grid.xi
-        r2 = np.sum(xi ** 2, axis=0)
-        shared = [xi[i] * smu for i in range(3)] + [(r2 - 3.0) * smu]
-        self.basis = np.array([np.stack([smu, zero]), np.stack([zero, smu])]
-                              + [np.stack([v, v]) for v in shared])
-        w = grid.weights
-        self.gram = np.einsum("akl,bkl,l->ab", self.basis, self.basis, w)
-        self.gram_inv = np.linalg.inv(self.gram)
-        phis = [smu] + shared[:3] + [shared[3] / 6.0]
-        phis += [(xi[i] * xi[j] - 1.0) * smu for i in range(3) for j in range(3)]
-        phis += [0.1 * (r2 - 5.0) * xi[i] * smu for i in range(3)]
-        self.rows = np.array(phis) * w
-        self.grid = grid
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        return self.gram_inv @ np.einsum("akl,kl,l->a", self.basis, values, self.grid.weights)
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("a,akl->kl", coeffs, self.basis)
-
-
-@lru_cache(maxsize=8)
-def _projector(grid: VelocityGrid) -> _Projector:
-    return _Projector(grid)
-
-
 def project_P(f: TwoSpeciesField):
     """Split f into its macro part Pf and micro remainder {I - P} f.
 
     Returns (MacroState, Pf, micro) with f = Pf + micro exactly and
     <Pf, micro> at roundoff level.
     """
-    proj = _projector(f.grid)
+    proj = f.grid.moments
     coeffs = proj.coefficients(f.values)
     pf = proj.reconstruct(coeffs)
     micro = f.values - pf
@@ -101,24 +68,6 @@ _FAMILIES = {
     "theta": slice(5, 14),
     "lambda": slice(14, 17),
 }
-
-
-def _moment_rows(grid: VelocityGrid) -> np.ndarray:
-    """Quadrature-weighted test functions of the five balance-law families.
-
-    Rows, in the order of ``_FAMILIES``: sqrt(mu); xi_i sqrt(mu);
-    (|xi|^2 - 3) sqrt(mu) / 6; (xi_i xi_j - 1) sqrt(mu) with (i, j) row-major;
-    (|xi|^2 - 5) xi_i sqrt(mu) / 10.  ``values @ rows.T`` gives every moment
-    of a (2, n^3) field at once.
-
-    The Theta rows subtract 1 for every i, j, not only on the diagonal, so off
-    the diagonal Theta_ij(P f_pm) = -a_pm in exact integrals.  Written in
-    macro/micro variables, the off-diagonal Theta law therefore carries
-    -d/dt a_pm, which the mass law turns into
-    i k.b + i k.<xi sqrt(mu), {I-P} f_pm>; the second of these is the
-    i k.<xi sqrt(mu), m_pm> term of that law.
-    """
-    return _projector(grid).rows
 
 
 @dataclass
@@ -165,7 +114,7 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
     It vanishes to roundoff when the centered difference is exact and is second
     order in the spacing for imex-midpoint frames.  The off-diagonal Theta
     residual keeps d/dt a_pm rather than substituting the mass law, so it
-    differs from that law's macro/micro form (see _moment_rows) by the 'a'
+    differs from that law's macro/micro form (see grid.MomentTable) by the 'a'
     residual.
     """
     if len(frames) < 3:
@@ -178,7 +127,7 @@ def macro_residuals(frames, k, op) -> MacroResidualReport:
     g = op.grid
     w = g.weights
     k = np.asarray(k, dtype=float)
-    rows = _moment_rows(g)
+    rows = g.moments.rows
     phis = rows / w
     # A phi and K phi for two real test functions per complex product: A and K are real
     packed = phis[0::2].astype(complex)

@@ -71,7 +71,7 @@ import scipy.sparse.linalg as spla
 
 from .collision import LinearizedOperator
 from .grid import TwoSpeciesField, _dot, _norm
-from .macro import _moment_rows, project_P
+from .macro import project_P
 from .weights import dissipation_norm
 
 __all__ = [
@@ -179,7 +179,7 @@ def _xi_dot(g, v) -> np.ndarray:
 
 def _charge(g, f: np.ndarray) -> complex:
     """Charge <sqrt(mu), f_+ - f_-> of a (2, n^3) block."""
-    return complex(_dot(_moment_rows(g)[0], f[0] - f[1]))
+    return complex(_dot(g.moments.rows[0], f[0] - f[1]))
 
 
 def _gauss(g, k: np.ndarray, f: np.ndarray, E: np.ndarray, B: np.ndarray):
@@ -196,7 +196,7 @@ def _cross(k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _current(g, d: np.ndarray) -> np.ndarray:
     """<xi sqrt(mu), d> of one n^3 block; the current is sqrt2 times it at d = (f_+ - f_-)/sqrt2."""
-    return _dot(_moment_rows(g)[1:4], d)
+    return _dot(g.moments.rows[1:4], d)
 
 
 def _sum_diff(u: np.ndarray, n3: int) -> np.ndarray:
@@ -298,14 +298,14 @@ class _ModeSolve:
         g, k, a = self.op.grid, self.k, self.a
         U = (a * _SQRT2) * g.xi * g.sqrt_mu
         W = np.array([self.ilu.solve(u.astype(complex)) for u in U])
-        V = (a * _SQRT2) * _moment_rows(g)[1:4].astype(complex)
+        V = (a * _SQRT2) * g.moments.rows[1:4].astype(complex)
         kx = _cross(k, np.eye(3))
         S = np.block([[np.eye(3) + _dot(V, W.T), -1j * a * kx], [1j * a * kx, np.eye(3)]])
         return W, V, np.linalg.inv(S)
 
     def sparse_block(self, x: np.ndarray, Ax: Optional[np.ndarray] = None) -> np.ndarray:
         """-(i xi.k + A) x on one n^3 block: transport and the sparse part of L.
-        ``Ax``, if given, is A x."""
+        ``Ax``, if given, stands for A x; the ledger passes (A + 2K) s for the sum block."""
         return -1j * self.xik * x - (self.op.A_sparse @ x if Ax is None else Ax)
 
     def sum_block(self, s: np.ndarray, dtype=np.complex128) -> np.ndarray:
@@ -457,7 +457,7 @@ def integrate_mode(state0: ModeState, cfg: StepperConfig, T: float,
         # <L f, f> in (s, d) form: the map is orthogonal
         diss[idx] = float(np.sum(g.weights * (Ls * np.conj(s) + Ad * np.conj(d))).real)
         gauss_e[idx], gauss_b[idx] = _gauss(g, k, f, uvec[2 * n3:2 * n3 + 3], uvec[2 * n3 + 3:])
-        return v, np.concatenate([-1j * ms.xik * s - Ls, ms.diff_block(v[n3:], Ad)])
+        return v, np.concatenate([ms.sparse_block(s, Ls), ms.diff_block(v[n3:], Ad)])
 
     v, gen_v = scalars(0, u, state0.t)
     frames = [state0.copy()]

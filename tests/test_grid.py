@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -175,6 +177,22 @@ class TestVelocityGradient:
         for got, want in zip(g.gradient_matrices, kron):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+class TestMomentTable:
+    def test_the_grid_keeps_its_table_while_other_grids_build_theirs(self):
+        g = build_grid(7.0, 9)
+        table = g.moments
+        others = [build_grid(1.0 + i, 3) for i in range(9)]
+        assert all(o.moments is not table for o in others)
+        assert g.moments is table
+
+    def test_the_table_goes_with_its_grid(self):
+        g = build_grid(7.0, 9)
+        table = weakref.ref(g.moments)
+        grid = weakref.ref(g)
+        del g   # no reference cycle: reference counting alone frees both
+        assert grid() is None and table() is None
 
 
 def _adjointness_defect(g, decay, trials=5, seed=3):

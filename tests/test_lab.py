@@ -413,6 +413,18 @@ class TestCli:
         assert err.startswith("vml: ") and message in err and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
+    @pytest.mark.parametrize("ray", ["0,0,0", "0.5,0,0"])
+    def test_ray_off_the_lattice_is_a_usage_error(self, tmp_path, monkeypatch, capsys, ray):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "build_grid", refuse)
+        out = tmp_path / "sigma.csv"
+        assert cli.main(["sigma-table", "--n", "9", "--ray", ray, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "vml: ray must be a nonzero integer lattice direction, e.g. 1,0,0 or 1,1,0\n"
+        assert not out.exists()
+
     def test_sweep_config_that_cannot_be_read_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         assert cli.main(["decay-sweep", "--config", str(missing)]) == 2

@@ -6,7 +6,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from vmlandau.grid import TwoSpeciesField, build_grid, inner_product
 from vmlandau.lab import ExperimentConfig, init_data
-from vmlandau.macro import _FAMILIES, _moment_rows, macro_residuals, project_P
+from vmlandau.macro import _FAMILIES, macro_residuals, project_P
 from vmlandau.mode import ModeState, integrate_mode, mode_rhs
 
 from conftest import profile_frame, random_field, smooth_random_field, stepper
@@ -90,7 +90,7 @@ class TestProjectP:
 
 def _theta_lambda(f):
     """Theta (2, 3, 3) and Lambda (2, 3) per species from macro_residuals' moment rows."""
-    m = f.values @ _moment_rows(f.grid).T
+    m = f.values @ f.grid.moments.rows.T
     return m[:, _FAMILIES["theta"]].reshape(2, 3, 3), m[:, _FAMILIES["lambda"]]
 
 
@@ -162,7 +162,7 @@ def _exact_derivative_frames(grid, op):
 def _assert_matches_the_per_frame_form(frames, k, op):
     """macro_residuals against the residuals formed with L applied to every interior
     frame (one mode_rhs each), to 1e-13 of the largest right-hand-side moment."""
-    rows = _moment_rows(op.grid)
+    rows = op.grid.moments.rows
     dt = frames[1].t - frames[0].t
     moms = np.array([s.fhat.values @ rows.T for s in frames])
     rhs = np.array([mode_rhs(replace(s, k=k), op)[0].values @ rows.T for s in frames[1:-1]])

@@ -783,8 +783,23 @@ class TestCheckpoint:
             for _ in range(2):
                 w.append(_zero_state(grid11, [0.0, 0.0, 1.0]))
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(ValueError, match="truncated record"):
+        with pytest.raises(ValueError, match="mode.ckpt: truncated record 1$"):
             read_checkpoint(path, grid11)
+
+    def test_corrupt_record_names_its_file_and_index(self, tmp_path):
+        from vmlandau.checkpoint import _HEADER, MAGIC, _record
+        g = build_grid(7.0, 9)
+        path = tmp_path / "mode.ckpt"
+        with CheckpointWriter(path, g, -3.0, 1.0) as w:
+            for _ in range(2):
+                w.append(_zero_state(g, [0.0, 0.0, 1.0]))
+        blob = bytearray(path.read_bytes())
+        at = len(MAGIC) + _HEADER.size + _record(9).itemsize   # the second record's k
+        blob[at:at + 8] = np.array(np.nan, "<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        message = "mode.ckpt: record 1: k, Ehat and Bhat must be finite"
+        with pytest.raises(ValueError, match=message):
+            read_checkpoint(path)
 
     def test_truncated_header_rejected(self, grid11, tmp_path):
         path = tmp_path / "mode.ckpt"
@@ -806,6 +821,18 @@ class TestCheckpoint:
         path = tmp_path / "mode.ckpt"
         path.write_bytes(MAGIC + _HEADER.pack(R, n, -3.0, 1.0))
         with pytest.raises(ValueError, match=f"mode.ckpt: {message}"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("gamma, c_phi, message", [
+        (float("nan"), 1.0, "gamma must satisfy -3 <= gamma < -2, got nan"),
+        (-1.0, 1.0, "gamma must satisfy -3 <= gamma < -2, got -1.0"),
+        (-3.0, 0.0, "c_phi must be positive and finite, got 0.0"),
+    ], ids=["gamma-nan", "gamma-minus-1", "c_phi-0"])
+    def test_header_kernel_that_cannot_be_built_rejected(self, tmp_path, gamma, c_phi, message):
+        from vmlandau.checkpoint import _HEADER, MAGIC
+        path = tmp_path / "mode.ckpt"
+        path.write_bytes(MAGIC + _HEADER.pack(7.0, 9, gamma, c_phi))
+        with pytest.raises(ValueError, match=f"mode.ckpt: {re.escape(message)}"):
             read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
